@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -62,8 +62,13 @@ _CAP_ENV = {
 }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; `true`/`false` are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -75,6 +80,19 @@ def _parse_rational(text) -> Fraction:
 
 def _render_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def _check_states(states, path: str, where: str) -> list:
+    """A JSON list of automaton states; each must be hashable (not an array
+    or an object)."""
+    if not isinstance(states, list):
+        raise SchemaError(f"{path}: {where} must be a list")
+    for q in states:
+        if isinstance(q, (list, dict)):
+            raise SchemaError(
+                f"{path}: {where}: state {q!r} must be a string or a number"
+            )
+    return states
 
 
 def _parse_matrix(rows, dim: int, where: str) -> Matrix:
@@ -99,7 +117,7 @@ class Instance:
             if key not in doc:
                 raise SchemaError(f"{path}: missing required field {key!r}")
         self.dimension = doc["dimension"]
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+        if not _is_int(self.dimension) or self.dimension < 1:
             raise SchemaError(f"{path}: dimension must be a positive integer")
         alphabet = doc["alphabet"]
         if not isinstance(alphabet, list) or not all(
@@ -111,8 +129,11 @@ class Instance:
         if self.mode not in MODES:
             raise SchemaError(f"{path}: mode must be one of {MODES}")
         self.degree = doc["degree"]
-        if not isinstance(self.degree, int) or self.degree < 1:
+        if not _is_int(self.degree) or self.degree < 1:
             raise SchemaError(f"{path}: degree must be a positive integer")
+        for key in ("phi", "omega"):
+            if not isinstance(doc[key], dict):
+                raise SchemaError(f"{path}: {key} must be an object keyed by letter")
         phi = {}
         for a in self.alphabet:
             if a not in doc["phi"]:
@@ -123,7 +144,7 @@ class Instance:
             if a not in doc["omega"]:
                 raise SchemaError(f"{path}: omega lacks letter {a!r}")
             w = doc["omega"][a]
-            if w not in (-1, 0, 1):
+            if not _is_int(w) or w not in (-1, 0, 1):
                 raise SchemaError(
                     f"{path}: omega[{a!r}] = {w!r}; only weights in {{-1,0,1}} are "
                     "supported (normalize general weights first, e.g. with "
@@ -131,10 +152,11 @@ class Instance:
                 )
             omega[a] = w
         self.eta_override = doc.get("eta_override", 0)
-        if self.eta_override and (
-            not isinstance(self.eta_override, int) or self.eta_override < 1
-        ):
-            raise SchemaError(f"{path}: eta_override must be a positive integer")
+        if not _is_int(self.eta_override) or self.eta_override < 0:
+            raise SchemaError(
+                f"{path}: eta_override must be a positive integer (0 or absent: "
+                "the default threshold)"
+            )
         self.mp = MorphismPair(
             self.alphabet, self.dimension, phi, omega, self.eta_override
         )
@@ -152,25 +174,43 @@ class Instance:
         self.doc = doc
 
     def _parse_nfa(self, doc, path) -> Nfa:
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: nfa must be a JSON object")
         for key in ("states", "initial", "accepting", "transitions"):
             if key not in doc:
                 raise SchemaError(f"{path}: nfa lacks {key!r}")
-        states = tuple(doc["states"])
+        transitions = doc["transitions"]
+        if not isinstance(transitions, list) or not all(
+            isinstance(t, list) and len(t) == 3 for t in transitions
+        ):
+            raise SchemaError(f"{path}: nfa transitions are [from, letter, to]")
+        for src, letter, dst in transitions:
+            _check_states([src, dst], path, "nfa transition")
+            if not isinstance(letter, str):
+                raise SchemaError(
+                    f"{path}: nfa transition letter {letter!r} is not a string"
+                )
         try:
             return Nfa(
-                states=states,
+                states=tuple(_check_states(doc["states"], path, "nfa states")),
                 alphabet=self.alphabet,
-                initial=frozenset(doc["initial"]),
-                accepting=frozenset(doc["accepting"]),
-                transitions=frozenset(tuple(t) for t in doc["transitions"]),
+                initial=frozenset(_check_states(doc["initial"], path, "nfa initial")),
+                accepting=frozenset(
+                    _check_states(doc["accepting"], path, "nfa accepting")
+                ),
+                transitions=frozenset(tuple(t) for t in transitions),
             )
         except ZClosureError as exc:
             raise SchemaError(f"{path}: bad nfa: {exc}") from exc
 
     def _parse_vass(self, doc, path) -> Vass:
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: vass must be a JSON object")
         for key in ("states", "initial", "accepting", "transitions"):
             if key not in doc:
                 raise SchemaError(f"{path}: vass lacks {key!r}")
+        if not isinstance(doc["transitions"], list):
+            raise SchemaError(f"{path}: vass transitions must be a list")
         transitions = []
         for t in doc["transitions"]:
             if not (isinstance(t, list) and len(t) == 4):
@@ -178,36 +218,43 @@ class Instance:
                     f"{path}: vass transitions are [from, letter, weight, to]"
                 )
             src, letter, weight, dst = t
-            if letter not in self.mp.phi:
+            _check_states([src, dst], path, "vass transition")
+            if not isinstance(letter, str) or letter not in self.mp.phi:
                 raise SchemaError(f"{path}: vass letter {letter!r} not in alphabet")
-            if not isinstance(weight, int):
+            if not _is_int(weight):
                 raise SchemaError(
                     f"{path}: vass transition weight {weight!r} must be an integer "
                     "in {-1,0,1}; zero-test transitions are out of scope"
                 )
             transitions.append((src, letter, weight, dst))
         return Vass(
-            states=tuple(doc["states"]),
-            initial=doc["initial"],
-            accepting=tuple(doc["accepting"]),
+            states=tuple(_check_states(doc["states"], path, "vass states")),
+            initial=_check_states([doc["initial"]], path, "vass initial")[0],
+            accepting=tuple(_check_states(doc["accepting"], path, "vass accepting")),
             transitions=tuple(transitions),
         )
 
     def _parse_caps(self, doc, path) -> Caps:
-        caps = DEFAULT_CAPS
-        overrides = {}
-        for key in _CAP_ENV:
-            if key in doc:
-                overrides[key] = doc[key]
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{path}: caps must be a JSON object")
+        bad = set(doc) - {f.name for f in fields(Caps)}
+        if bad:
+            raise SchemaError(f"{path}: unknown caps {sorted(bad)}")
+        overrides = dict(doc)
         for key, env in _CAP_ENV.items():
             if env in os.environ:
-                overrides[key] = int(os.environ[env])
-        if overrides:
-            bad = set(overrides) - set(_CAP_ENV)
-            if bad:
-                raise SchemaError(f"{path}: unknown caps {sorted(bad)}")
-            caps = replace(caps, **overrides)
-        return caps
+                try:
+                    overrides[key] = int(os.environ[env])
+                except ValueError:
+                    raise SchemaError(
+                        f"{env}={os.environ[env]!r} is not an integer"
+                    ) from None
+        for key, value in overrides.items():
+            if not _is_int(value) or value < 0:
+                raise SchemaError(
+                    f"{path}: cap {key!r} = {value!r} must be a non-negative integer"
+                )
+        return replace(DEFAULT_CAPS, **overrides)
 
     def to_doc(self) -> dict:
         out = {

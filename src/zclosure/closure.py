@@ -6,6 +6,12 @@ multiplication by a fixed letter matrix acts linearly on these coordinates,
 so a worklist fixpoint over a finite automaton computes the exact span of the
 accepted language; the vanishing space is its orthogonal complement.
 
+A span does not change when a vector is scaled, so every fixpoint and the
+oracle run on integer vectors: each letter map is cleared of denominators
+once (scaling every path image by a nonzero constant), and `Span` keeps
+primitive integer rows by fraction-free elimination.  The canonical
+`Fraction` RREF appears only at the output boundary, `Span.basis()`.
+
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
 runs the bounded-zero/product-alphabet pair.  Reach always needs the lifted
@@ -21,8 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Iterable, Iterator
+from math import comb, gcd, lcm
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .automata import Nfa, build_bz_automaton, build_cover_automaton, gamma_alphabet, gamma_weight
 from .errors import (
@@ -31,7 +37,7 @@ from .errors import (
     OracleDisagreementError,
     PreconditionError,
 )
-from .exactlin import Matrix, Subspace, Vector, kernel_basis
+from .exactlin import Matrix, Subspace, Vector, kernel_basis, rref
 from .lang import MorphismPair, Word
 from .polys import Poly, PolySpace, basis_index, monomial_basis, poly_mul
 
@@ -101,47 +107,66 @@ def letter_map(a: Matrix, degree: int) -> list[dict[int, Fraction]]:
     return rows
 
 
-def apply_map(rows: list[dict[int, Fraction]], v: Vector) -> Vector:
-    return tuple(
-        sum((c * v[s] for s, c in row.items()), Fraction(0)) for row in rows
-    )
+def apply_map(rows: list[dict[int, int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(c * v[s] for s, c in row.items()) for row in rows)
+
+
+def _cleared(v: Iterable[Fraction]) -> list[int]:
+    """The integer vector m * v, m the lcm of the entries' denominators."""
+    v = list(v)
+    m = lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v]
+
+
+def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, list[dict[int, int]]]:
+    """Each letter map times the lcm of all its denominators: the image of
+    every vector is scaled by one nonzero constant, so no span changes."""
+    out = {}
+    for a in mp.alphabet:
+        rows = letter_map(mp.phi[a], degree)
+        m = lcm(*(c.denominator for row in rows for c in row.values()))
+        out[a] = [
+            {s: c.numerator * (m // c.denominator) for s, c in row.items()}
+            for row in rows
+        ]
+    return out
 
 
 class Span:
-    """Incremental fully-reduced row echelon span of dense vectors."""
+    """Incremental span of dense integer vectors, kept fraction-free.
+
+    Rows are primitive integer lists in semi-echelon form, in insertion
+    order: each row is zero at the pivots (first nonzero columns) of the
+    rows before it.  Membership does not depend on scaling, so `insert`
+    eliminates by integer combinations and never leaves the integers;
+    `basis()` is the canonical `Fraction` RREF of the span.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, v: Iterable[Fraction]) -> list[Fraction]:
+    def insert(self, v: Iterable[int]) -> bool:
+        """Add v to the span; True iff the dimension grew."""
+        if len(self.rows) == self.n:
+            return False  # already the whole space
         v = list(v)
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             if c:
-                for k in range(piv, self.n):
-                    v[k] -= c * row[k]
-        return v
-
-    def insert(self, v: Iterable[Fraction]) -> bool:
-        if len(self.rows) == self.n:
-            return False  # already the whole space
-        v = self.reduce(v)
-        piv = next((k for k, x in enumerate(v) if x), None)
-        if piv is None:
+                p = row[piv]
+                g = gcd(p, c)
+                p //= g
+                c //= g
+                v = [p * x - c * y for x, y in zip(v, row)]
+        g = gcd(*v)
+        if not g:
             return False
-        c = v[piv]
-        if c != 1:
-            for k in range(piv, self.n):
-                v[k] /= c
-        for row in self.rows:
-            c = row[piv]
-            if c:
-                for k in range(piv, self.n):
-                    row[k] -= c * v[k]
+        if g != 1:
+            v = [x // g for x in v]
         self.rows.append(v)
-        self.pivots.append(piv)
+        self.pivots.append(next(k for k, x in enumerate(v) if x))
         return True
 
     @property
@@ -149,8 +174,7 @@ class Span:
         return len(self.rows)
 
     def basis(self) -> list[Vector]:
-        order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return [tuple(self.rows[i]) for i in order]
+        return rref(self.rows)
 
 
 def _vanishing_from_rows(dim: int, degree: int, rows: list[Vector]) -> PolySpace:
@@ -191,12 +215,12 @@ def _nfa_span_rows(
         raise PreconditionError(f"{what}: automaton and morphism alphabets differ")
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     _check_budget(len(nfa.states), n, caps, what)
-    maps = {a: letter_map(mp.phi[a], degree) for a in mp.alphabet}
+    maps = _integer_maps(mp, degree)
     succ: dict = {q: [] for q in nfa.states}
     for (q, a, q2) in sorted(nfa.transitions, key=str):
         succ[q].append((a, q2))
     spans = {q: Span(n) for q in nfa.states}
-    seed = veronese(Matrix.identity(mp.dim), degree)
+    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     queue = [(q, seed) for q in nfa.states if q in nfa.initial]
     while queue:
         q, v = queue.pop()
@@ -207,7 +231,7 @@ def _nfa_span_rows(
     acc = Span(n)
     for q in nfa.states:
         if q in nfa.accepting:
-            for row in spans[q].basis():
+            for row in spans[q].rows:
                 acc.insert(row)
     return acc.basis()
 
@@ -284,9 +308,9 @@ def _window_rows(
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     nstates = len(dfa.states) * (bound - lo + 1)
     _check_budget(nstates, n, caps, f"{mode} saturation at counter bound {bound}")
-    maps = {a: letter_map(mp.phi[a], degree) for a in mp.alphabet}
+    maps = _integer_maps(mp, degree)
     spans: dict = {}
-    seed = veronese(Matrix.identity(mp.dim), degree)
+    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     queue = [((dfa.initial, 0), seed)]
     while queue:
         (q, c), v = queue.pop()
@@ -302,7 +326,7 @@ def _window_rows(
     acc = Span(n)
     for (q, c), span in sorted(spans.items(), key=lambda kv: str(kv[0])):
         if q in dfa.accepting and (mode == "cover" or c == 0):
-            for row in span.basis():
+            for row in span.rows:
                 acc.insert(row)
     return acc.basis()
 
@@ -401,7 +425,7 @@ def _oracle_over_words(
                         f"oracle exceeded the word cap {caps.oracle_words}"
                     )
                 count += 1
-                span.insert(veronese(images(w), degree))
+                span.insert(_cleared(veronese(images(w), degree)))
         except InfeasibleError:
             if raise_on_cap:
                 raise
@@ -411,8 +435,7 @@ def _oracle_over_words(
             history.append(span.dim)
         if capped or (ln >= max_len and (extend_to is None or window_stable())):
             break
-    rows = [tuple(r) for r in span.basis()]
-    space = _vanishing_from_rows(mp_dim, degree, rows)
+    space = _vanishing_from_rows(mp_dim, degree, span.basis())
     return OracleResult(space, window_stable() and not capped, achieved, used)
 
 
@@ -482,12 +505,12 @@ def _tensor_index(n: int, idx: tuple[int, int, int, int]) -> int:
 
 
 def _tensor_apply(
-    rows_by_factor: list[list[dict[int, Fraction]] | None], v: list[Fraction], n: int
-) -> list[Fraction]:
+    rows_by_factor: list[list[dict[int, int]] | None], v: list[int], n: int
+) -> list[int]:
     for f, rows in enumerate(rows_by_factor):
         if rows is None:
             continue
-        out = [Fraction(0)] * len(v)
+        out = [0] * len(v)
         stride = n ** (3 - f)  # distance between consecutive values of factor f
         block = n ** (4 - f)  # size of one full cycle of factor f
         outer = len(v) // block
@@ -496,7 +519,7 @@ def _tensor_apply(
                 base = o * block + rest
                 vals = [v[base + s * stride] for s in range(n)]
                 for t, row in enumerate(rows):
-                    acc = Fraction(0)
+                    acc = 0
                     for s, c in row.items():
                         if vals[s]:
                             acc += c * vals[s]
@@ -568,20 +591,20 @@ def _gamma_condition_rows(
     eta = mp.eta
     nstates = 4 * eta + 1
     _check_budget(nstates, tensor_n, caps, "zero pipeline (product-alphabet stage)")
-    base_maps = {a: letter_map(mp.phi[a], degree) for a in mp.alphabet}
+    base_maps = _integer_maps(mp, degree)
     gamma = gamma_alphabet(mp.alphabet)
     letter_rows = {
         g: [None if x == EPS else base_maps[x] for x in g] for g in gamma
     }
     weights = {g: gamma_weight(g, mp) for g in gamma}
-    seed_v = veronese(Matrix.identity(d), degree)
-    seed = [Fraction(0)] * tensor_n
+    seed_v = _cleared(veronese(Matrix.identity(d), degree))
+    seed = [0] * tensor_n
     for idx in itertools.product(range(n), repeat=4):
         val = seed_v[idx[0]] * seed_v[idx[1]] * seed_v[idx[2]] * seed_v[idx[3]]
         if val:
             seed[_tensor_index(n, idx)] = val
     spans: dict[int, Span] = {}
-    queue: list[tuple[int, list[Fraction]]] = [(0, seed)]
+    queue: list[tuple[int, list[int]]] = [(0, seed)]
     while queue:
         q, v = queue.pop()
         span = spans.get(q)

@@ -200,3 +200,93 @@ def test_missing_nfa_for_regular_mode_is_schema_error():
 
     with pytest.raises(SchemaError):
         Instance(doc)
+
+
+def _assert_schema_exit(proc):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "schema"
+    return err["message"]
+
+
+def _run_doc(tmp_path, doc, env_extra=None):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return _run_cli("run", str(path), env_extra=env_extra)
+
+
+def _regular_doc():
+    return {
+        "dimension": 1, "alphabet": ["a"], "phi": {"a": [["2"]]},
+        "omega": {"a": 1}, "mode": "regular", "degree": 1,
+        "nfa": {"states": ["q"], "initial": ["q"], "accepting": ["q"],
+                "transitions": [["q", "a", "q"]]},
+    }
+
+
+def _vass_doc():
+    with open(_corpus_path("anbndyck_reach.json")) as fh:
+        doc = json.load(fh)
+    return doc.get("instance", doc)
+
+
+def test_caps_keys_come_from_the_caps_fields(tmp_path):
+    doc = _regular_doc()
+    doc["caps"] = {"bogus": 1}
+    assert "bogus" in _assert_schema_exit(_run_doc(tmp_path, doc))
+    doc["caps"] = {"window": 5, "oracle_len": 3}
+    caps = Instance(doc).caps
+    assert (caps.window, caps.oracle_len) == (5, 3)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(degree=True),
+    lambda d: d.update(dimension=True),
+    lambda d: d.update(eta_override=True),
+    lambda d: d["omega"].update(a=True),
+    lambda d: d.update(caps={"budget": True}),
+    lambda d: d.update(caps={"counter": -1}),
+    lambda d: d["phi"].update(a=[[True]]),
+], ids=["degree", "dimension", "eta_override", "omega", "cap", "negative-cap",
+        "matrix-entry"])
+def test_bool_where_an_int_is_expected_is_schema_error(tmp_path, mutate):
+    doc = _regular_doc()
+    mutate(doc)
+    _assert_schema_exit(_run_doc(tmp_path, doc))
+
+
+def test_bool_vass_weight_is_schema_error(tmp_path):
+    doc = _vass_doc()
+    doc["vass"]["transitions"][0][2] = True
+    _assert_schema_exit(_run_doc(tmp_path, doc))
+
+
+def test_non_integer_env_cap_is_schema_error(tmp_path):
+    proc = _run_doc(tmp_path, _regular_doc(), env_extra={"CLOSURE_CAP_BUDGET": "abc"})
+    assert "CLOSURE_CAP_BUDGET" in _assert_schema_exit(proc)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["nfa"].update(states=[["q"]]),
+    lambda d: d["nfa"].update(initial=[{"q": 1}]),
+    lambda d: d["nfa"].update(transitions=[[["q"], "a", "q"]]),
+    lambda d: d["nfa"].update(transitions=[["q", ["a"], "q"]]),
+    lambda d: d["nfa"].update(transitions=[["q", "a"]]),
+], ids=["state", "initial", "transition-state", "transition-letter",
+        "short-transition"])
+def test_unhashable_nfa_state_is_schema_error(tmp_path, mutate):
+    doc = _regular_doc()
+    mutate(doc)
+    _assert_schema_exit(_run_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["vass"].update(states=[["s"], "t"]),
+    lambda d: d["vass"].update(initial=["s"]),
+    lambda d: d["vass"]["transitions"][0].__setitem__(0, ["s"]),
+], ids=["state", "initial", "transition-state"])
+def test_unhashable_vass_state_is_schema_error(tmp_path, mutate):
+    doc = _vass_doc()
+    mutate(doc)
+    _assert_schema_exit(_run_doc(tmp_path, doc))

@@ -3,11 +3,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import powers_morphism, random_matrix, unipotent_morphism
 from zclosure.automata import Nfa
 from zclosure.closure import (
     Caps,
+    Span,
+    _cleared,
     apply_map,
     counter_saturation,
     finite_vanishing_space,
@@ -21,7 +25,7 @@ from zclosure.closure import (
     veronese,
 )
 from zclosure.errors import InfeasibleError, OracleDisagreementError
-from zclosure.exactlin import Matrix
+from zclosure.exactlin import Matrix, rref
 from zclosure.lang import MorphismPair
 from zclosure.polys import (
     PolySpace,
@@ -65,6 +69,65 @@ def test_veronese_transition_maps_are_exact():
     m = random_matrix(rng, 3)
     a = random_matrix(rng, 3)
     assert veronese(m * a, 3) == apply_map(letter_map(a, 3), veronese(m, 3))
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _vector_streams(draw):
+    """Rational vectors with zero vectors, duplicates, scaled copies, mixed
+    denominators and, often, enough independent rows to fill the space."""
+    n = draw(st.integers(1, 6))
+    out: list[list[Fraction]] = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        kind = draw(st.sampled_from(("random", "zero", "copy", "unit")))
+        if kind == "zero":
+            out.append([Fraction(0)] * n)
+        elif kind == "copy" and out:
+            c = draw(_rationals.filter(bool))
+            out.append([c * x for x in draw(st.sampled_from(out))])
+        elif kind == "unit":
+            k = draw(st.integers(0, n - 1))
+            out.append([Fraction(int(i == k)) for i in range(n)])
+        else:
+            out.append(draw(st.lists(_rationals, min_size=n, max_size=n)))
+    return n, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_streams())
+def test_integer_span_matches_rational_rref(stream):
+    n, vectors = stream
+    span = Span(n)
+    inserted: list[list[Fraction]] = []
+    for v in vectors:
+        before = len(rref(inserted))
+        inserted.append(v)
+        assert span.insert(_cleared(v)) == (len(rref(inserted)) > before)
+        assert span.dim == len(rref(inserted))
+    assert span.basis() == rref(inserted)
+
+
+def test_regular_closure_clears_letter_denominators():
+    # the fixpoint runs on the integer-cleared map of a letter with
+    # denominators; the oracle evaluates phi(a^k) directly
+    a = Matrix([[Fraction(1, 2), 1], [0, 3]])
+    mp = MorphismPair(("a",), 2, {"a": a}, {"a": 0})
+    for degree in (1, 2, 3):
+        powers = [Matrix.identity(2)]
+        prev = None
+        # once nu(a^(L+1)) lies in the span of nu(a^k), k <= L, every later
+        # power does too, so the first repeat is the whole language's space
+        while True:
+            space = finite_vanishing_space(powers, degree)
+            if space == prev:
+                break
+            prev = space
+            powers.append(powers[-1] * a)
+        engine = regular_closure(_sigma_star("a"), mp, degree)
+        assert engine == space
+        assert engine.contains_poly(parse_poly("5*x12 + 2*x11 - 2*x22", 2))
 
 
 def test_regular_closure_epsilon_only():
