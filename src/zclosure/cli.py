@@ -47,7 +47,7 @@ from .exactlin import Matrix
 from .facttree import build_tree
 from .lang import MorphismPair
 from .polys import gens_from_strings, ideal_slice, space_to_generators
-from .reduction import Vass, blockify_regular, extract_block_closure, run_vass
+from .reduction import Vass, blockify_regular, extract_block_closure, run_vass, vass_oracle
 
 MODES = ("cover", "reach", "zero", "regular", "vass-cover", "vass-reach")
 
@@ -109,10 +109,10 @@ class Instance:
     """Validated instance file."""
 
     def __init__(self, doc: dict, path: str = "<instance>"):
+        if isinstance(doc, dict) and "instance" in doc:  # corpus wrapper
+            doc = doc["instance"]
         if not isinstance(doc, dict):
             raise SchemaError(f"{path}: instance must be a JSON object")
-        if "instance" in doc:  # corpus wrapper
-            doc = doc["instance"]
         for key in ("dimension", "alphabet", "phi", "omega", "mode", "degree"):
             if key not in doc:
                 raise SchemaError(f"{path}: missing required field {key!r}")
@@ -533,13 +533,9 @@ def _cmd_oracle(args) -> int:
                  "vass-cover": "cover", "vass-reach": "reach",
                  "regular": "all"}[instance.mode]
     if instance.mode.startswith("vass-"):
-        from .closure import _cached_image, _oracle_over_words
-        from .reduction import vass_to_constrained, vass_words_by_len
-        mp_t, _ = vass_to_constrained(instance.vass, instance.mp)
-        result = _oracle_over_words(
-            instance.mp.dim, instance.degree,
-            vass_words_by_len(instance.vass, predicate),
-            _cached_image(mp_t), args.max_len, instance.caps,
+        result = vass_oracle(
+            instance.vass, instance.mp, predicate, instance.degree, args.max_len,
+            instance.caps,
         )
     elif instance.mode == "regular":
         result = oracle_closure(

@@ -12,6 +12,11 @@ once (scaling every path image by a nonzero constant), and `Span` keeps
 primitive integer rows by fraction-free elimination.  The canonical
 `Fraction` RREF appears only at the output boundary, `Span.basis()`.
 
+The oracle shares only `Span` with the fixpoints.  Its words come from one
+lazy frontier over (automaton state, counter) (`word_frontier`); a prefix's
+image is an integer matrix N over one denominator s, one direct product with
+its parent's, and a word's point is N^mono * s^(D - |mono|).
+
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
 runs the bounded-zero/product-alphabet pair.  Reach always needs the lifted
@@ -27,7 +32,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .automata import Nfa, build_bz_automaton, build_cover_automaton, gamma_alphabet, gamma_weight
@@ -37,8 +43,8 @@ from .errors import (
     OracleDisagreementError,
     PreconditionError,
 )
-from .exactlin import Matrix, Subspace, Vector, kernel_basis, rref
-from .lang import MorphismPair, Word
+from .exactlin import Matrix, Subspace, Vector, kernel_basis, rref, vec
+from .lang import PREDICATES, MorphismPair, Word
 from .polys import Poly, PolySpace, basis_index, monomial_basis, poly_mul
 
 EPS = ""
@@ -67,16 +73,35 @@ DEFAULT_CAPS = Caps()
 # Veronese machinery
 
 
+def _monomial_evaluator(nvars: int, degree: int) -> Callable[[Sequence, int], list]:
+    """(x, s) -> s^D * nu_D(x / s): each monomial x^mono of degree <= D
+    times s^(D - |mono|), in `monomial_basis` order.  Each monomial is its
+    parent's (one degree lower) times one variable."""
+    basis = monomial_basis(nvars, degree)
+    index = basis_index(nvars, degree)
+    steps = []  # (monomial, parent, variable), parents first
+    for k in reversed(range(len(basis))):  # ascending degree
+        mono = basis[k]
+        var = next((v for v, e in enumerate(mono) if e), None)
+        if var is not None:
+            steps.append((k, index[mono[:var] + (mono[var] - 1,) + mono[var + 1:]], var))
+    rest = [degree - sum(mono) for mono in basis]
+
+    def evaluate(x: Sequence, s: int) -> list:
+        out = [1] * len(basis)
+        for k, parent, var in steps:
+            out[k] = out[parent] * x[var]
+        if s != 1:
+            powers = [s ** e for e in range(degree + 1)]
+            out = [v * powers[e] for v, e in zip(out, rest)]
+        return out
+
+    return evaluate
+
+
 def veronese(m: Matrix, degree: int) -> Vector:
     flat = m.flat()
-    out = []
-    for mono in monomial_basis(len(flat), degree):
-        term = Fraction(1)
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                term *= flat[var]
-        out.append(term)
-    return tuple(out)
+    return vec(_monomial_evaluator(len(flat), degree)(flat, 1))
 
 
 def letter_map(a: Matrix, degree: int) -> list[dict[int, Fraction]]:
@@ -287,14 +312,6 @@ class CounterDfa:
         delta = {("*", a): "*" for a in alphabet}
         return CounterDfa(("*",), "*", frozenset({"*"}), delta)
 
-    @staticmethod
-    def from_nfa(nfa: Nfa) -> "CounterDfa":
-        if not (nfa.is_deterministic() and nfa.is_complete()):
-            raise PreconditionError("constraint automaton must be a complete DFA")
-        delta = {(q, a): q2 for (q, a, q2) in nfa.transitions}
-        (initial,) = nfa.initial
-        return CounterDfa(tuple(nfa.states), initial, frozenset(nfa.accepting), delta)
-
 
 def _window_rows(
     mp: MorphismPair,
@@ -303,12 +320,14 @@ def _window_rows(
     dfa: CounterDfa,
     bound: int,
     caps: Caps,
+    maps: dict[str, list[dict[int, int]]],
 ) -> list[Vector]:
+    """Canonical RREF of the evaluation span over the words whose prefix
+    weights stay in the window; `maps` are the `_integer_maps`."""
     lo = -bound if mode == "zero" else 0
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     nstates = len(dfa.states) * (bound - lo + 1)
     _check_budget(nstates, n, caps, f"{mode} saturation at counter bound {bound}")
-    maps = _integer_maps(mp, degree)
     spans: dict = {}
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     queue = [((dfa.initial, 0), seed)]
@@ -339,18 +358,22 @@ def counter_saturation(
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[PolySpace, int]:
     """Grow the prefix-weight window until the space is unchanged for
-    caps.window consecutive bounds; returns (space, final bound)."""
+    caps.window consecutive bounds; returns (space, final bound).  Equal
+    canonical evaluation spans have equal vanishing spaces, so the windows
+    are compared by their RREF rows."""
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
     dfa = dfa or CounterDfa.trivial(mp.alphabet)
-    history: list[PolySpace] = []
+    n = len(monomial_basis(mp.dim * mp.dim, degree))
+    _check_budget(len(dfa.states), n, caps, f"{mode} saturation")  # before the maps
+    maps = _integer_maps(mp, degree)
+    history: list[list[Vector]] = []
     for bound in range(2, caps.counter + 1):
-        rows = _window_rows(mp, degree, mode, dfa, bound, caps)
-        history.append(_vanishing_from_rows(mp.dim, degree, rows))
+        history.append(_window_rows(mp, degree, mode, dfa, bound, caps, maps))
         if len(history) >= caps.window + 1 and all(
             history[-1] == history[-k] for k in range(2, caps.window + 2)
         ):
-            return history[-1], bound
+            return _vanishing_from_rows(mp.dim, degree, history[-1]), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
         f"{caps.counter}; raise the counter cap"
@@ -369,26 +392,87 @@ class OracleResult:
     words_used: int
 
 
-WordSource = Callable[[int], Iterator[Word]]
+# The words of one length with their images phi(w) = N / s: N the d x d
+# integer matrix flattened row-major, s > 0 one common denominator.
+Length = list[tuple[Word, list[int], int]]
 
 
-def _cached_image(mp: MorphismPair) -> Callable[[Word], Matrix]:
-    cache: dict[Word, Matrix] = {(): Matrix.identity(mp.dim)}
+def word_frontier(
+    mp: MorphismPair,
+    predicate: str | Callable[[Word], bool],
+    dfa: CounterDfa | None = None,
+) -> Iterator[Length]:
+    """For n = 0, 1, 2, ...: the words of length n in the language, in
+    letter-index order, each with its image.
 
-    def image(w: Word) -> Matrix:
-        m = cache.get(w)
-        if m is None:
-            m = cache[w] = image(w[:-1]) * mp.phi[w[-1]]
-        return m
-
-    return image
+    The language is the paths of `dfa` (default: every word) whose prefix
+    weights satisfy `predicate` (see `lang.in_language`), or the words a
+    callable predicate accepts.  A node is a prefix with its automaton state
+    and counter.  It waits in the bucket of the earliest length at which it
+    can complete (depth + |counter| when the total weight must be 0, else its
+    depth), and bucket n is expanded only when length n is asked for.  A
+    node's image is one integer product of its parent's image with the
+    letter's denominator-cleared matrix, made when the node is expanded.
+    States from which no accepting state is reachable are never entered.
+    """
+    if not callable(predicate) and predicate not in PREDICATES:
+        raise PreconditionError(f"unknown predicate {predicate!r}")
+    dfa = dfa or CounterDfa.trivial(mp.alphabet)
+    exact = predicate in ("reach", "zero", "bz")
+    lo = {"cover": 0, "reach": 0, "bz": -mp.eta}.get(predicate, -inf)
+    hi = mp.eta if predicate == "bz" else inf
+    d = mp.dim
+    letters = []  # per letter: the columns of its cleared matrix, the divisor
+    for a in mp.alphabet:
+        flat = mp.phi[a].flat()
+        t = lcm(*(x.denominator for x in flat))
+        cleared = [x.numerator * (t // x.denominator) for x in flat]
+        letters.append(([cleared[j::d] for j in range(d)], t))
+    live = set(dfa.accepting)
+    while grown := {q for (q, _), q2 in dfa.delta.items() if q2 in live} - live:
+        live |= grown
+    moves = {
+        q: [
+            (i, mp.omega[a], dfa.delta[(q, a)])
+            for i, a in enumerate(mp.alphabet)
+            if dfa.delta[(q, a)] in live
+        ]
+        for q in dfa.states
+    }
+    # a node: (letter indices, state, counter, parent's N, parent's s)
+    identity = [int(i == j) for i in range(d) for j in range(d)]
+    buckets = {0: [((), dfa.initial, 0, identity, 1)]}
+    for ln in itertools.count():
+        found = []
+        bucket = buckets.setdefault(ln, [])
+        while bucket:  # nodes that can still complete at ln join it
+            word, q, c, n, s = bucket.pop()
+            if word:
+                cols, t = letters[word[-1]]
+                rows = [n[r:r + d] for r in range(0, d * d, d)]
+                n = [sum(map(mul, row, col)) for row in rows for col in cols]
+                s *= t
+                g = gcd(s, *n)
+                if g != 1:
+                    n = [x // g for x in n]
+                    s //= g
+            if len(word) == ln and q in dfa.accepting:  # counter 0 if exact
+                names = tuple(mp.alphabet[i] for i in word)
+                if not callable(predicate) or predicate(names):
+                    found.append((word, names, n, s))
+            for i, w, q2 in moves[q]:
+                if lo <= c + w <= hi:
+                    e = len(word) + 1 + (abs(c + w) if exact else 0)
+                    buckets.setdefault(e, []).append((word + (i,), q2, c + w, n, s))
+        del buckets[ln]
+        found.sort()  # by the letter indices, which differ between words
+        yield [(names, n, s) for _, names, n, s in found]
 
 
 def _oracle_over_words(
     mp_dim: int,
     degree: int,
-    words_by_len: WordSource,
-    images: Callable[[Word], Matrix],
+    lengths: Iterator[Length],
     max_len: int,
     caps: Caps,
     extend_to: int | None = None,
@@ -397,7 +481,9 @@ def _oracle_over_words(
     """Enumerate to max_len; when extend_to is set, keep going past max_len
     until the stabilization window is met (sparse languages can skip several
     lengths between words).  Without raise_on_cap, hitting the word budget
-    stops gracefully at the achieved length."""
+    stops gracefully at the achieved length.  A word's point is its integer
+    Veronese vector N^mono * s^(D - |mono|), s^D times nu_D(N / s)."""
+    evaluate = _monomial_evaluator(mp_dim * mp_dim, degree)
     n = len(monomial_basis(mp_dim * mp_dim, degree))
     span = Span(n)
     # span dimension after each length that contributed at least one word;
@@ -418,14 +504,14 @@ def _oracle_over_words(
     for ln in range(limit + 1):
         try:
             count = 0
-            for w in words_by_len(ln):
+            for _, image, s in next(lengths):
                 used += 1
                 if used > caps.oracle_words:
                     raise InfeasibleError(
                         f"oracle exceeded the word cap {caps.oracle_words}"
                     )
                 count += 1
-                span.insert(_cleared(veronese(images(w), degree)))
+                span.insert(evaluate(image, s))
         except InfeasibleError:
             if raise_on_cap:
                 raise
@@ -439,60 +525,19 @@ def _oracle_over_words(
     return OracleResult(space, window_stable() and not capped, achieved, used)
 
 
-def _pruned_word_source(mp: MorphismPair, predicate: str) -> WordSource:
-    """Words of each exact length in lexicographic order, pruning branches
-    that cannot satisfy the predicate anymore."""
-    eta = mp.eta
-
-    def words_by_len(ln: int) -> Iterator[Word]:
-        def rec(word: tuple, counter: int, remaining: int) -> Iterator[Word]:
-            if remaining == 0:
-                if predicate in ("reach", "zero", "bz"):
-                    if counter == 0:
-                        yield word
-                else:
-                    yield word
-                return
-            for a in mp.alphabet:
-                c2 = counter + mp.omega[a]
-                if predicate in ("cover", "reach") and c2 < 0:
-                    continue
-                if predicate in ("reach", "zero") and abs(c2) > remaining - 1:
-                    continue
-                if predicate == "bz" and not (
-                    -eta <= c2 <= eta and abs(c2) <= remaining - 1
-                ):
-                    continue
-                yield from rec(word + (a,), c2, remaining - 1)
-
-        yield from rec((), 0, ln)
-
-    return words_by_len
-
-
 def oracle_closure(
     mp: MorphismPair,
     predicate: str | Callable[[Word], bool],
     degree: int,
     max_len: int,
     caps: Caps = DEFAULT_CAPS,
+    dfa: CounterDfa | None = None,
 ) -> OracleResult:
-    """finite_vanishing_space over enumerated words; reports whether the
-    space was identical over the last `window` length increments."""
-
-    if callable(predicate) or predicate == "all":
-        accept = predicate if callable(predicate) else (lambda w: True)
-
-        def words_by_len(ln: int) -> Iterator[Word]:
-            for w in itertools.product(mp.alphabet, repeat=ln):
-                if accept(w):
-                    yield w
-
-    else:
-        words_by_len = _pruned_word_source(mp, predicate)
-
+    """finite_vanishing_space over the words of `word_frontier(mp, predicate,
+    dfa)` up to max_len; reports whether the space was identical over the
+    last `window` length increments."""
     return _oracle_over_words(
-        mp.dim, degree, words_by_len, _cached_image(mp), max_len, caps
+        mp.dim, degree, word_frontier(mp, predicate, dfa), max_len, caps
     )
 
 
@@ -649,17 +694,16 @@ class PipelineResult:
 
 def _oracle_cross_check(
     result: PipelineResult,
-    mp_dim: int,
+    mp: MorphismPair,
+    predicate: str,
+    dfa: CounterDfa | None,
     degree: int,
-    words_by_len: WordSource,
-    images: Callable[[Word], Matrix],
     caps: Caps,
 ) -> None:
     oracle = _oracle_over_words(
-        mp_dim,
+        mp.dim,
         degree,
-        words_by_len,
-        images,
+        word_frontier(mp, predicate, dfa),
         caps.oracle_len,
         caps,
         extend_to=caps.oracle_extend,
@@ -688,9 +732,7 @@ def run_cover(
     result = PipelineResult(
         space, "cover", mp.eta, "saturation+oracle", counter_bound=bound
     )
-    _oracle_cross_check(
-        result, mp.dim, degree, _pruned_word_source(mp, "cover"), _cached_image(mp), caps
-    )
+    _oracle_cross_check(result, mp, "cover", None, degree, caps)
     return result
 
 
@@ -716,9 +758,7 @@ def run_zero(
     result = PipelineResult(
         space, "zero", mp.eta, "saturation+oracle", counter_bound=bound
     )
-    _oracle_cross_check(
-        result, mp.dim, degree, _pruned_word_source(mp, "zero"), _cached_image(mp), caps
-    )
+    _oracle_cross_check(result, mp, "zero", None, degree, caps)
     return result
 
 
@@ -749,9 +789,7 @@ def run_reach(
     result = PipelineResult(
         space, "reach", mp.eta, "saturation+oracle", counter_bound=bound
     )
-    _oracle_cross_check(
-        result, mp.dim, degree, _pruned_word_source(mp, "reach"), _cached_image(mp), caps
-    )
+    _oracle_cross_check(result, mp, "reach", None, degree, caps)
     return result
 
 
@@ -760,8 +798,6 @@ def run_constrained(
     dfa: CounterDfa,
     mode: str,
     degree: int,
-    words_by_len: WordSource,
-    images: Callable[[Word], Matrix],
     caps: Caps = DEFAULT_CAPS,
     mode_name: str | None = None,
 ) -> PipelineResult:
@@ -782,7 +818,7 @@ def run_constrained(
         space, mode_name or f"vass-{mode}", mp.eta, "saturation+oracle",
         counter_bound=bound,
     )
-    _oracle_cross_check(result, mp.dim, degree, words_by_len, images, caps)
+    _oracle_cross_check(result, mp, mode, dfa, degree, caps)
     return result
 
 

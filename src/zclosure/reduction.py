@@ -23,9 +23,9 @@ from .closure import (
     Caps,
     DEFAULT_CAPS,
     CounterDfa,
+    OracleResult,
     PipelineResult,
-    WordSource,
-    _cached_image,
+    oracle_closure,
     run_constrained,
 )
 from .errors import PreconditionError, SchemaError
@@ -210,41 +210,17 @@ def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Cou
     return mp_t, dfa
 
 
-def vass_paths_nfa(vass: Vass, mp: MorphismPair) -> Nfa:
-    """Label-level NFA of the VASS's underlying graph (weights dropped)."""
-    return Nfa(
-        states=tuple(vass.states),
-        alphabet=tuple(mp.alphabet),
-        initial=frozenset({vass.initial}),
-        accepting=frozenset(vass.accepting),
-        transitions=frozenset(
-            (src, letter, dst) for (src, letter, _w, dst) in vass.transitions
-        ),
-    )
-
-
-def vass_words_by_len(vass: Vass, mode: str) -> WordSource:
-    """Enumerates accepted transition words (cover: prefix weights >= 0;
-    reach: additionally total weight 0) in length-then-lexicographic order."""
-    letters = tuple(f"t{i}" for i in range(len(vass.transitions)))
-    by_source: dict[str, list[tuple[str, int, str]]] = {}
-    for name, (src, _, weight, dst) in zip(letters, vass.transitions):
-        by_source.setdefault(src, []).append((name, weight, dst))
-
-    def words_by_len(ln: int):
-        level = [((), vass.initial, 0)]
-        for _ in range(ln):
-            nxt = []
-            for word, q, c in level:
-                for (name, weight, dst) in by_source.get(q, []):
-                    if c + weight >= 0:
-                        nxt.append((word + (name,), dst, c + weight))
-            level = nxt
-        for word, q, c in level:
-            if q in vass.accepting and (mode == "cover" or c == 0):
-                yield word
-
-    return words_by_len
+def vass_oracle(
+    vass: Vass, mp: MorphismPair, mode: str, degree: int, max_len: int,
+    caps: Caps = DEFAULT_CAPS,
+) -> OracleResult:
+    """The brute-force oracle over the accepted transition words (cover:
+    prefix weights >= 0; reach: additionally total weight 0), the language
+    `run_vass` cross-checks against."""
+    if mode not in ("cover", "reach"):
+        raise PreconditionError(f"unknown vass mode {mode!r}")
+    mp_t, dfa = vass_to_constrained(vass, mp)
+    return oracle_closure(mp_t, mode, degree, max_len, caps, dfa)
 
 
 def run_vass(
@@ -257,13 +233,4 @@ def run_vass(
     if mode not in ("cover", "reach"):
         raise PreconditionError(f"unknown vass mode {mode!r}")
     mp_t, dfa = vass_to_constrained(vass, mp)
-    return run_constrained(
-        mp_t,
-        dfa,
-        mode,
-        degree,
-        vass_words_by_len(vass, mode),
-        _cached_image(mp_t),
-        caps,
-        mode_name=f"vass-{mode}",
-    )
+    return run_constrained(mp_t, dfa, mode, degree, caps, mode_name=f"vass-{mode}")

@@ -1,11 +1,16 @@
+import copy
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zclosure.cli import Instance, load_instance, run_pipeline, verify_corpus
+from zclosure.errors import SchemaError
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "zclosure", "corpus")
 
@@ -290,3 +295,50 @@ def test_unhashable_vass_state_is_schema_error(tmp_path, mutate):
     doc = _vass_doc()
     mutate(doc)
     _assert_schema_exit(_run_doc(tmp_path, doc))
+
+
+_CORPUS_DOCS = [
+    json.loads(pathlib.Path(CORPUS, name).read_text())
+    for name in sorted(os.listdir(CORPUS)) if name.endswith(".json")
+]
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-1, 1), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 1), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_corpus_instances_parse_or_raise_schema_error(data):
+    # `load_instance` is `json.load` plus `Instance`; the document is parsed
+    # from its JSON text, and not written to a file, to keep the test fast
+    doc = copy.deepcopy(data.draw(st.sampled_from(_CORPUS_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *outer, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for k in outer:
+            parent = parent[k]
+        action = data.draw(st.sampled_from(("drop", "retype", "rename")))
+        if action == "drop":
+            del parent[key]
+        elif action == "rename" and isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=8))] = parent.pop(key)
+        else:
+            parent[key] = data.draw(_JUNK)
+    try:
+        Instance(json.loads(json.dumps(doc)), "mutated.json")
+    except SchemaError:
+        pass

@@ -240,19 +240,13 @@ def test_oracle_examples():
 
 
 def test_oracle_anbn_stabilizes_to_reach_ideal():
-    from zclosure.closure import _cached_image, _oracle_over_words
-    from zclosure.reduction import Vass, vass_to_constrained, vass_words_by_len
+    from zclosure.reduction import Vass, vass_oracle
 
     vass = Vass(
         ("s", "t"), "s", ("t",),
         (("s", "a", 1, "s"), ("s", "b", -1, "t"), ("t", "b", -1, "t")),
     )
-    mp = unipotent_morphism()
-    mp_t, _ = vass_to_constrained(vass, mp)
-    o = _oracle_over_words(
-        2, 2, vass_words_by_len(vass, "reach"), _cached_image(mp_t), 16,
-        Caps(oracle_words=10 ** 6),
-    )
+    o = vass_oracle(vass, unipotent_morphism(), "reach", 2, 16, Caps(oracle_words=10 ** 6))
     want = ideal_slice(
         gens_from_strings(2, 2, ["x11 - x12*x21 - 1", "x12 - x21", "x22 - 1"]), 2
     )
