@@ -51,15 +51,7 @@ from .reduction import Vass, blockify_regular, extract_block_closure, run_vass, 
 
 MODES = ("cover", "reach", "zero", "regular", "vass-cover", "vass-reach")
 
-_CAP_ENV = {
-    "budget": "CLOSURE_CAP_BUDGET",
-    "veronese": "CLOSURE_CAP_VERONESE",
-    "states": "CLOSURE_CAP_STATES",
-    "counter": "CLOSURE_CAP_COUNTER",
-    "oracle_len": "CLOSURE_CAP_ORACLE_LEN",
-    "oracle_extend": "CLOSURE_CAP_ORACLE_EXTEND",
-    "oracle_words": "CLOSURE_CAP_ORACLE_WORDS",
-}
+_CAP_ENV = {f.name: f"CLOSURE_CAP_{f.name.upper()}" for f in fields(Caps)}
 
 
 def _is_int(x) -> bool:

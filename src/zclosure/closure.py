@@ -25,7 +25,9 @@ reduction whose flat stage is astronomically large at any threshold, so reach
 saturation - the space over words whose prefix weights stay in a window is
 monotone in the window and its limit is the exact target - stopping when the
 space is unchanged for `window` consecutive bounds, then cross-checks the
-brute-force oracle and refuses to answer on disagreement.
+brute-force oracle and refuses to answer on disagreement.  The windows nest,
+so one fixpoint is warm-started from bound to bound: a bound replays only
+the pushes it newly admits, and the space is unchanged when its dimension is.
 """
 from __future__ import annotations
 
@@ -315,39 +317,42 @@ class CounterDfa:
 
 def _window_rows(
     mp: MorphismPair,
-    degree: int,
     mode: str,
     dfa: CounterDfa,
     bound: int,
     caps: Caps,
     maps: dict[str, list[dict[int, int]]],
-) -> list[Vector]:
-    """Canonical RREF of the evaluation span over the words whose prefix
-    weights stay in the window; `maps` are the `_integer_maps`."""
+    window: tuple[dict, Span, list, dict],
+) -> int:
+    """Grow `window` (span per (state, counter), accepted span, pushes to
+    make, refused pushes by target counter) to the least fixpoint over the
+    words whose prefix weights stay in [lo, bound], with the `_integer_maps`.
+    Windows nest, and each accepted vector was pushed along every admitted
+    edge and parked, unmapped, on every refused one; so replaying the parked
+    pushes now admitted gives the fixpoint a cold start builds.  Returns the
+    accepted dimension."""
+    spans, accepted, queue, refused = window
     lo = -bound if mode == "zero" else 0
-    n = len(monomial_basis(mp.dim * mp.dim, degree))
     nstates = len(dfa.states) * (bound - lo + 1)
-    _check_budget(nstates, n, caps, f"{mode} saturation at counter bound {bound}")
-    spans: dict = {}
-    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    queue = [((dfa.initial, 0), seed)]
+    _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
+    for c in [c for c in refused if lo <= c <= bound]:
+        queue.extend(((q, c), apply_map(maps[a], v)) for q, v, a in refused.pop(c))
     while queue:
         (q, c), v = queue.pop()
         span = spans.get((q, c))
         if span is None:
-            span = spans[(q, c)] = Span(n)
+            span = spans[(q, c)] = Span(accepted.n)
         if not span.insert(v):
             continue
+        if q in dfa.accepting and (mode == "cover" or c == 0):
+            accepted.insert(v)
         for a in mp.alphabet:
             c2 = c + mp.omega[a]
             if lo <= c2 <= bound:
                 queue.append(((dfa.delta[(q, a)], c2), apply_map(maps[a], v)))
-    acc = Span(n)
-    for (q, c), span in sorted(spans.items(), key=lambda kv: str(kv[0])):
-        if q in dfa.accepting and (mode == "cover" or c == 0):
-            for row in span.rows:
-                acc.insert(row)
-    return acc.basis()
+            elif mode == "zero" or c2 > bound:  # a later window admits it
+                refused.setdefault(c2, []).append((dfa.delta[(q, a)], v, a))
+    return accepted.dim
 
 
 def counter_saturation(
@@ -357,23 +362,27 @@ def counter_saturation(
     dfa: CounterDfa | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[PolySpace, int]:
-    """Grow the prefix-weight window until the space is unchanged for
-    caps.window consecutive bounds; returns (space, final bound).  Equal
-    canonical evaluation spans have equal vanishing spaces, so the windows
-    are compared by their RREF rows."""
+    """Grow the prefix-weight window, warm-starting one fixpoint from bound
+    to bound (`_window_rows`), until the space is unchanged for caps.window
+    consecutive bounds; returns (space, final bound).  The accepted spans
+    nest, so unchanged means the same dimension; the RREF and the vanishing
+    space are computed once, at the returned bound."""
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
     dfa = dfa or CounterDfa.trivial(mp.alphabet)
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     _check_budget(len(dfa.states), n, caps, f"{mode} saturation")  # before the maps
     maps = _integer_maps(mp, degree)
-    history: list[list[Vector]] = []
+    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
+    accepted = Span(n)
+    window = ({}, accepted, [((dfa.initial, 0), seed)], {})
+    history: list[int] = []
     for bound in range(2, caps.counter + 1):
-        history.append(_window_rows(mp, degree, mode, dfa, bound, caps, maps))
+        history.append(_window_rows(mp, mode, dfa, bound, caps, maps, window))
         if len(history) >= caps.window + 1 and all(
             history[-1] == history[-k] for k in range(2, caps.window + 2)
         ):
-            return _vanishing_from_rows(mp.dim, degree, history[-1]), bound
+            return _vanishing_from_rows(mp.dim, degree, accepted.basis()), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
         f"{caps.counter}; raise the counter cap"

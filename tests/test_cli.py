@@ -4,12 +4,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zclosure.cli import Instance, load_instance, run_pipeline, verify_corpus
+from zclosure.closure import Caps
 from zclosure.errors import SchemaError
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "zclosure", "corpus")
@@ -270,6 +272,20 @@ def test_bool_vass_weight_is_schema_error(tmp_path):
 def test_non_integer_env_cap_is_schema_error(tmp_path):
     proc = _run_doc(tmp_path, _regular_doc(), env_extra={"CLOSURE_CAP_BUDGET": "abc"})
     assert "CLOSURE_CAP_BUDGET" in _assert_schema_exit(proc)
+
+
+def test_non_integer_env_window_cap_is_schema_error(tmp_path):
+    proc = _run_doc(tmp_path, _regular_doc(), env_extra={"CLOSURE_CAP_WINDOW": "abc"})
+    assert "CLOSURE_CAP_WINDOW" in _assert_schema_exit(proc)
+
+
+def test_every_cap_can_be_set_from_the_environment(monkeypatch):
+    names = [f.name for f in fields(Caps)]
+    for i, name in enumerate(names):
+        monkeypatch.setenv(f"CLOSURE_CAP_{name.upper()}", str(100 + i))
+    caps = Instance(_regular_doc()).caps
+    assert [getattr(caps, name) for name in names] == [100 + i for i in range(len(names))]
+    assert caps.window == 100 + names.index("window")
 
 
 @pytest.mark.parametrize("mutate", [
