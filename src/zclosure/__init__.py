@@ -7,15 +7,12 @@ from .closure import (
     OracleResult,
     PipelineResult,
     counter_saturation,
-    cover_closure,
     finite_vanishing_space,
     oracle_closure,
-    reach_closure,
     regular_closure,
     run_cover,
     run_reach,
     run_zero,
-    zero_closure,
 )
 from .errors import (
     DimensionError,

@@ -47,7 +47,7 @@ from .exactlin import Matrix
 from .facttree import build_tree
 from .lang import MorphismPair
 from .polys import gens_from_strings, ideal_slice, space_to_generators
-from .reduction import Vass, blockify_regular, extract_block_closure, run_vass, vass_oracle
+from .reduction import Vass, blockify_regular, extract_block_closure, run_vass, vass_to_constrained
 
 MODES = ("cover", "reach", "zero", "regular", "vass-cover", "vass-reach")
 
@@ -521,23 +521,14 @@ def _cmd_automaton(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.file)
-    predicate = {"cover": "cover", "reach": "reach", "zero": "zero",
-                 "vass-cover": "cover", "vass-reach": "reach",
-                 "regular": "all"}[instance.mode]
-    if instance.mode.startswith("vass-"):
-        result = vass_oracle(
-            instance.vass, instance.mp, predicate, instance.degree, args.max_len,
-            instance.caps,
-        )
-    elif instance.mode == "regular":
-        result = oracle_closure(
-            instance.mp, instance.nfa.accepts, instance.degree, args.max_len,
-            instance.caps,
-        )
-    else:
-        result = oracle_closure(
-            instance.mp, predicate, instance.degree, args.max_len, instance.caps
-        )
+    mp, dfa, predicate = instance.mp, None, instance.mode.removeprefix("vass-")
+    if instance.vass is not None:
+        mp, dfa = vass_to_constrained(instance.vass, mp)
+    elif instance.nfa is not None:
+        predicate = instance.nfa.accepts
+    result = oracle_closure(
+        mp, predicate, instance.degree, args.max_len, instance.caps, dfa
+    )
     json.dump(
         {
             "mode": instance.mode,

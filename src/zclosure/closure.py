@@ -19,15 +19,21 @@ its parent's, and a word's point is N^mono * s^(D - |mono|).
 
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
-runs the bounded-zero/product-alphabet pair.  Reach always needs the lifted
-reduction whose flat stage is astronomically large at any threshold, so reach
-(and every eta-overridden pipeline) computes the span by bounded-counter
-saturation - the space over words whose prefix weights stay in a window is
-monotone in the window and its limit is the exact target - stopping when the
-space is unchanged for `window` consecutive bounds, then cross-checks the
-brute-force oracle and refuses to answer on disagreement.  The windows nest,
-so one fixpoint is warm-started from bound to bound: a bound replays only
-the pushes it newly admits, and the space is unchanged when its dimension is.
+runs the bounded-zero/product-alphabet pair.  Reach needs the lifted
+reduction, whose flat stage is astronomically large at the default
+threshold, and so does a 1-VASS at its lifted threshold; both refuse.  Every
+eta-overridden pipeline (cover, zero, reach, and 1-VASS cover/reach under the
+DFA of its transitions) runs `run_saturation`: bounded-counter saturation -
+the space over words whose prefix weights stay in a window is monotone in the
+window and its limit is the exact target - stopping when the space is
+unchanged for `window` consecutive bounds, then the brute-force oracle over
+the same language, and no answer on disagreement.  The windows nest, so one
+fixpoint is warm-started from bound to bound: a bound replays only the
+pushes it newly admits, and the space is unchanged when its dimension is.
+
+Each substitution map - a letter's action on nu_D, the product pullback of
+the gamma stage, the block reduction's pullback - is the monomial basis
+composed with a list of polynomials, `polys.substitution_rows`.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .automata import Nfa, build_bz_automaton, build_cover_automaton, gamma_alphabet, gamma_weight
 from .errors import (
@@ -45,12 +51,11 @@ from .errors import (
     OracleDisagreementError,
     PreconditionError,
 )
-from .exactlin import Matrix, Subspace, Vector, kernel_basis, rref, vec
+from .exactlin import Matrix, Span, Subspace, Vector, _cleared, kernel_basis, vec
 from .lang import PREDICATES, MorphismPair, Word
-from .polys import Poly, PolySpace, basis_index, monomial_basis, poly_mul
+from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
 EPS = ""
-Exp = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -80,13 +85,7 @@ def _monomial_evaluator(nvars: int, degree: int) -> Callable[[Sequence, int], li
     times s^(D - |mono|), in `monomial_basis` order.  Each monomial is its
     parent's (one degree lower) times one variable."""
     basis = monomial_basis(nvars, degree)
-    index = basis_index(nvars, degree)
-    steps = []  # (monomial, parent, variable), parents first
-    for k in reversed(range(len(basis))):  # ascending degree
-        mono = basis[k]
-        var = next((v for v, e in enumerate(mono) if e), None)
-        if var is not None:
-            steps.append((k, index[mono[:var] + (mono[var] - 1,) + mono[var + 1:]], var))
+    steps = monomial_steps(nvars, degree)
     rest = [degree - sum(mono) for mono in basis]
 
     def evaluate(x: Sequence, s: int) -> list:
@@ -110,39 +109,25 @@ def letter_map(a: Matrix, degree: int) -> list[dict[int, Fraction]]:
     """Rows of the linear map T with nu_D(M * a) = T nu_D(M)."""
     d = a.rows
     nvars = d * d
-    basis = monomial_basis(nvars, degree)
     index = basis_index(nvars, degree)
-    # (M a)_{ij} as a linear polynomial in the entries of M
-    unit = [tuple(0 if k != v else 1 for k in range(nvars)) for v in range(nvars)]
-    lin: list[Poly] = []
-    for i in range(d):
-        for j in range(d):
-            p: Poly = {}
-            for k in range(d):
-                c = a[k, j]
-                if c:
-                    p[unit[i * d + k]] = p.get(unit[i * d + k], Fraction(0)) + c
-            lin.append(p)
-    rows: list[dict[int, Fraction]] = []
-    one: Poly = {tuple([0] * nvars): Fraction(1)}
-    for mono in basis:
-        p = one
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                p = poly_mul(p, lin[var])
-        rows.append({index[k]: v for k, v in p.items()})
-    return rows
+    # (M a)_{ij} = sum_k M_{ik} a_{kj}, a linear form in the entries of M
+    forms = [
+        {
+            tuple(int(v == i * d + k) for v in range(nvars)): a[k, j]
+            for k in range(d)
+            if a[k, j]
+        }
+        for i in range(d)
+        for j in range(d)
+    ]
+    return [
+        {index[k]: c for k, c in p.items()}
+        for p in substitution_rows(forms, degree, nvars)
+    ]
 
 
 def apply_map(rows: list[dict[int, int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(c * v[s] for s, c in row.items()) for row in rows)
-
-
-def _cleared(v: Iterable[Fraction]) -> list[int]:
-    """The integer vector m * v, m the lcm of the entries' denominators."""
-    v = list(v)
-    m = lcm(*(x.denominator for x in v))
-    return [x.numerator * (m // x.denominator) for x in v]
 
 
 def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, list[dict[int, int]]]:
@@ -157,51 +142,6 @@ def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, list[dict[int, int
             for row in rows
         ]
     return out
-
-
-class Span:
-    """Incremental span of dense integer vectors, kept fraction-free.
-
-    Rows are primitive integer lists in semi-echelon form, in insertion
-    order: each row is zero at the pivots (first nonzero columns) of the
-    rows before it.  Membership does not depend on scaling, so `insert`
-    eliminates by integer combinations and never leaves the integers;
-    `basis()` is the canonical `Fraction` RREF of the span.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    def insert(self, v: Iterable[int]) -> bool:
-        """Add v to the span; True iff the dimension grew."""
-        if len(self.rows) == self.n:
-            return False  # already the whole space
-        v = list(v)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                p = row[piv]
-                g = gcd(p, c)
-                p //= g
-                c //= g
-                v = [p * x - c * y for x, y in zip(v, row)]
-        g = gcd(*v)
-        if not g:
-            return False
-        if g != 1:
-            v = [x // g for x in v]
-        self.rows.append(v)
-        self.pivots.append(next(k for k, x in enumerate(v) if x))
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> list[Vector]:
-        return rref(self.rows)
 
 
 def _vanishing_from_rows(dim: int, degree: int, rows: list[Vector]) -> PolySpace:
@@ -237,7 +177,6 @@ def _nfa_span_rows(
     nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps, what: str
 ) -> list[Vector]:
     """Evaluation span over the accepted language, per-state fixpoint."""
-    mp = getattr(mp, "morphism_pair", mp)
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError(f"{what}: automaton and morphism alphabets differ")
     n = len(monomial_basis(mp.dim * mp.dim, degree))
@@ -584,54 +523,29 @@ def _tensor_apply(
 
 def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, Fraction]]:
     """Row t = coefficients of (basis monomial t) composed with the
-    four-block product map, over the nu_D tensor coordinates."""
+    four-block product map, over the nu_D tensor coordinates.  The entries
+    of factor f are the variables f * d^2 + (i * d + j)."""
     nvars = d * d
-    basis = monomial_basis(nvars, degree)
     index = basis_index(nvars, degree)
-    n = len(basis)
-    zero = tuple([0] * nvars)
-
-    def unit(i: int, j: int) -> Exp:
-        return tuple(1 if k == i * d + j else 0 for k in range(nvars))
-
-    # entry (i, j) of X1 X2 X3 X4 as {4-tuple of exponent tuples: coeff}
-    entries: list[list[dict]] = [[{} for _ in range(d)] for _ in range(d)]
+    n = len(index)
+    # entry (i, j) of X1 X2 X3 X4: the sum over a, b, c of x1_ia x2_ab x3_bc x4_cj
+    forms = []
     for i in range(d):
         for j in range(d):
-            p = entries[i][j]
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        key = (unit(i, a), unit(a, b), unit(b, c), unit(c, j))
-                        p[key] = p.get(key, Fraction(0)) + 1
-    one = {(zero, zero, zero, zero): Fraction(1)}
-
-    def mul(p: dict, q: dict) -> dict:
-        out: dict = {}
-        for ka, va in p.items():
-            for kb, vb in q.items():
-                k = tuple(
-                    tuple(x + y for x, y in zip(ea, eb)) for ea, eb in zip(ka, kb)
-                )
-                s = out.get(k, Fraction(0)) + va * vb
-                if s:
-                    out[k] = s
-        return out
-
-    rows = []
-    for mono in basis:
-        p = one
-        for var, e in enumerate(mono):
-            i, j = divmod(var, d)
-            for _ in range(e):
-                p = mul(p, entries[i][j])
-        rows.append(
-            {
-                _tensor_index(n, tuple(index[e] for e in key)): v
-                for key, v in p.items()
-            }
-        )
-    return rows
+            p = {}
+            for a, b, c in itertools.product(range(d), repeat=3):
+                key = [0] * (4 * nvars)
+                for f, var in enumerate((i * d + a, a * d + b, b * d + c, c * d + j)):
+                    key[f * nvars + var] = 1
+                p[tuple(key)] = Fraction(1)
+            forms.append(p)
+    return [
+        {
+            _tensor_index(n, tuple(index[k[f * nvars:(f + 1) * nvars]] for f in range(4))): c
+            for k, c in p.items()
+        }
+        for p in substitution_rows(forms, degree, 4 * nvars)
+    ]
 
 
 def _gamma_condition_rows(
@@ -701,74 +615,65 @@ class PipelineResult:
     counter_bound: int | None = None
 
 
-def _oracle_cross_check(
-    result: PipelineResult,
+def run_saturation(
     mp: MorphismPair,
-    predicate: str,
-    dfa: CounterDfa | None,
+    mode: str,
     degree: int,
     caps: Caps,
-) -> None:
+    dfa: CounterDfa | None = None,
+    mode_name: str | None = None,
+) -> PipelineResult:
+    """`counter_saturation`, cross-checked against the brute-force oracle
+    over the same language (`word_frontier(mp, mode, dfa)`); on disagreement
+    the result is withheld."""
+    space, bound = counter_saturation(mp, degree, mode, dfa, caps)
     oracle = _oracle_over_words(
         mp.dim,
         degree,
-        word_frontier(mp, predicate, dfa),
+        word_frontier(mp, mode, dfa),
         caps.oracle_len,
         caps,
         extend_to=caps.oracle_extend,
         raise_on_cap=False,
     )
-    result.oracle_max_len = oracle.max_len
-    result.oracle_stabilized = oracle.stabilized
-    if oracle.space != result.space:
+    name = mode_name or mode
+    if oracle.space != space:
         raise OracleDisagreementError(
-            f"{result.mode} pipeline at eta={result.eta_used} disagrees with "
+            f"{name} pipeline at eta={mp.eta} disagrees with "
             f"the oracle at enumeration length {oracle.max_len} "
             f"(oracle {'stabilized' if oracle.stabilized else 'NOT stabilized'}); "
             "result withheld"
         )
-    result.oracle_checked = True
+    return PipelineResult(
+        space, name, mp.eta, "saturation+oracle", oracle_checked=True,
+        oracle_max_len=oracle.max_len, oracle_stabilized=oracle.stabilized,
+        counter_bound=bound,
+    )
 
 
 def run_cover(
     mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
 ) -> PipelineResult:
-    if mp.eta_is_default:
-        nfa = build_cover_automaton(mp, caps.states)
-        space = regular_closure(nfa, mp, degree, caps)
-        return PipelineResult(space, "cover", mp.eta, "cover-automaton")
-    space, bound = counter_saturation(mp, degree, "cover", None, caps)
-    result = PipelineResult(
-        space, "cover", mp.eta, "saturation+oracle", counter_bound=bound
-    )
-    _oracle_cross_check(result, mp, "cover", None, degree, caps)
-    return result
+    if not mp.eta_is_default:
+        return run_saturation(mp, "cover", degree, caps)
+    nfa = build_cover_automaton(mp, caps.states)
+    space = regular_closure(nfa, mp, degree, caps)
+    return PipelineResult(space, "cover", mp.eta, "cover-automaton")
 
 
 def run_zero(
     mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
 ) -> PipelineResult:
-    if mp.eta_is_default:
-        bz_rows = _nfa_span_rows(
-            build_bz_automaton(mp, caps.states), mp, degree, caps,
-            "zero pipeline (bounded-zero stage)",
-        )
-        gamma_rows = _gamma_condition_rows(mp, degree, caps)
-        n = len(monomial_basis(mp.dim * mp.dim, degree))
-        rows = [tuple(r) for r in bz_rows] + list(gamma_rows)
-        if rows:
-            space = PolySpace(
-                mp.dim, degree, Subspace(n, tuple(kernel_basis(Matrix(rows))))
-            )
-        else:
-            space = PolySpace.full(mp.dim, degree)
-        return PipelineResult(space, "zero", mp.eta, "bz+flat")
-    space, bound = counter_saturation(mp, degree, "zero", None, caps)
-    result = PipelineResult(
-        space, "zero", mp.eta, "saturation+oracle", counter_bound=bound
+    if not mp.eta_is_default:
+        return run_saturation(mp, "zero", degree, caps)
+    bz_rows = _nfa_span_rows(
+        build_bz_automaton(mp, caps.states), mp, degree, caps,
+        "zero pipeline (bounded-zero stage)",
     )
-    _oracle_cross_check(result, mp, "zero", None, degree, caps)
-    return result
+    rows = bz_rows + _gamma_condition_rows(mp, degree, caps)
+    return PipelineResult(
+        _vanishing_from_rows(mp.dim, degree, rows), "zero", mp.eta, "bz+flat"
+    )
 
 
 def _reach_default_cost(mp: MorphismPair, degree: int) -> str:
@@ -794,53 +699,7 @@ def run_reach(
             + "; not desk-feasible, set eta_override (the result is then "
             "cross-checked against the brute-force oracle)"
         )
-    space, bound = counter_saturation(mp, degree, "reach", None, caps)
-    result = PipelineResult(
-        space, "reach", mp.eta, "saturation+oracle", counter_bound=bound
-    )
-    _oracle_cross_check(result, mp, "reach", None, degree, caps)
-    return result
-
-
-def run_constrained(
-    mp: MorphismPair,
-    dfa: CounterDfa,
-    mode: str,
-    degree: int,
-    caps: Caps = DEFAULT_CAPS,
-    mode_name: str | None = None,
-) -> PipelineResult:
-    """Cover/reach pipeline under a regular path constraint (the collapsed
-    form of the block-matrix reduction).  Requires an eta override; the
-    lifted default threshold is eta(k(d+1)) and never desk-feasible."""
-    if mp.eta_is_default:
-        k = len(dfa.states)
-        lifted = k * (mp.dim + 1)
-        raise InfeasibleError(
-            f"constrained {mode} at default eta: the block reduction lifts to "
-            f"dimension {lifted} whose own threshold is eta({lifted}) = "
-            f"2^{lifted * (lifted + 3)}+1; set eta_override (the result is "
-            "then cross-checked against the brute-force oracle)"
-        )
-    space, bound = counter_saturation(mp, degree, mode, dfa, caps)
-    result = PipelineResult(
-        space, mode_name or f"vass-{mode}", mp.eta, "saturation+oracle",
-        counter_bound=bound,
-    )
-    _oracle_cross_check(result, mp, mode, dfa, degree, caps)
-    return result
-
-
-def cover_closure(mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS) -> PolySpace:
-    return run_cover(mp, degree, caps).space
-
-
-def zero_closure(mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS) -> PolySpace:
-    return run_zero(mp, degree, caps).space
-
-
-def reach_closure(mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS) -> PolySpace:
-    return run_reach(mp, degree, caps).space
+    return run_saturation(mp, "reach", degree, caps)
 
 
 # ---------------------------------------------------------------------------

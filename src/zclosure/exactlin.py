@@ -1,8 +1,13 @@
 """Exact rational linear algebra.
 
-Everything here is computed over `fractions.Fraction`; there is no floating
-point anywhere in the package.  Subspaces are kept in reduced row echelon form
-so that equality of spans is literal structural equality.
+Everything here is exact, over `fractions.Fraction` or the integers; there is
+no floating point anywhere in the package.  Subspaces are kept in reduced row
+echelon form so that equality of spans is literal structural equality.
+
+`Span` is the one incremental eliminator.  A span does not change when a
+vector is scaled, so it keeps primitive integer rows by fraction-free
+elimination (rational vectors enter it cleared, `_cleared`), and builds the
+canonical `Fraction` RREF only when asked, in `Span.basis()`.
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, PreconditionError
@@ -152,6 +158,58 @@ def rref(vectors: Iterable[Sequence]) -> list[Vector]:
         pivots.append(pcol)
     order = sorted(range(len(out)), key=lambda i: pivots[i])
     return [tuple(out[i]) for i in order]
+
+
+def _cleared(v: Iterable[Fraction]) -> list[int]:
+    """The integer vector m * v, m the lcm of the entries' denominators."""
+    v = list(v)
+    m = lcm(*(x.denominator for x in v))
+    return [x.numerator * (m // x.denominator) for x in v]
+
+
+class Span:
+    """Incremental span of dense integer vectors, kept fraction-free.
+
+    Rows are primitive integer lists in semi-echelon form, in insertion
+    order: each row is zero at the pivots (first nonzero columns) of the
+    rows before it.  Membership does not depend on scaling, so `insert`
+    eliminates by integer combinations and never leaves the integers;
+    `basis()` is the canonical `Fraction` RREF of the span.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def insert(self, v: Iterable[int]) -> bool:
+        """Add v to the span; True iff the dimension grew."""
+        if len(self.rows) == self.n:
+            return False  # already the whole space
+        v = list(v)
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                p = row[piv]
+                g = gcd(p, c)
+                p //= g
+                c //= g
+                v = [p * x - c * y for x, y in zip(v, row)]
+        g = gcd(*v)
+        if not g:
+            return False
+        if g != 1:
+            v = [x // g for x in v]
+        self.rows.append(v)
+        self.pivots.append(next(k for k, x in enumerate(v) if x))
+        return True
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> list[Vector]:
+        return rref(self.rows)
 
 
 def _pivot_columns(basis: Sequence[Vector]) -> list[int]:

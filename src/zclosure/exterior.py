@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError
-from .exactlin import Subspace, vec
+from .exactlin import Span, Subspace, _cleared, rref, vec
 
 Key = tuple[int, ...]
 
@@ -124,36 +124,6 @@ def trivially_intersects(w1: Subspace, w2: Subspace) -> bool:
     return not wedge(iota(w1), iota(w2)).is_zero
 
 
-class _ExtSpan:
-    """Incremental row reduction over the subset-keyed coordinates."""
-
-    def __init__(self):
-        self.rows: list[dict[Key, Fraction]] = []
-        self.pivots: list[Key] = []
-
-    def _reduce(self, coords: dict[Key, Fraction]) -> dict[Key, Fraction]:
-        coords = dict(coords)
-        for row, piv in zip(self.rows, self.pivots):
-            c = coords.get(piv)
-            if c:
-                for k, v in row.items():
-                    nv = coords.get(k, Fraction(0)) - c * v
-                    if nv:
-                        coords[k] = nv
-                    else:
-                        coords.pop(k, None)
-        return coords
-
-    def insert(self, v: ExtVector) -> bool:
-        coords = self._reduce(v.coords)
-        if not coords:
-            return False
-        piv = min(coords, key=_key_order)
-        c = coords[piv]
-        self.rows.append({k: x / c for k, x in coords.items()})
-        self.pivots.append(piv)
-        return True
-
 def greedy_basis(vs: list[ExtVector]) -> list[int]:
     """1-based indices of the left-to-right maximal independent subsequence.
 
@@ -165,10 +135,11 @@ def greedy_basis(vs: list[ExtVector]) -> list[int]:
     dims = {v.dim for v in vs}
     if len(dims) != 1:
         raise DimensionError("greedy_basis over mixed ambient dimensions")
-    span = _ExtSpan()
+    keys = sorted({k for v in vs for k in v.coords}, key=_key_order)
+    span = Span(len(keys))
     out = []
     for i, v in enumerate(vs):
-        if span.insert(v):
+        if span.insert(_cleared(v.coords.get(k, Fraction(0)) for k in keys)):
             out.append(i + 1)
     return out
 
@@ -180,9 +151,7 @@ def combination(targets: list[ExtVector], v: ExtVector) -> list[Fraction] | None
         {k for t in targets for k in t.coords} | set(v.coords), key=_key_order
     )
     n = len(targets)
-    from .exactlin import rref as _rref
-
-    aug = _rref(
+    aug = rref(
         [
             [t.coords.get(k, Fraction(0)) for t in targets]
             + [v.coords.get(k, Fraction(0))]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Sequence
 
 from .errors import DimensionError, PreconditionError, SchemaError
 from .exactlin import Subspace, Vector
@@ -49,21 +50,6 @@ def basis_index(nvars: int, degree: int) -> dict[Exponent, int]:
     return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    return {k: c * v for k, v in p.items()} if c else {}
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
     for ka, va in p.items():
@@ -75,6 +61,41 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
             else:
                 out.pop(k, None)
     return out
+
+
+def monomial_steps(nvars: int, degree: int) -> list[tuple[int, int, int]]:
+    """(monomial, parent, variable) as `monomial_basis` indices, ascending in
+    degree: each nonconstant monomial is its parent (one degree lower) times
+    the variable, and every parent comes before its children."""
+    basis = monomial_basis(nvars, degree)
+    index = basis_index(nvars, degree)
+    steps = []
+    for k in reversed(range(len(basis))):
+        mono = basis[k]
+        var = next((v for v, e in enumerate(mono) if e), None)
+        if var is not None:
+            steps.append((k, index[mono[:var] + (mono[var] - 1,) + mono[var + 1:]], var))
+    return steps
+
+
+def substitution_rows(
+    forms: Sequence[Poly], degree: int, nvars: int, unit: Poly | None = None
+) -> list[Poly]:
+    """The monomials composed with the forms: for each e in
+    `monomial_basis(len(forms), degree)`, prod_v forms[v]^e_v as a polynomial
+    in `nvars` variables, times unit^(degree - |e|) when `unit` is given.
+    Each product is its parent's times one form (`monomial_steps`)."""
+    basis = monomial_basis(len(forms), degree)
+    one: Poly = {(0,) * nvars: Fraction(1)}
+    out = [one] * len(basis)
+    for k, parent, var in monomial_steps(len(forms), degree):
+        out[k] = poly_mul(out[parent], forms[var])
+    if unit is None:
+        return out
+    powers = [one]
+    for _ in range(degree):
+        powers.append(poly_mul(powers[-1], unit))
+    return [poly_mul(p, powers[degree - sum(e)]) for p, e in zip(out, basis)]
 
 
 def poly_degree(p: Poly) -> int:

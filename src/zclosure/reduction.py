@@ -26,12 +26,12 @@ from .closure import (
     OracleResult,
     PipelineResult,
     oracle_closure,
-    run_constrained,
+    run_saturation,
 )
-from .errors import PreconditionError, SchemaError
+from .errors import InfeasibleError, PreconditionError, SchemaError
 from .exactlin import Matrix, Subspace, Vector, kernel_basis
 from .lang import MorphismPair
-from .polys import Poly, PolySpace, monomial_basis, poly_mul, poly_to_vector
+from .polys import PolySpace, monomial_basis, poly_to_vector, substitution_rows
 
 DEAD = "_dead"
 
@@ -92,42 +92,22 @@ def _pullback_vectors(bm: BlockMorphism, degree: int) -> list[Vector]:
     d = bm.base.dim
     b = d + 1
     kdim = bm.dim
-    nvars_lifted = kdim * kdim
-    accepting_pos = [
-        i for i, q in enumerate(bm.state_order) if q in bm.dfa.accepting
+    nvars = kdim * kdim
+    accepting = [i for i, q in enumerate(bm.state_order) if q in bm.dfa.accepting]
+
+    def summed(r: int, c: int) -> dict:
+        """Lifted entry (r, c) summed over the accepting blocks of block-row 1."""
+        return {
+            tuple(int(v == r * kdim + i * b + c) for v in range(nvars)): Fraction(1)
+            for i in accepting
+        }
+
+    # T_rc is summed(r, c); the indicator iota is summed(d, d)
+    forms = [summed(r, c) for r in range(d) for c in range(d)]
+    return [
+        poly_to_vector(p, nvars, degree)
+        for p in substitution_rows(forms, degree, nvars, unit=summed(d, d))
     ]
-
-    def lifted_var(r: int, c: int) -> Exp:
-        out = [0] * nvars_lifted
-        out[r * kdim + c] = 1
-        return tuple(out)
-
-    # T_{rc} and iota as linear polynomials over the lifted entries
-    t_forms = [[{} for _ in range(d)] for _ in range(d)]
-    iota_form: Poly = {}
-    for i in accepting_pos:
-        for r in range(d):
-            for c in range(d):
-                key = lifted_var(r, i * b + c)
-                t_forms[r][c][key] = t_forms[r][c].get(key, Fraction(0)) + 1
-        key = lifted_var(d, i * b + d)
-        iota_form[key] = iota_form.get(key, Fraction(0)) + 1
-
-    one: Poly = {tuple([0] * nvars_lifted): Fraction(1)}
-    out = []
-    for mono in monomial_basis(d * d, degree):
-        p = one
-        for var, e in enumerate(mono):
-            r, c = divmod(var, d)
-            for _ in range(e):
-                p = poly_mul(p, t_forms[r][c])
-        for _ in range(degree - sum(mono)):
-            p = poly_mul(p, iota_form)
-        out.append(poly_to_vector(p, nvars_lifted, degree))
-    return out
-
-
-Exp = tuple[int, ...]
 
 
 def extract_block_closure(
@@ -230,7 +210,19 @@ def run_vass(
     degree: int,
     caps: Caps = DEFAULT_CAPS,
 ) -> PipelineResult:
+    """Cover/reach of the VASS's accepted transition words, by saturation
+    under the DFA constraint of `vass_to_constrained` (the collapsed form of
+    the block-matrix reduction).  Requires an eta override; the lifted
+    default threshold is eta(k(d+1)) and never desk-feasible."""
     if mode not in ("cover", "reach"):
         raise PreconditionError(f"unknown vass mode {mode!r}")
     mp_t, dfa = vass_to_constrained(vass, mp)
-    return run_constrained(mp_t, dfa, mode, degree, caps, mode_name=f"vass-{mode}")
+    if mp.eta_is_default:
+        lifted = len(dfa.states) * (mp.dim + 1)
+        raise InfeasibleError(
+            f"constrained {mode} at default eta: the block reduction lifts to "
+            f"dimension {lifted} whose own threshold is eta({lifted}) = "
+            f"2^{lifted * (lifted + 3)}+1; set eta_override (the result is "
+            "then cross-checked against the brute-force oracle)"
+        )
+    return run_saturation(mp_t, mode, degree, caps, dfa, f"vass-{mode}")

@@ -12,6 +12,7 @@ from zclosure.closure import (
     Caps,
     Span,
     _cleared,
+    _mu_pullback_rows,
     apply_map,
     counter_saturation,
     finite_vanishing_space,
@@ -72,6 +73,28 @@ def test_veronese_transition_maps_are_exact():
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(1, 2))
+def test_mu_pullback_rows_compose_with_the_four_block_product(data, d, degree):
+    # row t . (nu(X1) x nu(X2) x nu(X3) x nu(X4)) = nu(X1 X2 X3 X4)[t]
+    square = st.lists(_rationals, min_size=d * d, max_size=d * d)
+    entries = data.draw(st.lists(square, min_size=4, max_size=4))
+    xs = [Matrix([e[r * d:(r + 1) * d] for r in range(d)]) for e in entries]
+    nus = [veronese(x, degree) for x in xs]
+    n = len(nus[0])
+    want = veronese(xs[0] * xs[1] * xs[2] * xs[3], degree)
+    rows = _mu_pullback_rows(d, degree)
+    assert len(rows) == n
+    for row, w in zip(rows, want):
+        got = Fraction(0)
+        for idx, c in row.items():
+            i1, rest = divmod(idx, n ** 3)
+            i2, rest = divmod(rest, n ** 2)
+            i3, i4 = divmod(rest, n)
+            got += c * nus[0][i1] * nus[1][i2] * nus[2][i3] * nus[3][i4]
+        assert got == w
 
 
 @st.composite

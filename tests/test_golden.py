@@ -1,24 +1,115 @@
-"""Golden snapshot of `closure verify-corpus --json`.
+"""Golden snapshots of the command-line output.
 
-`golden/verify_corpus.json` is the command's whole standard output (one
-status line per entry, then the JSON list of entries), recorded before the
-saturation windows were warm-started.  Any change to an engine, a pipeline
-or the rendering shows up here byte for byte.  To re-record after an
-intended change of output:
+`golden/verify_corpus.json` is the whole standard output of `closure
+verify-corpus --json` (one status line per entry, then the JSON list of
+entries), recorded before the saturation windows were warm-started.  Any
+change to an engine, a pipeline or the rendering shows up here byte for byte.
+To re-record after an intended change of output:
 
     PYTHONPATH=src python -m zclosure.cli verify-corpus --json > tests/golden/verify_corpus.json
+
+`golden/cli_modes.json` pins the dispatch that the corpus run never reaches:
+`closure oracle --max-len 10` on every corpus entry and on an inline regular
+instance, `closure run --eta-override 2` on the cover and zero entries (the
+overridden branches; the report without `timings`), `closure run` on the
+inline regular instance, and the exit code and error JSON of `closure run` on
+the reach and VASS entries with `eta_override` removed (the default-threshold
+refusals).  To re-record after an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py
 """
+import json
 import os
 import pathlib
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 from zclosure.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_corpus.json"
+CLI_MODES = pathlib.Path(__file__).parent / "golden" / "cli_modes.json"
+CORPUS = pathlib.Path(__file__).parent.parent / "src" / "zclosure" / "corpus"
+
+REGULAR = {
+    "dimension": 2,
+    "alphabet": ["a", "b"],
+    "phi": {"a": [["1", "1/2"], ["0", "1"]], "b": [["2", "0"], ["0", "1"]]},
+    "omega": {"a": 1, "b": -1},
+    "mode": "regular",
+    "degree": 2,
+    "nfa": {
+        "states": ["p", "q"],
+        "initial": ["p"],
+        "accepting": ["q"],
+        "transitions": [["p", "a", "q"], ["q", "a", "q"], ["q", "b", "p"]],
+    },
+}
 
 
-def test_verify_corpus_output_matches_golden(capsys, monkeypatch):
+def _cli(*args) -> dict:
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(args))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _without_timings(stdout: str) -> str:
+    report = json.loads(stdout)
+    report.pop("timings")
+    return json.dumps(report, indent=2)
+
+
+def cli_modes(tmp: pathlib.Path) -> dict:
+    """Every recorded command, by a readable key, with its exit code and
+    output."""
+    regular = tmp / "regular.json"
+    regular.write_text(json.dumps(REGULAR))
+    out = {}
+    for path in sorted(CORPUS.glob("*.json")) + [regular]:
+        out[f"oracle {path.stem}"] = _cli("oracle", str(path), "--max-len", "10")
+    for name in ("cover_powers_d1", "zero_balanced_d1"):
+        run = _cli("run", str(CORPUS / f"{name}.json"), "--eta-override", "2")
+        run["stdout"] = _without_timings(run["stdout"])
+        out[f"run {name} --eta-override 2"] = run
+    run = _cli("run", str(regular))
+    run["stdout"] = _without_timings(run["stdout"])
+    out["run regular"] = run
+    for name in ("dyck_reach", "anbndyck_reach"):
+        doc = json.loads((CORPUS / f"{name}.json").read_text())
+        del doc["instance"]["eta_override"]
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out[f"run {name} without eta_override"] = _cli("run", str(path))
+    return out
+
+
+def _clear_cap_env(monkeypatch) -> None:
     for key in list(os.environ):
         if key.startswith("CLOSURE_CAP_"):
             monkeypatch.delenv(key)
+
+
+def test_verify_corpus_output_matches_golden(capsys, monkeypatch):
+    _clear_cap_env(monkeypatch)
     assert main(["verify-corpus", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
+
+
+def test_cli_modes_match_golden(tmp_path, monkeypatch):
+    _clear_cap_env(monkeypatch)
+    want = json.loads(CLI_MODES.read_text())
+    got = cli_modes(tmp_path)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if any(key.startswith("CLOSURE_CAP_") for key in os.environ):
+        sys.exit("unset every CLOSURE_CAP_* variable before recording")
+    with tempfile.TemporaryDirectory() as tmp:
+        record = cli_modes(pathlib.Path(tmp))
+    CLI_MODES.write_text(json.dumps(record, indent=2) + "\n")

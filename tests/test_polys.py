@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zclosure.errors import PreconditionError
 from zclosure.polys import (
@@ -14,6 +16,7 @@ from zclosure.polys import (
     poly_mul,
     render_poly,
     space_to_generators,
+    substitution_rows,
     var_name,
 )
 
@@ -116,3 +119,34 @@ def test_large_dimension_variable_names_round_trip():
     text = "x_{10}_{3} - 1"
     p = parse_poly(text, 10)
     assert render_poly(p, 10) == text
+
+
+@st.composite
+def _forms(draw):
+    """A few polynomials of degree <= 2 in a few variables, rational
+    coefficients, the zero polynomial included."""
+    nvars = draw(st.integers(1, 3))
+    terms = st.dictionaries(
+        st.sampled_from(monomial_basis(nvars, 2)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+        max_size=3,
+    )
+    return nvars, draw(st.lists(terms, min_size=1, max_size=3)), draw(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_forms(), st.integers(0, 2), st.booleans())
+def test_substitution_rows_match_repeated_products(drawn, degree, homogenize):
+    nvars, forms, unit = drawn
+    got = substitution_rows(forms, degree, nvars, unit if homogenize else None)
+    basis = monomial_basis(len(forms), degree)
+    assert len(got) == len(basis)
+    for row, mono in zip(got, basis):
+        want = {(0,) * nvars: Fraction(1)}
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                want = poly_mul(want, forms[var])
+        if homogenize:
+            for _ in range(degree - sum(mono)):
+                want = poly_mul(want, unit)
+        assert row == want

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import powers_morphism, unipotent_morphism
 from zclosure.automata import Nfa
@@ -11,14 +13,16 @@ from zclosure.closure import (
     DEFAULT_CAPS,
     finite_vanishing_space,
     regular_closure,
+    veronese,
     word_frontier,
 )
 from zclosure.errors import PreconditionError, SchemaError
 from zclosure.exactlin import Matrix
 from zclosure.lang import MorphismPair
-from zclosure.polys import PolySpace, gens_from_strings, ideal_slice
+from zclosure.polys import PolySpace, gens_from_strings, ideal_slice, monomial_basis
 from zclosure.reduction import (
     Vass,
+    _pullback_vectors,
     blockify_regular,
     extract_block_closure,
     vass_to_constrained,
@@ -87,6 +91,50 @@ def test_block_row_one_structure():
         if nonzero:
             # indicator entry is exactly 1 on the live block
             assert img[b - 1, nonzero[0] * b + b - 1] == 1
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
+def test_pullback_vectors_evaluate_to_the_homogenized_base_monomials(data, d, k, degree):
+    # row t at nu(lifted image of w) = T^mono_t * iota^(D - |mono_t|), where T
+    # sums the accepting blocks of block-row 1 and iota their indicators
+    square = st.lists(_rationals, min_size=d * d, max_size=d * d)
+    phi = {a: data.draw(square) for a in "ab"}
+    mp = MorphismPair(
+        ("a", "b"), d,
+        {a: Matrix([e[r * d:(r + 1) * d] for r in range(d)]) for a, e in phi.items()},
+        {"a": 1, "b": -1},
+    )
+    states = tuple(range(k))
+    targets = st.sampled_from(states + (None,))  # None: no transition
+    moves = data.draw(st.lists(targets, min_size=2 * k, max_size=2 * k))
+    transitions = frozenset(
+        (q, a, q2)
+        for (q, a), q2 in zip(itertools.product(states, "ab"), moves)
+        if q2 is not None
+    )
+    accepting = frozenset(data.draw(st.sets(st.sampled_from(states))))
+    dfa = Nfa(states, ("a", "b"), frozenset({0}), accepting, transitions)
+    bm = blockify_regular(mp, dfa)
+    word = data.draw(st.lists(st.sampled_from("ab"), max_size=4))
+    image = Matrix.identity(bm.dim)
+    for a in word:
+        image = image * bm.lifted[a]
+    b = d + 1
+    acc = [i for i, q in enumerate(bm.state_order) if q in accepting]
+    def summed(r, c):
+        return sum((image[r, i * b + c] for i in acc), Fraction(0))
+
+    t = Matrix([[summed(r, c) for c in range(d)] for r in range(d)])
+    iota = summed(d, d)
+    point = veronese(image, degree)
+    rows = _pullback_vectors(bm, degree)
+    bases = zip(monomial_basis(d * d, degree), veronese(t, degree), strict=True)
+    for row, (mono, base) in zip(rows, bases, strict=True):
+        assert sum(x * y for x, y in zip(row, point)) == base * iota ** (degree - sum(mono))
 
 
 def test_extraction_reproduces_reference_block_ideal():
