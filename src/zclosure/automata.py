@@ -22,7 +22,6 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .exactlin import is_stable
 from .facttree import extract_stable_factor
 from .lang import MorphismPair, Word, classify_word
 
@@ -232,6 +231,12 @@ def gamma_weight(g: GammaLetter, mp: MorphismPair) -> int:
 
 
 def build_zero_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
+    """The product-alphabet automaton of the zero pipeline: counters in
+    [-2 eta, 2 eta] read the Gamma letters, 4-tuples over epsilon + Sigma,
+    at the sum of their tracks' weights.  `closure automaton --which zero`
+    prints it.  The engine's fixpoint (`closure._gamma_condition_rows`)
+    pushes only along the single-track letters, whose commuting tensor maps
+    compose to every Gamma letter's, and reaches the same spans."""
     eta = mp.eta
     _check_state_cap(4 * eta + 1, max_states, "zero automaton")
     states = tuple(range(-2 * eta, 2 * eta + 1))
@@ -430,8 +435,3 @@ def _greedy_blocks(mp: MorphismPair, u, v, mu: int, nv: int, counter: int, eta: 
             emit(*neg_block)
             neg_left -= 1
     return out
-
-
-def stable_letterwise(mp: MorphismPair, word) -> bool:
-    """Convenience used by tests: is the image of the word stable?"""
-    return is_stable(mp.image(word))

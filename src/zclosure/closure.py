@@ -9,8 +9,15 @@ accepted language; the vanishing space is its orthogonal complement.
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is cleared of denominators
 once (scaling every path image by a nonzero constant), and `Span` keeps
-primitive integer rows by fraction-free elimination.  The canonical
-`Fraction` RREF appears only at the output boundary, `Span.basis()`.
+primitive integer rows by fraction-free elimination.  The integer rows go
+straight to `kernel_basis`; `Fraction` appears only in the final division by
+the pivots.  Worklists are first in, first out: the spans are least
+fixpoints in any order, but short words first keep the integers small.
+
+The product-alphabet stage of the zero pipeline pushes only along the
+single-track letters of Gamma, whose commuting tensor maps compose to every
+Gamma letter's (`_gamma_condition_rows`); `automata.build_zero_automaton`
+keeps the paper's automaton over all of Gamma for `closure automaton`.
 
 The oracle shares only `Span` with the fixpoints.  Its words come from one
 lazy frontier over (automaton state, counter) (`word_frontier`); a prefix's
@@ -38,13 +45,14 @@ composed with a list of polynomials, `polys.substitution_rows`.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
-from .automata import Nfa, build_bz_automaton, build_cover_automaton, gamma_alphabet, gamma_weight
+from .automata import Nfa, build_bz_automaton, build_cover_automaton
 from .errors import (
     DimensionError,
     InfeasibleError,
@@ -54,8 +62,6 @@ from .errors import (
 from .exactlin import Matrix, Span, Subspace, Vector, _cleared, kernel_basis, vec
 from .lang import PREDICATES, MorphismPair, Word
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
-
-EPS = ""
 
 
 @dataclass(frozen=True)
@@ -144,11 +150,11 @@ def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, list[dict[int, int
     return out
 
 
-def _vanishing_from_rows(dim: int, degree: int, rows: list[Vector]) -> PolySpace:
+def _vanishing_from_rows(dim: int, degree: int, rows: Sequence[Sequence]) -> PolySpace:
     n = len(monomial_basis(dim * dim, degree))
     if not rows:
         return PolySpace.full(dim, degree)
-    ker = kernel_basis(Matrix(rows))
+    ker = kernel_basis(rows)
     return PolySpace(dim, degree, Subspace(n, tuple(ker)))
 
 
@@ -175,8 +181,9 @@ def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
 
 def _nfa_span_rows(
     nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps, what: str
-) -> list[Vector]:
-    """Evaluation span over the accepted language, per-state fixpoint."""
+) -> list[list[int]]:
+    """Integer rows spanning the evaluations over the accepted language,
+    per-state fixpoint."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError(f"{what}: automaton and morphism alphabets differ")
     n = len(monomial_basis(mp.dim * mp.dim, degree))
@@ -187,9 +194,9 @@ def _nfa_span_rows(
         succ[q].append((a, q2))
     spans = {q: Span(n) for q in nfa.states}
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    queue = [(q, seed) for q in nfa.states if q in nfa.initial]
+    queue = deque((q, seed) for q in nfa.states if q in nfa.initial)
     while queue:
-        q, v = queue.pop()
+        q, v = queue.popleft()
         if not spans[q].insert(v):
             continue
         for a, q2 in succ[q]:
@@ -199,7 +206,7 @@ def _nfa_span_rows(
         if q in nfa.accepting:
             for row in spans[q].rows:
                 acc.insert(row)
-    return acc.basis()
+    return acc.rows
 
 
 def regular_closure(
@@ -263,21 +270,23 @@ def _window_rows(
     maps: dict[str, list[dict[int, int]]],
     window: tuple[dict, Span, list, dict],
 ) -> int:
-    """Grow `window` (span per (state, counter), accepted span, pushes to
-    make, refused pushes by target counter) to the least fixpoint over the
+    """Grow `window` (span per (state, counter), accepted span, seed pushes
+    to make, refused pushes by target counter) to the least fixpoint over the
     words whose prefix weights stay in [lo, bound], with the `_integer_maps`.
     Windows nest, and each accepted vector was pushed along every admitted
     edge and parked, unmapped, on every refused one; so replaying the parked
     pushes now admitted gives the fixpoint a cold start builds.  Returns the
     accepted dimension."""
-    spans, accepted, queue, refused = window
+    spans, accepted, seeds, refused = window
+    queue = deque(seeds)  # popped first in, first out, like every worklist
+    seeds.clear()
     lo = -bound if mode == "zero" else 0
     nstates = len(dfa.states) * (bound - lo + 1)
     _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
     for c in [c for c in refused if lo <= c <= bound]:
         queue.extend(((q, c), apply_map(maps[a], v)) for q, v, a in refused.pop(c))
     while queue:
-        (q, c), v = queue.pop()
+        (q, c), v = queue.popleft()
         span = spans.get((q, c))
         if span is None:
             span = spans[(q, c)] = Span(accepted.n)
@@ -321,7 +330,7 @@ def counter_saturation(
         if len(history) >= caps.window + 1 and all(
             history[-1] == history[-k] for k in range(2, caps.window + 2)
         ):
-            return _vanishing_from_rows(mp.dim, degree, accepted.basis()), bound
+            return _vanishing_from_rows(mp.dim, degree, accepted.rows), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
         f"{caps.counter}; raise the counter cap"
@@ -469,7 +478,7 @@ def _oracle_over_words(
             history.append(span.dim)
         if capped or (ln >= max_len and (extend_to is None or window_stable())):
             break
-    space = _vanishing_from_rows(mp_dim, degree, span.basis())
+    space = _vanishing_from_rows(mp_dim, degree, span.rows)
     return OracleResult(space, window_stable() and not capped, achieved, used)
 
 
@@ -498,33 +507,26 @@ def _tensor_index(n: int, idx: tuple[int, int, int, int]) -> int:
 
 
 def _tensor_apply(
-    rows_by_factor: list[list[dict[int, int]] | None], v: list[int], n: int
+    rows: list[dict[int, int]], f: int, v: Sequence[int], n: int
 ) -> list[int]:
-    for f, rows in enumerate(rows_by_factor):
-        if rows is None:
-            continue
-        out = [0] * len(v)
-        stride = n ** (3 - f)  # distance between consecutive values of factor f
-        block = n ** (4 - f)  # size of one full cycle of factor f
-        outer = len(v) // block
-        for o in range(outer):
-            for rest in range(stride):
-                base = o * block + rest
-                vals = [v[base + s * stride] for s in range(n)]
-                for t, row in enumerate(rows):
-                    acc = 0
-                    for s, c in row.items():
-                        if vals[s]:
-                            acc += c * vals[s]
-                    out[base + t * stride] = acc
-        v = out
-    return v
+    """The map `rows` applied to factor f of a tensor of four n-vectors,
+    (I x .. x T x .. x I) v, with T in position f."""
+    out = [0] * len(v)
+    stride = n ** (3 - f)  # distance between consecutive values of factor f
+    block = n * stride  # size of one full cycle of factor f
+    for start in range(0, len(v), block):
+        for base in range(start, start + stride):
+            vals = v[base:base + block:stride]
+            for t, row in enumerate(rows):
+                out[base + t * stride] = sum(c * vals[s] for s, c in row.items())
+    return out
 
 
-def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, Fraction]]:
+def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, int]]:
     """Row t = coefficients of (basis monomial t) composed with the
     four-block product map, over the nu_D tensor coordinates.  The entries
-    of factor f are the variables f * d^2 + (i * d + j)."""
+    of factor f are the variables f * d^2 + (i * d + j); the forms have unit
+    coefficients, so every coefficient is an integer."""
     nvars = d * d
     index = basis_index(nvars, degree)
     n = len(index)
@@ -541,7 +543,7 @@ def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, Fraction]]:
             forms.append(p)
     return [
         {
-            _tensor_index(n, tuple(index[k[f * nvars:(f + 1) * nvars]] for f in range(4))): c
+            _tensor_index(n, tuple(index[k[f * nvars:(f + 1) * nvars]] for f in range(4))): int(c)
             for k, c in p.items()
         }
         for p in substitution_rows(forms, degree, 4 * nvars)
@@ -550,53 +552,43 @@ def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, Fraction]]:
 
 def _gamma_condition_rows(
     mp: MorphismPair, degree: int, caps: Caps
-) -> list[Vector]:
-    """Linear conditions on p (degree <= D) saying p vanishes on the image of
-    the flattened product-automaton language."""
+) -> list[tuple[int, ...]]:
+    """Integer linear conditions on p (degree <= D) saying p vanishes on the
+    image of the flattened product-automaton language.
+
+    The automaton (`automata.build_zero_automaton`) reads the letters of
+    Gamma, 4-tuples over epsilon + Sigma, on counters in [-2 eta, 2 eta].
+    A letter's tensor map is the product of its single-track maps
+    I x .. x T_x x .. x I, which commute (the mixed-product property), and
+    its weight is their weights' sum; taking each +1 track next to a -1
+    track, the one away from the nearer bound first, keeps the counter in
+    range.  So the 4|Sigma| single-track letters reach the same span at
+    every state as all of Gamma, and the fixpoint pushes only along them.
+    """
     d = mp.dim
     n = len(monomial_basis(d * d, degree))
-    tensor_n = n ** 4
     eta = mp.eta
-    nstates = 4 * eta + 1
-    _check_budget(nstates, tensor_n, caps, "zero pipeline (product-alphabet stage)")
-    base_maps = _integer_maps(mp, degree)
-    gamma = gamma_alphabet(mp.alphabet)
-    letter_rows = {
-        g: [None if x == EPS else base_maps[x] for x in g] for g in gamma
-    }
-    weights = {g: gamma_weight(g, mp) for g in gamma}
+    _check_budget(4 * eta + 1, n ** 4, caps, "zero pipeline (product-alphabet stage)")
+    maps = _integer_maps(mp, degree)
     seed_v = _cleared(veronese(Matrix.identity(d), degree))
-    seed = [0] * tensor_n
-    for idx in itertools.product(range(n), repeat=4):
-        val = seed_v[idx[0]] * seed_v[idx[1]] * seed_v[idx[2]] * seed_v[idx[3]]
-        if val:
-            seed[_tensor_index(n, idx)] = val
-    spans: dict[int, Span] = {}
-    queue: list[tuple[int, list[int]]] = [(0, seed)]
+    # the tensor coordinates in `_tensor_index` order
+    seed = [a * b * c * e for a, b, c, e in itertools.product(seed_v, repeat=4)]
+    spans = {q: Span(n ** 4) for q in range(-2 * eta, 2 * eta + 1)}
+    queue = deque([(0, seed)])
     while queue:
-        q, v = queue.pop()
-        span = spans.get(q)
-        if span is None:
-            span = spans[q] = Span(tensor_n)
-        if not span.insert(v):
+        q, v = queue.popleft()
+        if not spans[q].insert(v):
             continue
-        for g in gamma:
-            q2 = q + weights[g]
+        for a in mp.alphabet:
+            q2 = q + mp.omega[a]
             if -2 * eta <= q2 <= 2 * eta:
-                queue.append((q2, _tensor_apply(letter_rows[g], list(v), n)))
-    accepted = spans.get(0)
-    if accepted is None or not accepted.rows:
-        return []
+                for f in range(4):
+                    queue.append((q2, _tensor_apply(maps[a], f, v, n)))
     mu_rows = _mu_pullback_rows(d, degree)
-    out = []
-    for s in accepted.basis():
-        out.append(
-            tuple(
-                sum((c * s[idx] for idx, c in row.items()), Fraction(0))
-                for row in mu_rows
-            )
-        )
-    return out
+    return [
+        tuple(sum(c * s[idx] for idx, c in row.items()) for row in mu_rows)
+        for s in spans[0].rows
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ echelon form so that equality of spans is literal structural equality.
 
 `Span` is the one incremental eliminator.  A span does not change when a
 vector is scaled, so it keeps primitive integer rows by fraction-free
-elimination (rational vectors enter it cleared, `_cleared`), and builds the
-canonical `Fraction` RREF only when asked, in `Span.basis()`.
+elimination (rational vectors enter it cleared, `_cleared`); `Fraction`
+appears only where `Span.basis()` divides its integer Gauss-Jordan form by
+the pivots.  `kernel_basis` runs on two `Span`s.
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -173,8 +174,10 @@ class Span:
     Rows are primitive integer lists in semi-echelon form, in insertion
     order: each row is zero at the pivots (first nonzero columns) of the
     rows before it.  Membership does not depend on scaling, so `insert`
-    eliminates by integer combinations and never leaves the integers;
-    `basis()` is the canonical `Fraction` RREF of the span.
+    eliminates by integer combinations and never leaves the integers.
+    `reduced()` eliminates each row at the pivots of the rows after it, the
+    same step run backwards, and `basis()` divides that integer
+    Gauss-Jordan form by its pivots: the canonical `Fraction` RREF.
     """
 
     def __init__(self, n: int):
@@ -182,12 +185,10 @@ class Span:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def insert(self, v: Iterable[int]) -> bool:
-        """Add v to the span; True iff the dimension grew."""
-        if len(self.rows) == self.n:
-            return False  # already the whole space
-        v = list(v)
-        for row, piv in zip(self.rows, self.pivots):
+    @staticmethod
+    def _eliminate(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> list[int]:
+        """v plus integer multiples of the rows, zero at their pivots."""
+        for row, piv in zip(rows, pivots):
             c = v[piv]
             if c:
                 p = row[piv]
@@ -195,6 +196,13 @@ class Span:
                 p //= g
                 c //= g
                 v = [p * x - c * y for x, y in zip(v, row)]
+        return v
+
+    def insert(self, v: Iterable[int]) -> bool:
+        """Add v to the span; True iff the dimension grew."""
+        if len(self.rows) == self.n:
+            return False  # already the whole space
+        v = self._eliminate(list(v), self.rows, self.pivots)
         g = gcd(*v)
         if not g:
             return False
@@ -208,12 +216,22 @@ class Span:
     def dim(self) -> int:
         return len(self.rows)
 
+    def reduced(self) -> list[tuple[int, list[int]]]:
+        """(pivot, row) by pivot column: primitive integer rows, each zero at
+        the other rows' pivots, with a positive pivot entry."""
+        rows = self.rows[:]
+        for i in reversed(range(len(rows))):
+            v = self._eliminate(rows[i], rows[i + 1:], self.pivots[i + 1:])
+            g = gcd(*v) if v[self.pivots[i]] > 0 else -gcd(*v)
+            rows[i] = [x // g for x in v]
+        return sorted(zip(self.pivots, rows))
+
     def basis(self) -> list[Vector]:
-        return rref(self.rows)
-
-
-def _pivot_columns(basis: Sequence[Vector]) -> list[int]:
-    return [next(k for k, x in enumerate(row) if x) for row in basis]
+        zero = Fraction(0)  # one shared zero: most entries of a large basis
+        return [
+            tuple(Fraction(x, row[p]) if x else zero for x in row)
+            for p, row in self.reduced()
+        ]
 
 
 @dataclass(frozen=True)
@@ -297,22 +315,27 @@ def rank(m: Matrix) -> int:
     return len(rref(m.entries))
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of {v : m v = 0} (RREF of the standard free-variable
-    parametrization)."""
-    rows = rref(m.entries)
-    n = m.cols
-    pivots = _pivot_columns(rows)
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
-        out.append(v)
-    return rref(out)
+def kernel_basis(m: Matrix | Sequence[Sequence]) -> list[Vector]:
+    """Canonical basis of {v : m v = 0}, m a matrix or its rows (int or
+    `Fraction` entries): the free-variable vectors over the integer
+    Gauss-Jordan form of m, times the lcm of its pivots, in RREF."""
+    rows = m.entries if isinstance(m, Matrix) else m
+    n = m.cols if isinstance(m, Matrix) else len(rows[0])
+    span = Span(n)
+    for row in rows:
+        span.insert(_cleared(row))
+    reduced = span.reduced()
+    scale = lcm(*(row[p] for p, row in reduced))
+    pivots = {p for p, _ in reduced}
+    out = Span(n)
+    for f in range(n):
+        if f not in pivots:
+            v = [0] * n
+            v[f] = scale
+            for p, row in reduced:
+                v[p] = -row[f] * (scale // row[p])
+            out.insert(v)
+    return out.basis()
 
 
 def rank_decomp(m: Matrix) -> tuple[int, Subspace, Subspace]:
@@ -342,7 +365,7 @@ def invert(m: Matrix) -> Matrix:
         raise DimensionError("invert needs a square matrix")
     d = m.rows
     aug = rref([list(row) + list(Matrix.identity(d).entries[i]) for i, row in enumerate(m.entries)])
-    if len(aug) < d or _pivot_columns(aug) != list(range(d)):
+    if len(aug) < d or any(row[i] != 1 for i, row in enumerate(aug)):
         raise PreconditionError("matrix is singular")
     return Matrix([row[d:] for row in aug])
 

@@ -1,18 +1,25 @@
+import itertools
 import random
 import time
+from collections import deque
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import powers_morphism, random_matrix, unipotent_morphism
-from zclosure.automata import Nfa
+from zclosure.automata import Nfa, gamma_alphabet, gamma_weight
 from zclosure.closure import (
     Caps,
     Span,
     _cleared,
+    _gamma_condition_rows,
+    _integer_maps,
     _mu_pullback_rows,
+    _tensor_index,
     apply_map,
     counter_saturation,
     finite_vanishing_space,
@@ -26,7 +33,7 @@ from zclosure.closure import (
     veronese,
 )
 from zclosure.errors import InfeasibleError, OracleDisagreementError
-from zclosure.exactlin import Matrix, rref
+from zclosure.exactlin import Matrix, kernel_basis, rref
 from zclosure.lang import MorphismPair
 from zclosure.polys import (
     PolySpace,
@@ -129,7 +136,46 @@ def test_integer_span_matches_rational_rref(stream):
         inserted.append(v)
         assert span.insert(_cleared(v)) == (len(rref(inserted)) > before)
         assert span.dim == len(rref(inserted))
-    assert span.basis() == rref(inserted)
+    want = rref(inserted)
+    assert span.basis() == want
+    # the integer Gauss-Jordan form: primitive rows with positive pivots,
+    # each zero at the other pivots, that divide to the RREF rows
+    reduced = span.reduced()
+    assert [p for p, _ in reduced] == [next(k for k, x in enumerate(r) if x) for r in want]
+    for (p, row), r in zip(reduced, want):
+        assert row[p] > 0 and gcd(*row) == 1
+        assert all(row[q] == 0 for q, _ in reduced if q != p)
+        assert [Fraction(x, row[p]) for x in row] == list(r)
+
+
+def _reference_kernel(rows, n):
+    """The `Fraction` kernel algorithm: RREF, the free-variable
+    parametrization, and the RREF of that."""
+    rows = rref(rows)
+    pivots = [next(k for k, x in enumerate(r) if x) for r in rows]
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for row, p in zip(rows, pivots):
+                v[p] = -row[f]
+            out.append(v)
+    return rref(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vector_streams())
+@example((3, [[Fraction(0)] * 3, [Fraction(-2), Fraction(1), Fraction(4)],
+              [Fraction(-2), Fraction(1), Fraction(4)]]))  # zero, duplicate, negative lead
+@example((2, [[Fraction(0), Fraction(3)], [Fraction(-2), Fraction(1)]]))  # full rank
+def test_kernel_basis_matches_fraction_reference(stream):
+    n, vectors = stream
+    assume(vectors)
+    want = _reference_kernel(vectors, n)
+    assert kernel_basis(Matrix(vectors)) == want
+    assert kernel_basis([_cleared(v) for v in vectors]) == want  # integer rows
+    assert len(want) == n - len(rref(vectors))
 
 
 def test_regular_closure_clears_letter_denominators():
@@ -221,6 +267,23 @@ def test_cover_matches_oracle_at_default_eta_desk_scale():
         orc = oracle_closure(mp, "cover", 2, 14)
         assert orc.stabilized
         assert engine == orc.space
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1, 1], [0, 1]], [[1, 0], [1, 1]]),  # the a^n b^n letters
+    ([[2, 0], [0, 4]], [[1, 0], [1, 1]]),  # rvsc2 phi1
+    ([[2, 1], [0, 1]], [[1, 0], [0, 3]]),
+])
+def test_cover_d2_default_eta_equals_overridden_saturation(a, b):
+    # the guaranteed cover-automaton run at eta = 1025 (1026 states x 15
+    # coordinates, so above the default budget) and the eta = 3
+    # saturation, cross-checked by the oracle, are independent routes
+    mp = MorphismPair(("a", "b"), 2, {"a": Matrix(a), "b": Matrix(b)}, {"a": 1, "b": -1})
+    guaranteed = run_cover(mp, 2, Caps(budget=20000))
+    overridden = run_cover(mp.with_eta(3), 2)
+    assert guaranteed.method == "cover-automaton" and guaranteed.eta_used == 1025
+    assert overridden.oracle_checked
+    assert guaranteed.space == overridden.space
 
 
 def test_cover_d2_default_eta_trips_budget():
@@ -338,3 +401,77 @@ def test_generators_render_stable_across_runs():
     g1 = space_to_generators(run_reach(mp, 2).space)
     g2 = space_to_generators(run_reach(mp, 2).space)
     assert g1 == g2
+
+
+def _kron_rows(tracks, n):
+    """A Gamma letter's tensor map as sparse rows: the Kronecker product of
+    its tracks' maps (the identity on an epsilon track), the tensor index
+    being (((i1 * n) + i2) * n + i3) * n + i4."""
+    mats = [[{t: 1} for t in range(n)] if m is None else m for m in tracks]
+    rows = []
+    for idx in itertools.product(range(n), repeat=4):
+        row = {}
+        for terms in itertools.product(*(m[i].items() for m, i in zip(mats, idx))):
+            row[_tensor_index(n, tuple(s for s, _ in terms))] = (
+                terms[0][1] * terms[1][1] * terms[2][1] * terms[3][1])
+        rows.append(row)
+    return rows
+
+
+def _full_gamma_span(mp, degree):
+    """The product-alphabet stage over every letter of Gamma, first in,
+    first out: rows spanning the tensors accepted at counter 0."""
+    n = len(veronese(Matrix.identity(mp.dim), degree))
+    maps = _integer_maps(mp, degree)
+    letters = [(gamma_weight(g, mp), _kron_rows([None if x == "" else maps[x] for x in g], n))
+               for g in gamma_alphabet(mp.alphabet)]
+    seed_v = _cleared(veronese(Matrix.identity(mp.dim), degree))
+    seed = [0] * n ** 4
+    for idx in itertools.product(range(n), repeat=4):
+        seed[_tensor_index(n, idx)] = seed_v[idx[0]] * seed_v[idx[1]] * seed_v[idx[2]] * seed_v[idx[3]]
+    spans = {}
+    seen = set()  # the maps commute, so many paths give one vector
+    queue = deque([(0, seed)])
+    while queue:
+        q, v = queue.popleft()
+        if (q, tuple(v)) in seen:
+            continue
+        seen.add((q, tuple(v)))
+        if q not in spans:
+            spans[q] = Span(n ** 4)
+        if not spans[q].insert(v):
+            continue
+        for w, rows in letters:
+            full = q + w in spans and spans[q + w].dim == n ** 4
+            if abs(q + w) <= 2 * mp.eta and not full:
+                queue.append((q + w, apply_map(rows, v)))
+    return spans[0].rows
+
+
+_GAMMA_ENTRIES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                                  Fraction(1, 2), Fraction(3)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(1, 2))
+def test_single_track_gamma_stage_matches_full_gamma(data, degree, k):
+    # d = 1: 2 or 3 coordinates, 16 or 81 tensor coordinates; eta = 1 is the
+    # tightest counter range, and eta = 3 at degree 2 takes seconds a case
+    eta = data.draw(st.integers(1, 3 if degree == 1 else 2))
+    alphabet = ("a", "b")[:k]
+    mp = MorphismPair(
+        alphabet, 1,
+        {a: Matrix([[data.draw(_GAMMA_ENTRIES)]]) for a in alphabet},
+        {a: data.draw(st.sampled_from([-1, 0, 1])) for a in alphabet},
+        eta,
+    )
+    want = _full_gamma_span(mp, degree)
+    mu_rows = _mu_pullback_rows(1, degree)
+    conditions = [[sum(c * s[i] for i, c in row.items()) for row in mu_rows] for s in want]
+    assert rref(_gamma_condition_rows(mp, degree, Caps())) == rref(conditions)
+    # d = 1 images commute, so the conditions alone would hide a lost
+    # track; with the identity for the pullback, the rows are the accepted
+    # tensors themselves
+    identity = [{i: 1} for i in range(len(want[0]))]
+    with mock.patch("zclosure.closure._mu_pullback_rows", lambda d, degree: identity):
+        assert rref(_gamma_condition_rows(mp, degree, Caps())) == rref(want)
