@@ -32,7 +32,7 @@ from .facttree import (
     extract_stable_factor,
     validate_tree,
 )
-from .lang import MorphismPair, WordClass, classify_word, default_eta, enumerate_words
+from .lang import MorphismPair, WordClass, classify_word, default_eta
 from .automata import (
     Nfa,
     build_bz_automaton,

@@ -126,6 +126,9 @@ class Instance:
         for key in ("phi", "omega"):
             if not isinstance(doc[key], dict):
                 raise SchemaError(f"{path}: {key} must be an object keyed by letter")
+            for a in doc[key]:
+                if a not in self.alphabet:
+                    raise SchemaError(f"{path}: {key} letter {a!r} not in alphabet")
         phi = {}
         for a in self.alphabet:
             if a not in doc["phi"]:

@@ -8,7 +8,10 @@ echelon form so that equality of spans is literal structural equality.
 vector is scaled, so it keeps primitive integer rows by fraction-free
 elimination (rational vectors enter it cleared, `_cleared`); `Fraction`
 appears only where `Span.basis()` divides its integer Gauss-Jordan form by
-the pivots.  `kernel_basis` runs on two `Span`s.
+the pivots.  A span that refuses a vector at dimension at least half its
+ambient dimension also keeps its annihilator and tests membership by dot
+products against it, which pays only where most inserts are refused (the
+oracle).  `kernel_basis` is the annihilator of a `Span`, in RREF.
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, PreconditionError
@@ -178,12 +182,22 @@ class Span:
     `reduced()` eliminates each row at the pivots of the rows after it, the
     same step run backwards, and `basis()` divides that integer
     Gauss-Jordan form by its pivots: the canonical `Fraction` RREF.
+
+    Once an insert is refused at dimension at least n/2, the span also keeps
+    `ann`, a primitive integer basis of the annihilator {k : k.r = 0 for
+    every row r}: n - dim vectors, at most as many as the rows.  Then v is
+    in the span iff every k.v is 0, a few dot products instead of an
+    elimination against every row; an accepted v drops the first k0 with
+    k0.v != 0 and clears k.v from the others by one rank-one step.  That
+    pays only where most inserts are refused, so a span that only grows
+    never builds it.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.ann: list[list[int]] | None = None
 
     @staticmethod
     def _eliminate(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> list[int]:
@@ -202,9 +216,28 @@ class Span:
         """Add v to the span; True iff the dimension grew."""
         if len(self.rows) == self.n:
             return False  # already the whole space
-        v = self._eliminate(list(v), self.rows, self.pivots)
+        v = list(v)
+        ann = self.ann
+        if ann is not None:
+            for i, k0 in enumerate(ann):
+                p0 = sum(map(mul, k0, v))
+                if p0:
+                    break
+            else:
+                return False
+            del ann[i]  # the vectors before it are already orthogonal to v
+            for j in range(i, len(ann)):
+                k = ann[j]
+                c = sum(map(mul, k, v))
+                if c:
+                    k = [p0 * x - c * y for x, y in zip(k, k0)]
+                    g = gcd(*k)
+                    ann[j] = [x // g for x in k]
+        v = self._eliminate(v, self.rows, self.pivots)
         g = gcd(*v)
         if not g:
+            if ann is None and 2 * len(self.rows) >= self.n:
+                self.ann = self.annihilator()
             return False
         if g != 1:
             v = [x // g for x in v]
@@ -225,6 +258,24 @@ class Span:
             g = gcd(*v) if v[self.pivots[i]] > 0 else -gcd(*v)
             rows[i] = [x // g for x in v]
         return sorted(zip(self.pivots, rows))
+
+    def annihilator(self) -> list[list[int]]:
+        """Primitive integer basis of {k : k.r = 0 for every row r}, one
+        vector per free column f: e_f times the lcm of the pivots, solved at
+        the pivot columns of the integer Gauss-Jordan form."""
+        reduced = self.reduced()
+        scale = lcm(*(row[p] for p, row in reduced))
+        pivots = {p for p, _ in reduced}
+        out = []
+        for f in range(self.n):
+            if f not in pivots:
+                k = [0] * self.n
+                k[f] = scale
+                for p, row in reduced:
+                    k[p] = -row[f] * (scale // row[p])
+                g = gcd(*k)
+                out.append([x // g for x in k])
+        return out
 
     def basis(self) -> list[Vector]:
         zero = Fraction(0)  # one shared zero: most entries of a large basis
@@ -317,24 +368,15 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix | Sequence[Sequence]) -> list[Vector]:
     """Canonical basis of {v : m v = 0}, m a matrix or its rows (int or
-    `Fraction` entries): the free-variable vectors over the integer
-    Gauss-Jordan form of m, times the lcm of its pivots, in RREF."""
+    `Fraction` entries): the annihilator of the span of m's rows, in RREF."""
     rows = m.entries if isinstance(m, Matrix) else m
-    n = m.cols if isinstance(m, Matrix) else len(rows[0])
-    span = Span(n)
+    span = Span(m.cols if isinstance(m, Matrix) else len(rows[0]))
     for row in rows:
         span.insert(_cleared(row))
-    reduced = span.reduced()
-    scale = lcm(*(row[p] for p, row in reduced))
-    pivots = {p for p, _ in reduced}
-    out = Span(n)
-    for f in range(n):
-        if f not in pivots:
-            v = [0] * n
-            v[f] = scale
-            for p, row in reduced:
-                v[p] = -row[f] * (scale // row[p])
-            out.insert(v)
+    out = Span(span.n)
+    ann = span.annihilator()
+    while ann:  # each vector is freed as `out` takes its row
+        out.insert(ann.pop())
     return out.basis()
 
 

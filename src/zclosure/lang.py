@@ -1,4 +1,4 @@
-"""Weighted-language semantics: morphism pairs, membership, enumeration.
+"""Weighted-language semantics: morphism pairs and membership.
 
 A morphism pair assigns each letter a square rational matrix and a weight in
 {-1, 0, 1}.  The four languages of interest are
@@ -14,11 +14,10 @@ letters over a fresh intermediate alphabet.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .errors import DimensionError, InfeasibleError, PreconditionError, SchemaError
+from .errors import DimensionError, PreconditionError, SchemaError
 from .exactlin import Matrix
 
 Word = tuple[str, ...]
@@ -130,28 +129,6 @@ def in_language(w: Sequence[str], mp: MorphismPair, predicate: str) -> bool:
         "zero": c.in_LZ,
         "bz": c.in_LBZ,
     }[predicate]
-
-
-def enumerate_words(
-    mp: MorphismPair,
-    predicate: str,
-    max_len: int,
-    word_cap: int = 2_000_000,
-) -> Iterator[Word]:
-    """All words of length <= max_len in the selected language, in
-    length-then-lexicographic order (letter order = alphabet order)."""
-    if predicate not in PREDICATES:
-        raise PreconditionError(f"unknown predicate {predicate!r}")
-    seen = 0
-    for n in range(max_len + 1):
-        for w in itertools.product(mp.alphabet, repeat=n):
-            seen += 1
-            if seen > word_cap:
-                raise InfeasibleError(
-                    f"enumeration exceeded the word cap {word_cap}; lower max_len"
-                )
-            if in_language(w, mp, predicate):
-                yield w
 
 
 def split_weights(

@@ -223,6 +223,17 @@ def _run_doc(tmp_path, doc, env_extra=None):
     return _run_cli("run", str(path), env_extra=env_extra)
 
 
+@pytest.mark.parametrize("key", ["phi", "omega"])
+def test_letter_outside_the_alphabet_is_schema_error(tmp_path, key):
+    doc = {
+        "dimension": 1, "alphabet": ["a"], "phi": {"a": [["2"]]},
+        "omega": {"a": 1}, "mode": "cover", "degree": 1,
+    }
+    doc[key]["b"] = {"phi": [["3"]], "omega": -1}[key]
+    message = _assert_schema_exit(_run_doc(tmp_path, doc))
+    assert key in message and "'b'" in message
+
+
 def _regular_doc():
     return {
         "dimension": 1, "alphabet": ["a"], "phi": {"a": [["2"]]},

@@ -125,8 +125,27 @@ def _vector_streams(draw):
     return n, out
 
 
+def _check_annihilator(span):
+    """`ann`, once kept: n - dim primitive vectors of full rank, each
+    orthogonal to every row."""
+    if span.ann is None:
+        return
+    assert len(span.ann) == span.n - span.dim
+    assert len(rref(span.ann)) == len(span.ann)
+    for k in span.ann:
+        assert gcd(*k) == 1
+        assert all(sum(x * y for x, y in zip(k, row)) == 0 for row in span.rows)
+
+
+def _units(n, *ks):
+    return [[Fraction(int(i == k)) for i in range(n)] for k in ks]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_vector_streams())
+# refused at half dimension, then accepted through the annihilator update
+# (k0 = e2 dropped, e3 -> (2 e3 - 2 e2) / 2) and filled up
+@example((4, _units(4, 0, 1, 0) + [[Fraction(x) for x in (0, 0, 2, 2)]] + _units(4, 2)))
 def test_integer_span_matches_rational_rref(stream):
     n, vectors = stream
     span = Span(n)
@@ -136,6 +155,7 @@ def test_integer_span_matches_rational_rref(stream):
         inserted.append(v)
         assert span.insert(_cleared(v)) == (len(rref(inserted)) > before)
         assert span.dim == len(rref(inserted))
+        _check_annihilator(span)
     want = rref(inserted)
     assert span.basis() == want
     # the integer Gauss-Jordan form: primitive rows with positive pivots,
