@@ -7,12 +7,16 @@ so a worklist fixpoint over a finite automaton computes the exact span of the
 accepted language; the vanishing space is its orthogonal complement.
 
 A span does not change when a vector is scaled, so every fixpoint and the
-oracle run on integer vectors: each letter map is cleared of denominators
-once (scaling every path image by a nonzero constant), and `Span` keeps
-primitive integer rows by fraction-free elimination.  The integer rows go
-straight to `kernel_basis`; `Fraction` appears only in the final division by
-the pivots.  Worklists are first in, first out: the spans are least
-fixpoints in any order, but short words first keep the integers small.
+oracle run on integer vectors: each letter map is built from the integer
+letter and cleared of denominators once (scaling every path image by a
+nonzero constant), and `Span` keeps primitive integer rows by fraction-free
+elimination.  The vectors are mostly zeros, so the letter maps are kept by
+columns (`Columns`): `apply_map` and `_tensor_apply` visit only the nonzero
+coordinates of the vector they map, and `Span` eliminates over each row's
+support.  The integer rows go straight to `kernel_basis`; `Fraction`
+appears only in the final division by the pivots.  Worklists are first in,
+first out: the spans are least fixpoints in any order, but short words
+first keep the integers small.
 
 The product-alphabet stage of the zero pipeline pushes only along the
 single-track letters of Gamma, whose commuting tensor maps compose to every
@@ -111,42 +115,67 @@ def veronese(m: Matrix, degree: int) -> Vector:
     return vec(_monomial_evaluator(len(flat), degree)(flat, 1))
 
 
-def letter_map(a: Matrix, degree: int) -> list[dict[int, Fraction]]:
-    """Rows of the linear map T with nu_D(M * a) = T nu_D(M)."""
-    d = a.rows
+# A linear map of Veronese coordinates by columns: column s is (ts, cs), the
+# rows t and entries T[t][s] of its nonzero entries, ascending in t.
+Columns = list[tuple[tuple[int, ...], tuple]]
+
+
+def letter_map(a: Matrix | Sequence[Sequence], degree: int) -> Columns:
+    """The columns of the linear map T with nu_D(M * a) = T nu_D(M), for a
+    matrix a or its rows; integer rows give an integer map."""
+    a = a.entries if isinstance(a, Matrix) else a
+    d = len(a)
     nvars = d * d
     index = basis_index(nvars, degree)
     # (M a)_{ij} = sum_k M_{ik} a_{kj}, a linear form in the entries of M
     forms = [
         {
-            tuple(int(v == i * d + k) for v in range(nvars)): a[k, j]
+            tuple(int(v == i * d + k) for v in range(nvars)): a[k][j]
             for k in range(d)
-            if a[k, j]
+            if a[k][j]
         }
         for i in range(d)
         for j in range(d)
     ]
-    return [
-        {index[k]: c for k, c in p.items()}
-        for p in substitution_rows(forms, degree, nvars)
-    ]
+    cols: list[tuple[list, list]] = [([], []) for _ in index]
+    for t, p in enumerate(substitution_rows(forms, degree, nvars)):
+        for mono, c in p.items():
+            ts, cs = cols[index[mono]]
+            ts.append(t)
+            cs.append(c)
+    return [(tuple(ts), tuple(cs)) for ts, cs in cols]
 
 
-def apply_map(rows: list[dict[int, int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(c * v[s] for s, c in row.items()) for row in rows)
+def apply_map(cols: Columns, v: Sequence[int]) -> tuple[int, ...]:
+    """T v, adding v[s] times column s for the nonzero v[s] only."""
+    out = [0] * len(cols)
+    for x, (ts, cs) in zip(v, cols):
+        if x:
+            for t, c in zip(ts, cs):
+                out[t] += c * x
+    return tuple(out)
 
 
-def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, list[dict[int, int]]]:
+def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, Columns]:
     """Each letter map times the lcm of all its denominators: the image of
-    every vector is scaled by one nonzero constant, so no span changes."""
+    every vector is scaled by one nonzero constant, so no span changes.
+
+    The map is built from the integer letter den * a, den the lcm of a's
+    denominators.  T maps each degree to itself, so column s of that map is
+    den^|s| times column s of a's map, whose denominators divide den^|s|
+    over the gcd of den^|s| and the column; clearing their lcm m gives each
+    entry c as c * m / den^|s|, without a `Fraction`."""
+    basis = monomial_basis(mp.dim * mp.dim, degree)
     out = {}
     for a in mp.alphabet:
-        rows = letter_map(mp.phi[a], degree)
-        m = lcm(*(c.denominator for row in rows for c in row.values()))
-        out[a] = [
-            {s: c.numerator * (m // c.denominator) for s, c in row.items()}
-            for row in rows
-        ]
+        rows = mp.phi[a].entries
+        den = lcm(*(x.denominator for row in rows for x in row))
+        cols = letter_map(
+            [[x.numerator * (den // x.denominator) for x in row] for row in rows], degree
+        )
+        scales = [den ** sum(mono) for mono in basis]
+        m = lcm(*(g // gcd(g, *cs) for g, (_, cs) in zip(scales, cols)))
+        out[a] = [(ts, tuple(c * m // g for c in cs)) for g, (ts, cs) in zip(scales, cols)]
     return out
 
 
@@ -267,7 +296,7 @@ def _window_rows(
     dfa: CounterDfa,
     bound: int,
     caps: Caps,
-    maps: dict[str, list[dict[int, int]]],
+    maps: dict[str, Columns],
     window: tuple[dict, Span, list, dict],
 ) -> int:
     """Grow `window` (span per (state, counter), accepted span, seed pushes
@@ -506,19 +535,19 @@ def _tensor_index(n: int, idx: tuple[int, int, int, int]) -> int:
     return ((idx[0] * n + idx[1]) * n + idx[2]) * n + idx[3]
 
 
-def _tensor_apply(
-    rows: list[dict[int, int]], f: int, v: Sequence[int], n: int
-) -> list[int]:
-    """The map `rows` applied to factor f of a tensor of four n-vectors,
-    (I x .. x T x .. x I) v, with T in position f."""
+def _tensor_apply(cols: Columns, f: int, v: Sequence[int], n: int) -> list[int]:
+    """The map `cols` applied to factor f of a tensor of four n-vectors,
+    (I x .. x T x .. x I) v, with T in position f; like `apply_map`, only
+    the nonzero coordinates of v are visited."""
     out = [0] * len(v)
     stride = n ** (3 - f)  # distance between consecutive values of factor f
     block = n * stride  # size of one full cycle of factor f
     for start in range(0, len(v), block):
         for base in range(start, start + stride):
-            vals = v[base:base + block:stride]
-            for t, row in enumerate(rows):
-                out[base + t * stride] = sum(c * vals[s] for s, c in row.items())
+            for x, (ts, cs) in zip(v[base:base + block:stride], cols):
+                if x:
+                    for t, c in zip(ts, cs):
+                        out[base + t * stride] += c * x
     return out
 
 
@@ -539,11 +568,11 @@ def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, int]]:
                 key = [0] * (4 * nvars)
                 for f, var in enumerate((i * d + a, a * d + b, b * d + c, c * d + j)):
                     key[f * nvars + var] = 1
-                p[tuple(key)] = Fraction(1)
+                p[tuple(key)] = 1
             forms.append(p)
     return [
         {
-            _tensor_index(n, tuple(index[k[f * nvars:(f + 1) * nvars]] for f in range(4))): int(c)
+            _tensor_index(n, tuple(index[k[f * nvars:(f + 1) * nvars]] for f in range(4))): c
             for k, c in p.items()
         }
         for p in substitution_rows(forms, degree, 4 * nvars)

@@ -8,10 +8,13 @@ echelon form so that equality of spans is literal structural equality.
 vector is scaled, so it keeps primitive integer rows by fraction-free
 elimination (rational vectors enter it cleared, `_cleared`); `Fraction`
 appears only where `Span.basis()` divides its integer Gauss-Jordan form by
-the pivots.  A span that refuses a vector at dimension at least half its
-ambient dimension also keeps its annihilator and tests membership by dot
-products against it, which pays only where most inserts are refused (the
-oracle).  `kernel_basis` is the annihilator of a `Span`, in RREF.
+the pivots.  The fixpoints' vectors are mostly zeros, so each row keeps its
+support and a positive pivot entry: a row operation updates the vector only
+over the row's support, and scales all of it only when the pivot entry does
+not divide the vector's entry there.  A span that refuses a vector at
+dimension at least half its ambient dimension also keeps its annihilator and
+tests membership by dot products against it, which pays only where most
+inserts are refused (the oracle).  `kernel_basis` is the annihilator of a `Span`, in RREF.
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -177,8 +181,13 @@ class Span:
 
     Rows are primitive integer lists in semi-echelon form, in insertion
     order: each row is zero at the pivots (first nonzero columns) of the
-    rows before it.  Membership does not depend on scaling, so `insert`
-    eliminates by integer combinations and never leaves the integers.
+    rows before it, and its pivot entry is positive.  Membership does not
+    depend on scaling, so `insert` eliminates by integer combinations and
+    never leaves the integers.  Each row also keeps its support, the list
+    of its nonzero columns (the pivot first): clearing a pivot from v
+    touches only that support, and multiplies the whole of v only when the
+    pivot entry does not divide v's entry there, so a row whose pivot entry
+    is 1 never scales it (with a pivot entry of -1 every step would).
     `reduced()` eliminates each row at the pivots of the rows after it, the
     same step run backwards, and `basis()` divides that integer
     Gauss-Jordan form by its pivots: the canonical `Fraction` RREF.
@@ -197,23 +206,36 @@ class Span:
         self.n = n
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.supports: list[list[int]] = []
         self.ann: list[list[int]] | None = None
 
     @staticmethod
-    def _eliminate(v: list[int], rows: Sequence[list[int]], pivots: Sequence[int]) -> list[int]:
-        """v plus integer multiples of the rows, zero at their pivots."""
-        for row, piv in zip(rows, pivots):
+    def _eliminate(
+        v: list[int],
+        rows: Sequence[list[int]],
+        pivots: Sequence[int],
+        supports: Sequence[list[int]],
+    ) -> list[int]:
+        """v plus integer multiples of the rows, zero at their pivots.  v is
+        updated in place unless a pivot entry that does not divide it forces
+        a scaled copy; the result is returned either way."""
+        for row, piv, support in zip(rows, pivots, supports):
             c = v[piv]
             if c:
                 p = row[piv]
-                g = gcd(p, c)
-                p //= g
-                c //= g
-                v = [p * x - c * y for x, y in zip(v, row)]
+                if p != 1:
+                    g = gcd(p, c)
+                    c //= g
+                    if p != g:
+                        p //= g
+                        v = [p * x for x in v]
+                for k in support:
+                    v[k] -= c * row[k]
         return v
 
     def insert(self, v: Iterable[int]) -> bool:
-        """Add v to the span; True iff the dimension grew."""
+        """Add v to the span; True iff the dimension grew.  v is copied, so
+        it may be a row of another span."""
         if len(self.rows) == self.n:
             return False  # already the whole space
         v = list(v)
@@ -233,16 +255,18 @@ class Span:
                     k = [p0 * x - c * y for x, y in zip(k, k0)]
                     g = gcd(*k)
                     ann[j] = [x // g for x in k]
-        v = self._eliminate(v, self.rows, self.pivots)
-        g = gcd(*v)
-        if not g:
+        v = self._eliminate(v, self.rows, self.pivots, self.supports)
+        support = list(compress(range(self.n), v))
+        if not support:
             if ann is None and 2 * len(self.rows) >= self.n:
                 self.ann = self.annihilator()
             return False
+        g = gcd(*v) if v[support[0]] > 0 else -gcd(*v)
         if g != 1:
             v = [x // g for x in v]
         self.rows.append(v)
-        self.pivots.append(next(k for k, x in enumerate(v) if x))
+        self.pivots.append(support[0])
+        self.supports.append(support)
         return True
 
     @property
@@ -253,11 +277,15 @@ class Span:
         """(pivot, row) by pivot column: primitive integer rows, each zero at
         the other rows' pivots, with a positive pivot entry."""
         rows = self.rows[:]
+        supports = self.supports[:]
+        pivots = self.pivots
         for i in reversed(range(len(rows))):
-            v = self._eliminate(rows[i], rows[i + 1:], self.pivots[i + 1:])
-            g = gcd(*v) if v[self.pivots[i]] > 0 else -gcd(*v)
-            rows[i] = [x // g for x in v]
-        return sorted(zip(self.pivots, rows))
+            # a copy: rows[i] may still be the span's own row
+            v = self._eliminate(rows[i][:], rows[i + 1:], pivots[i + 1:], supports[i + 1:])
+            g = gcd(*v)  # positive pivots are only ever scaled by positives
+            rows[i] = v = [x // g for x in v]
+            supports[i] = list(compress(range(self.n), v))
+        return sorted(zip(pivots, rows))
 
     def annihilator(self) -> list[list[int]]:
         """Primitive integer basis of {k : k.r = 0 for every row r}, one
@@ -374,7 +402,7 @@ def kernel_basis(m: Matrix | Sequence[Sequence]) -> list[Vector]:
     for row in rows:
         span.insert(_cleared(row))
     out = Span(span.n)
-    ann = span.annihilator()
+    ann = span.annihilator() if span.ann is None else span.ann  # the span's own, if kept
     while ann:  # each vector is freed as `out` takes its row
         out.insert(ann.pop())
     return out.basis()

@@ -51,11 +51,13 @@ def basis_index(nvars: int, degree: int) -> dict[Exponent, int]:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
+    """p * q, with the coefficients' own arithmetic: integer polynomials
+    multiply to an integer one."""
     out: Poly = {}
     for ka, va in p.items():
         for kb, vb in q.items():
             k = tuple(a + b for a, b in zip(ka, kb))
-            s = out.get(k, Fraction(0)) + va * vb
+            s = out.get(k, 0) + va * vb
             if s:
                 out[k] = s
             else:
@@ -84,9 +86,10 @@ def substitution_rows(
     """The monomials composed with the forms: for each e in
     `monomial_basis(len(forms), degree)`, prod_v forms[v]^e_v as a polynomial
     in `nvars` variables, times unit^(degree - |e|) when `unit` is given.
-    Each product is its parent's times one form (`monomial_steps`)."""
+    Each product is its parent's times one form (`monomial_steps`).  The
+    empty product is the integer 1, so integer forms give integer rows."""
     basis = monomial_basis(len(forms), degree)
-    one: Poly = {(0,) * nvars: Fraction(1)}
+    one: Poly = {(0,) * nvars: 1}
     out = [one] * len(basis)
     for k, parent, var in monomial_steps(len(forms), degree):
         out[k] = poly_mul(out[parent], forms[var])

@@ -3,7 +3,7 @@ import random
 import time
 from collections import deque
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -77,6 +77,38 @@ def test_veronese_transition_maps_are_exact():
     m = random_matrix(rng, 3)
     a = random_matrix(rng, 3)
     assert veronese(m * a, 3) == apply_map(letter_map(a, 3), veronese(m, 3))
+    # sparse and triangular matrices: nu_3(m) has zero coordinates, which
+    # the column maps skip
+    for _ in range(6):
+        m, a = (Matrix([[rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)]) for _ in range(3)]
+                        for _ in range(3)]) for _ in range(2))
+        assert veronese(m * a, 3) == apply_map(letter_map(a, 3), veronese(m, 3))
+        m, a = (Matrix([[rng.randint(-2, 2) if j >= i else 0 for j in range(3)]
+                        for i in range(3)]) for _ in range(2))
+        v = veronese(m, 3)
+        assert 0 in v
+        assert veronese(m * a, 3) == apply_map(letter_map(a, 3), v)
+
+
+def test_integer_maps_clear_the_rational_maps():
+    # each integer map is the lcm of the rational map's denominators times it
+    rng = random.Random(29)
+    entries = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    for _ in range(12):
+        d = rng.choice([1, 2, 3])
+        degree = rng.choice([1, 2]) if d == 3 else rng.choice([1, 2, 3])
+        mp = MorphismPair(
+            ("a", "b"), d,
+            {a: Matrix([[rng.choice(entries) for _ in range(d)] for _ in range(d)])
+             for a in "ab"},
+            {"a": 1, "b": -1},
+        )
+        maps = _integer_maps(mp, degree)
+        for a in "ab":
+            rational = letter_map(mp.phi[a], degree)
+            m = lcm(*(c.denominator for _, cs in rational for c in cs))
+            assert maps[a] == [(ts, tuple(m * c for c in cs)) for ts, cs in rational]
+            assert all(type(c) is int for _, cs in maps[a] for c in cs)
 
 
 _rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -107,13 +139,19 @@ def test_mu_pullback_rows_compose_with_the_four_block_product(data, d, degree):
 @st.composite
 def _vector_streams(draw):
     """Rational vectors with zero vectors, duplicates, scaled copies, mixed
-    denominators and, often, enough independent rows to fill the space."""
+    denominators, one or two nonzero entries and, often, enough independent
+    rows to fill the space."""
     n = draw(st.integers(1, 6))
     out: list[list[Fraction]] = []
     for _ in range(draw(st.integers(0, 3 * n))):
-        kind = draw(st.sampled_from(("random", "zero", "copy", "unit")))
+        kind = draw(st.sampled_from(("random", "zero", "copy", "unit", "sparse")))
         if kind == "zero":
             out.append([Fraction(0)] * n)
+        elif kind == "sparse":
+            v = [Fraction(0)] * n
+            for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+                v[k] = draw(_rationals.filter(bool))
+            out.append(v)
         elif kind == "copy" and out:
             c = draw(_rationals.filter(bool))
             out.append([c * x for x in draw(st.sampled_from(out))])
@@ -137,6 +175,15 @@ def _check_annihilator(span):
         assert all(sum(x * y for x, y in zip(k, row)) == 0 for row in span.rows)
 
 
+def _check_rows(span):
+    """Each row's support is exactly its nonzero columns, and its pivot is
+    the first of them, with a positive entry."""
+    assert len(span.supports) == len(span.rows) == len(span.pivots)
+    for row, p, support in zip(span.rows, span.pivots, span.supports):
+        assert support == [k for k, x in enumerate(row) if x]
+        assert p == support[0] and row[p] > 0
+
+
 def _units(n, *ks):
     return [[Fraction(int(i == k)) for i in range(n)] for k in ks]
 
@@ -146,6 +193,10 @@ def _units(n, *ks):
 # refused at half dimension, then accepted through the annihilator update
 # (k0 = e2 dropped, e3 -> (2 e3 - 2 e2) / 2) and filled up
 @example((4, _units(4, 0, 1, 0) + [[Fraction(x) for x in (0, 0, 2, 2)]] + _units(4, 2)))
+# back-substitution moves the middle row's support from {1, 2} to {1, 3}
+@example((4, [[Fraction(x) for x in r] for r in ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1))]))
+# the pivot entry 2 does not divide 1, so the second vector is doubled first
+@example((3, [[Fraction(x) for x in r] for r in ((2, 1, 0), (1, 0, 0))]))
 def test_integer_span_matches_rational_rref(stream):
     n, vectors = stream
     span = Span(n)
@@ -153,11 +204,22 @@ def test_integer_span_matches_rational_rref(stream):
     for v in vectors:
         before = len(rref(inserted))
         inserted.append(v)
-        assert span.insert(_cleared(v)) == (len(rref(inserted)) > before)
+        w = _cleared(v)
+        assert span.insert(w) == (len(rref(inserted)) > before)
+        assert w == _cleared(v)  # the input is copied, not eliminated in place
         assert span.dim == len(rref(inserted))
+        _check_rows(span)
         _check_annihilator(span)
     want = rref(inserted)
     assert span.basis() == want
+    # a span fed this one's rows, as the accepting-state merge does, leaves
+    # them as they were
+    rows = [row[:] for row in span.rows]
+    merged = Span(n)
+    for row in reversed(span.rows):
+        merged.insert(row)
+    assert span.rows == rows
+    assert merged.basis() == want
     # the integer Gauss-Jordan form: primitive rows with positive pivots,
     # each zero at the other pivots, that divide to the RREF rows
     reduced = span.reduced()
@@ -193,7 +255,17 @@ def test_kernel_basis_matches_fraction_reference(stream):
     n, vectors = stream
     assume(vectors)
     want = _reference_kernel(vectors, n)
-    assert kernel_basis(Matrix(vectors)) == want
+    calls = []
+    annihilator = Span.annihilator
+
+    def counted(span):
+        calls.append(span)
+        return annihilator(span)
+
+    # one annihilator per kernel: the one a refused insert built, if any
+    with mock.patch.object(Span, "annihilator", counted):
+        assert kernel_basis(Matrix(vectors)) == want
+    assert len(calls) == 1
     assert kernel_basis([_cleared(v) for v in vectors]) == want  # integer rows
     assert len(want) == n - len(rref(vectors))
 
@@ -260,6 +332,33 @@ def test_engine_within_and_equal_to_oracle():
             assert orc.space.vanishing_basis.contains(row)
         if orc.stabilized:
             assert engine == orc.space
+
+
+def test_regular_closure_d3_degree3_equals_oracle():
+    # 220 Veronese coordinates, most of them zero on upper-unipotent images:
+    # the sparse regime of the column maps and the support-indexed elimination
+    rng = random.Random(8)
+    alphabet = ("a", "b")
+    checked = 0
+    for _ in range(6):
+        mp = MorphismPair(
+            alphabet, 3,
+            {a: Matrix([[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(3)]
+                        for i in range(3)]) for a in alphabet},
+            {a: 0 for a in alphabet},
+        )
+        trans = {(rng.randrange(4), rng.choice(alphabet), rng.randrange(4))
+                 for _ in range(rng.randint(6, 12))}
+        nfa = Nfa(tuple(range(4)), alphabet, frozenset({0}),
+                  frozenset({rng.randrange(4)}), frozenset(trans))
+        engine = regular_closure(nfa, mp, 3)
+        orc = oracle_closure(mp, nfa.accepts, 3, 8, Caps(oracle_words=10 ** 6))
+        for row in engine.vanishing_basis.basis:
+            assert orc.space.vanishing_basis.contains(row)
+        if orc.stabilized and orc.words_used:
+            checked += 1
+            assert engine == orc.space
+    assert checked >= 2
 
 
 def test_cover_default_eta_examples():
@@ -423,11 +522,20 @@ def test_generators_render_stable_across_runs():
     assert g1 == g2
 
 
+def _map_rows(cols):
+    """A column-form map as sparse rows: row t maps s to T[t][s]."""
+    rows = [{} for _ in cols]
+    for s, (ts, cs) in enumerate(cols):
+        for t, c in zip(ts, cs):
+            rows[t][s] = c
+    return rows
+
+
 def _kron_rows(tracks, n):
     """A Gamma letter's tensor map as sparse rows: the Kronecker product of
     its tracks' maps (the identity on an epsilon track), the tensor index
     being (((i1 * n) + i2) * n + i3) * n + i4."""
-    mats = [[{t: 1} for t in range(n)] if m is None else m for m in tracks]
+    mats = [[{t: 1} for t in range(n)] if m is None else _map_rows(m) for m in tracks]
     rows = []
     for idx in itertools.product(range(n), repeat=4):
         row = {}
@@ -440,7 +548,8 @@ def _kron_rows(tracks, n):
 
 def _full_gamma_span(mp, degree):
     """The product-alphabet stage over every letter of Gamma, first in,
-    first out: rows spanning the tensors accepted at counter 0."""
+    first out: rows spanning the tensors accepted at counter 0.  The
+    Kronecker rows are applied here, not by the engine's kernels."""
     n = len(veronese(Matrix.identity(mp.dim), degree))
     maps = _integer_maps(mp, degree)
     letters = [(gamma_weight(g, mp), _kron_rows([None if x == "" else maps[x] for x in g], n))
@@ -464,7 +573,7 @@ def _full_gamma_span(mp, degree):
         for w, rows in letters:
             full = q + w in spans and spans[q + w].dim == n ** 4
             if abs(q + w) <= 2 * mp.eta and not full:
-                queue.append((q + w, apply_map(rows, v)))
+                queue.append((q + w, [sum(c * v[s] for s, c in row.items()) for row in rows]))
     return spans[0].rows
 
 
