@@ -234,9 +234,10 @@ def build_zero_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
     """The product-alphabet automaton of the zero pipeline: counters in
     [-2 eta, 2 eta] read the Gamma letters, 4-tuples over epsilon + Sigma,
     at the sum of their tracks' weights.  `closure automaton --which zero`
-    prints it.  The engine's fixpoint (`closure._gamma_condition_rows`)
-    pushes only along the single-track letters, whose commuting tensor maps
-    compose to every Gamma letter's, and reaches the same spans."""
+    prints it.  The engine (`closure._gamma_condition_rows`) instead runs
+    `closure._fixpoint` on one state over these counters, pushing only along
+    the single-track letters, whose commuting tensor maps compose to every
+    Gamma letter's, and reaches the same spans."""
     eta = mp.eta
     _check_state_cap(4 * eta + 1, max_states, "zero automaton")
     states = tuple(range(-2 * eta, 2 * eta + 1))

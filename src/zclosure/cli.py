@@ -49,8 +49,6 @@ from .lang import MorphismPair
 from .polys import gens_from_strings, ideal_slice, space_to_generators
 from .reduction import Vass, blockify_regular, extract_block_closure, run_vass, vass_to_constrained
 
-MODES = ("cover", "reach", "zero", "regular", "vass-cover", "vass-reach")
-
 _CAP_ENV = {f.name: f"CLOSURE_CAP_{f.name.upper()}" for f in fields(Caps)}
 
 
@@ -283,26 +281,38 @@ def load_instance(path: str) -> Instance:
     return Instance(doc, path)
 
 
+# mode -> the pipeline that runs an instance of it
+_RUNNERS = {
+    "cover": lambda i: run_cover(i.mp, i.degree, i.caps),
+    "reach": lambda i: run_reach(i.mp, i.degree, i.caps),
+    "zero": lambda i: run_zero(i.mp, i.degree, i.caps),
+    "regular": lambda i: PipelineResult(
+        regular_closure(i.nfa, i.mp, i.degree, i.caps), "regular", i.mp.eta, "fixpoint"
+    ),
+    "vass-cover": lambda i: run_vass(i.vass, i.mp, "cover", i.degree, i.caps),
+    "vass-reach": lambda i: run_vass(i.vass, i.mp, "reach", i.degree, i.caps),
+}
+MODES = tuple(_RUNNERS)
+
+
+def _language(instance: Instance) -> tuple:
+    """The instance's language as `oracle_closure` takes it: (morphism,
+    predicate, DFA), a 1-VASS's through `vass_to_constrained`."""
+    if instance.vass is not None:
+        mp, dfa = vass_to_constrained(instance.vass, instance.mp)
+        return mp, instance.mode.removeprefix("vass-"), dfa
+    if instance.nfa is not None:
+        return instance.mp, instance.nfa.accepts, None
+    return instance.mp, instance.mode, None
+
+
 def run_pipeline(instance: Instance) -> dict:
     t0 = time.monotonic()
-    mp, degree, caps = instance.mp, instance.degree, instance.caps
-    if instance.mode == "cover":
-        result = run_cover(mp, degree, caps)
-    elif instance.mode == "reach":
-        result = run_reach(mp, degree, caps)
-    elif instance.mode == "zero":
-        result = run_zero(mp, degree, caps)
-    elif instance.mode == "regular":
-        space = regular_closure(instance.nfa, mp, degree, caps)
-        result = PipelineResult(space, "regular", mp.eta, "fixpoint")
-    else:
-        result = run_vass(
-            instance.vass, mp, instance.mode.removeprefix("vass-"), degree, caps
-        )
+    result = _RUNNERS[instance.mode](instance)
     gens = space_to_generators(result.space)
     return {
         "mode": result.mode,
-        "degree": degree,
+        "degree": instance.degree,
         "eta_used": result.eta_used,
         "method": result.method,
         "generators": list(gens.generators),
@@ -524,11 +534,7 @@ def _cmd_automaton(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance = load_instance(args.file)
-    mp, dfa, predicate = instance.mp, None, instance.mode.removeprefix("vass-")
-    if instance.vass is not None:
-        mp, dfa = vass_to_constrained(instance.vass, mp)
-    elif instance.nfa is not None:
-        predicate = instance.nfa.accepts
+    mp, predicate, dfa = _language(instance)
     result = oracle_closure(
         mp, predicate, instance.degree, args.max_len, instance.caps, dfa
     )

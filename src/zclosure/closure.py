@@ -6,6 +6,16 @@ multiplication by a fixed letter matrix acts linearly on these coordinates,
 so a worklist fixpoint over a finite automaton computes the exact span of the
 accepted language; the vanishing space is its orthogonal complement.
 
+One worklist, `_fixpoint`, runs every such fixpoint over configurations
+(state, counter); the stages only build its moves and seeds: the regular
+fixpoint (`_nfa_span_rows`: an NFA's weight-0 transitions, also for the
+cover and bounded-zero automata), the saturation window (`_window_rows`: a
+DFA's moves on a growing counter range) and the product-alphabet stage of
+the zero pipeline (`_gamma_condition_rows`: on one state, the tensor steps
+of the single-track letters of Gamma only, whose commuting maps compose to
+every Gamma letter's; `automata.build_zero_automaton` keeps the paper's
+automaton over all of Gamma for `closure automaton`).
+
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
 letter and cleared of denominators once (scaling every path image by a
@@ -17,11 +27,6 @@ support.  The integer rows go straight to `kernel_basis`; `Fraction`
 appears only in the final division by the pivots.  Worklists are first in,
 first out: the spans are least fixpoints in any order, but short words
 first keep the integers small.
-
-The product-alphabet stage of the zero pipeline pushes only along the
-single-track letters of Gamma, whose commuting tensor maps compose to every
-Gamma letter's (`_gamma_condition_rows`); `automata.build_zero_automaton`
-keeps the paper's automaton over all of Gamma for `closure automaton`.
 
 The oracle shares only `Span` with the fixpoints.  Its words come from one
 lazy frontier over (automaton state, counter) (`word_frontier`); a prefix's
@@ -39,8 +44,9 @@ the space over words whose prefix weights stay in a window is monotone in the
 window and its limit is the exact target - stopping when the space is
 unchanged for `window` consecutive bounds, then the brute-force oracle over
 the same language, and no answer on disagreement.  The windows nest, so one
-fixpoint is warm-started from bound to bound: a bound replays only the
-pushes it newly admits, and the space is unchanged when its dimension is.
+fixpoint is warm-started from bound to bound: the worklist parks each push
+that leaves the window, a bound replays only the parked pushes it newly
+admits, and the space is unchanged when its dimension is.
 
 Each substitution map - a letter's action on nu_D, the product pullback of
 the gamma stage, the block reduction's pullback - is the monomial basis
@@ -52,9 +58,10 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd, inf, lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .automata import Nfa, build_bz_automaton, build_cover_automaton
 from .errors import (
@@ -205,37 +212,62 @@ def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Regular fixpoint
+# The worklist fixpoint
+
+
+# Per state, its moves (step, weight, target): step maps a vector to its image.
+Moves = dict[object, list[tuple[Callable, int, object]]]
+
+
+def _fixpoint(
+    queue: deque, moves: Moves, accepting: Collection, exact: bool, lo: int, hi: int,
+    state: tuple[dict, Span | None, dict | None],
+) -> None:
+    """Grow `state` (span per configuration (q, c), accepted span, refused
+    pushes by target counter) to the least fixpoint of the pushes ((q, c), v)
+    in `queue`, popped first in, first out.  A vector that grows its
+    configuration's span goes into the accepted span when q is accepting
+    (and c is 0 if `exact`), and is pushed along each move of q whose
+    counter stays in [lo, hi]; a push that leaves the range is parked,
+    unmapped, in `refused` (if kept) when a wider range can admit it: ranges
+    grow upwards, and downwards too when they reach below 0.  Budgets are
+    the callers' to check."""
+    spans, accepted, refused = state
+    while queue:
+        (q, c), v = queue.popleft()
+        span = spans.get((q, c))
+        if span is None:
+            span = spans[(q, c)] = Span(len(v))
+        if not span.insert(v):
+            continue
+        if q in accepting and not (exact and c):
+            accepted.insert(v)
+        for step, w, q2 in moves[q]:
+            c2 = c + w
+            if lo <= c2 <= hi:
+                queue.append(((q2, c2), step(v)))
+            elif refused is not None and (c2 > hi or lo < 0):
+                refused.setdefault(c2, []).append((q2, v, step))
 
 
 def _nfa_span_rows(
     nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps, what: str
 ) -> list[list[int]]:
-    """Integer rows spanning the evaluations over the accepted language,
-    per-state fixpoint."""
+    """Integer rows spanning the evaluations over the accepted language: the
+    fixpoint over the automaton's states, every move of weight 0."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError(f"{what}: automaton and morphism alphabets differ")
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     _check_budget(len(nfa.states), n, caps, what)
-    maps = _integer_maps(mp, degree)
-    succ: dict = {q: [] for q in nfa.states}
+    steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
+    moves: Moves = {q: [] for q in nfa.states}
     for (q, a, q2) in sorted(nfa.transitions, key=str):
-        succ[q].append((a, q2))
-    spans = {q: Span(n) for q in nfa.states}
+        moves[q].append((steps[a], 0, q2))
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    queue = deque((q, seed) for q in nfa.states if q in nfa.initial)
-    while queue:
-        q, v = queue.popleft()
-        if not spans[q].insert(v):
-            continue
-        for a, q2 in succ[q]:
-            queue.append((q2, apply_map(maps[a], v)))
-    acc = Span(n)
-    for q in nfa.states:
-        if q in nfa.accepting:
-            for row in spans[q].rows:
-                acc.insert(row)
-    return acc.rows
+    queue = deque(((q, 0), seed) for q in nfa.states if q in nfa.initial)
+    accepted = Span(n)
+    _fixpoint(queue, moves, nfa.accepting, False, 0, 0, ({}, accepted, None))
+    return accepted.rows
 
 
 def regular_closure(
@@ -290,46 +322,39 @@ class CounterDfa:
         return CounterDfa(("*",), "*", frozenset({"*"}), delta)
 
 
+def _window_moves(mp: MorphismPair, dfa: CounterDfa, maps: dict[str, Columns]) -> Moves:
+    """The saturation windows' moves: per DFA state, each letter in order."""
+    steps = {a: partial(apply_map, maps[a]) for a in mp.alphabet}
+    return {
+        q: [(steps[a], mp.omega[a], dfa.delta[(q, a)]) for a in mp.alphabet]
+        for q in dfa.states
+    }
+
+
 def _window_rows(
-    mp: MorphismPair,
-    mode: str,
-    dfa: CounterDfa,
-    bound: int,
-    caps: Caps,
-    maps: dict[str, Columns],
-    window: tuple[dict, Span, list, dict],
+    mode: str, dfa: CounterDfa, moves: Moves, bound: int, caps: Caps,
+    window: tuple[dict, Span, deque, dict],
 ) -> int:
-    """Grow `window` (span per (state, counter), accepted span, seed pushes
-    to make, refused pushes by target counter) to the least fixpoint over the
-    words whose prefix weights stay in [lo, bound], with the `_integer_maps`.
-    Windows nest, and each accepted vector was pushed along every admitted
-    edge and parked, unmapped, on every refused one; so replaying the parked
-    pushes now admitted gives the fixpoint a cold start builds.  Returns the
-    accepted dimension."""
-    spans, accepted, seeds, refused = window
-    queue = deque(seeds)  # popped first in, first out, like every worklist
-    seeds.clear()
+    """Grow `window` (span per (state, counter), accepted span, worklist,
+    refused pushes by target counter) to the least fixpoint over the words
+    whose prefix weights stay in [lo, bound].  Windows nest, and each
+    accepted vector was pushed along every admitted move and parked,
+    unmapped, on every refused one; so replaying the parked pushes now
+    admitted gives the fixpoint a cold start builds.  Returns the accepted
+    dimension."""
+    spans, accepted, queue, refused = window
     lo = -bound if mode == "zero" else 0
     nstates = len(dfa.states) * (bound - lo + 1)
     _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
     for c in [c for c in refused if lo <= c <= bound]:
-        queue.extend(((q, c), apply_map(maps[a], v)) for q, v, a in refused.pop(c))
-    while queue:
-        (q, c), v = queue.popleft()
-        span = spans.get((q, c))
-        if span is None:
-            span = spans[(q, c)] = Span(accepted.n)
-        if not span.insert(v):
-            continue
-        if q in dfa.accepting and (mode == "cover" or c == 0):
-            accepted.insert(v)
-        for a in mp.alphabet:
-            c2 = c + mp.omega[a]
-            if lo <= c2 <= bound:
-                queue.append(((dfa.delta[(q, a)], c2), apply_map(maps[a], v)))
-            elif mode == "zero" or c2 > bound:  # a later window admits it
-                refused.setdefault(c2, []).append((dfa.delta[(q, a)], v, a))
+        queue.extend(((q, c), step(v)) for q, v, step in refused.pop(c))
+    _fixpoint(queue, moves, dfa.accepting, mode != "cover", lo, bound, (spans, accepted, refused))
     return accepted.dim
+
+
+def _stable(history: list[int], window: int) -> bool:
+    """The last `window` + 1 entries of `history` are equal."""
+    return len(history) > window and len(set(history[-window - 1:])) == 1
 
 
 def counter_saturation(
@@ -349,16 +374,14 @@ def counter_saturation(
     dfa = dfa or CounterDfa.trivial(mp.alphabet)
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     _check_budget(len(dfa.states), n, caps, f"{mode} saturation")  # before the maps
-    maps = _integer_maps(mp, degree)
+    moves = _window_moves(mp, dfa, _integer_maps(mp, degree))
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     accepted = Span(n)
-    window = ({}, accepted, [((dfa.initial, 0), seed)], {})
+    window = ({}, accepted, deque([((dfa.initial, 0), seed)]), {})
     history: list[int] = []
     for bound in range(2, caps.counter + 1):
-        history.append(_window_rows(mp, mode, dfa, bound, caps, maps, window))
-        if len(history) >= caps.window + 1 and all(
-            history[-1] == history[-k] for k in range(2, caps.window + 2)
-        ):
+        history.append(_window_rows(mode, dfa, moves, bound, caps, window))
+        if _stable(history, caps.window):
             return _vanishing_from_rows(mp.dim, degree, accepted.rows), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
@@ -480,11 +503,7 @@ def _oracle_over_words(
     limit = max(max_len, extend_to or 0)
 
     def window_stable() -> bool:
-        if span.dim == n:
-            return True
-        return len(history) >= caps.window + 1 and all(
-            history[-1] == history[-k] for k in range(2, caps.window + 2)
-        )
+        return span.dim == n or _stable(history, caps.window)
 
     capped = False
     for ln in range(limit + 1):
@@ -592,31 +611,25 @@ def _gamma_condition_rows(
     its weight is their weights' sum; taking each +1 track next to a -1
     track, the one away from the nearer bound first, keeps the counter in
     range.  So the 4|Sigma| single-track letters reach the same span at
-    every state as all of Gamma, and the fixpoint pushes only along them.
+    every counter as all of Gamma, and `_fixpoint`, on one state, pushes
+    only along them; the conditions come from the span at counter 0.
     """
     d = mp.dim
     n = len(monomial_basis(d * d, degree))
     eta = mp.eta
     _check_budget(4 * eta + 1, n ** 4, caps, "zero pipeline (product-alphabet stage)")
     maps = _integer_maps(mp, degree)
+    moves = {"*": [(partial(_tensor_apply, maps[a], f, n=n), mp.omega[a], "*")
+                   for a in mp.alphabet for f in range(4)]}
     seed_v = _cleared(veronese(Matrix.identity(d), degree))
     # the tensor coordinates in `_tensor_index` order
     seed = [a * b * c * e for a, b, c, e in itertools.product(seed_v, repeat=4)]
-    spans = {q: Span(n ** 4) for q in range(-2 * eta, 2 * eta + 1)}
-    queue = deque([(0, seed)])
-    while queue:
-        q, v = queue.popleft()
-        if not spans[q].insert(v):
-            continue
-        for a in mp.alphabet:
-            q2 = q + mp.omega[a]
-            if -2 * eta <= q2 <= 2 * eta:
-                for f in range(4):
-                    queue.append((q2, _tensor_apply(maps[a], f, v, n)))
+    spans: dict = {}
+    _fixpoint(deque([(("*", 0), seed)]), moves, (), True, -2 * eta, 2 * eta, (spans, None, None))
     mu_rows = _mu_pullback_rows(d, degree)
     return [
         tuple(sum(c * s[idx] for idx, c in row.items()) for row in mu_rows)
-        for s in spans[0].rows
+        for s in spans[("*", 0)].rows
     ]
 
 

@@ -343,16 +343,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        row = list(vec(v))
-        if len(row) != self.ambient_dim:
+        if len(v) != self.ambient_dim:
             raise DimensionError("vector length does not match ambient dimension")
-        for prow in self.basis:
-            pcol = next(k for k, x in enumerate(prow) if x)
-            c = row[pcol]
-            if c:
-                for k in range(pcol, self.ambient_dim):
-                    row[k] -= c * prow[k]
-        return not any(row)
+        return len(rref([*self.basis, v])) == self.dim
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)

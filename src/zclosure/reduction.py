@@ -23,9 +23,7 @@ from .closure import (
     Caps,
     DEFAULT_CAPS,
     CounterDfa,
-    OracleResult,
     PipelineResult,
-    oracle_closure,
     run_saturation,
 )
 from .errors import InfeasibleError, PreconditionError, SchemaError
@@ -188,19 +186,6 @@ def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Cou
         delta=delta,
     )
     return mp_t, dfa
-
-
-def vass_oracle(
-    vass: Vass, mp: MorphismPair, mode: str, degree: int, max_len: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> OracleResult:
-    """The brute-force oracle over the accepted transition words (cover:
-    prefix weights >= 0; reach: additionally total weight 0), the language
-    `run_vass` cross-checks against."""
-    if mode not in ("cover", "reach"):
-        raise PreconditionError(f"unknown vass mode {mode!r}")
-    mp_t, dfa = vass_to_constrained(vass, mp)
-    return oracle_closure(mp_t, mode, degree, max_len, caps, dfa)
 
 
 def run_vass(

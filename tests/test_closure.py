@@ -411,6 +411,25 @@ def test_cover_d2_default_eta_trips_budget():
     assert "budget" in str(err.value)
 
 
+# d = 1, degree 1: 2 coordinates.  At the default eta = 17 the bounded-zero
+# automaton has 35 states (70 within a budget of 100) and the product-alphabet
+# stage 69 counters of 2^4 tensor coordinates; at eta = 2 the reach window of
+# bound 2 has 3 configurations.
+@pytest.mark.parametrize("run, budget, stage", [
+    (lambda mp, caps: regular_closure(_sigma_star(mp.alphabet), mp, 1, caps), 1,
+     r"regular closure: states x Veronese = 1x2 "),
+    (lambda mp, caps: run_zero(mp, 1, caps), 60,
+     r"zero pipeline \(bounded-zero stage\): states x Veronese = 35x2 "),
+    (lambda mp, caps: run_zero(mp, 1, caps), 100,
+     r"zero pipeline \(product-alphabet stage\): states x Veronese = 69x16 "),
+    (lambda mp, caps: run_reach(mp.with_eta(2), 1, caps), 5,
+     r"reach saturation at counter bound 2: states x Veronese = 3x2 "),
+])
+def test_budget_refusal_names_its_stage(run, budget, stage):
+    with pytest.raises(InfeasibleError, match=f"^{stage}exceeds the budget {budget};"):
+        run(powers_morphism(), Caps(budget=budget))
+
+
 def test_reach_default_eta_refuses():
     with pytest.raises(InfeasibleError) as err:
         run_reach(unipotent_morphism(), 2)
@@ -445,13 +464,14 @@ def test_oracle_examples():
 
 
 def test_oracle_anbn_stabilizes_to_reach_ideal():
-    from zclosure.reduction import Vass, vass_oracle
+    from zclosure.reduction import Vass, vass_to_constrained
 
     vass = Vass(
         ("s", "t"), "s", ("t",),
         (("s", "a", 1, "s"), ("s", "b", -1, "t"), ("t", "b", -1, "t")),
     )
-    o = vass_oracle(vass, unipotent_morphism(), "reach", 2, 16, Caps(oracle_words=10 ** 6))
+    mp_t, dfa = vass_to_constrained(vass, unipotent_morphism())
+    o = oracle_closure(mp_t, "reach", 2, 16, Caps(oracle_words=10 ** 6), dfa)
     want = ideal_slice(
         gens_from_strings(2, 2, ["x11 - x12*x21 - 1", "x12 - x21", "x22 - 1"]), 2
     )

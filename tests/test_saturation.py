@@ -6,6 +6,7 @@ bound and merges the accepting configurations' spans afterwards;
 warm-started `_window_rows` must give the same accepted span after every
 bound, and `counter_saturation` the same bound and space.
 """
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from zclosure.closure import (
     _cleared,
     _integer_maps,
     _vanishing_from_rows,
+    _window_moves,
     _window_rows,
     apply_map,
     counter_saturation,
@@ -103,10 +105,11 @@ def warm_dims_equal_cold(mp, degree, mode, dfa, counter):
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     accepted = Span(n)
-    window = ({}, accepted, [((dfa.initial, 0), seed)], {})
+    moves = _window_moves(mp, dfa, maps)
+    window = ({}, accepted, deque([((dfa.initial, 0), seed)]), {})
     dims = []
     for bound in range(2, counter + 1):
-        dims.append(_window_rows(mp, mode, dfa, bound, caps, maps, window))
+        dims.append(_window_rows(mode, dfa, moves, bound, caps, window))
         cold = cold_window(mp, degree, mode, dfa, bound, caps, maps)
         assert dims[-1] == len(cold)
         assert accepted.basis() == cold
