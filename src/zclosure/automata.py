@@ -2,19 +2,27 @@
 constructions and the zero-closure witness builder.
 
 States can be any hashable values; `states` fixes the canonical order.  There
-are no epsilon transitions.  The counter constructions:
+are no epsilon transitions.  Each counter construction is a one-counter
+automaton whose counter is cut to a window, and `_range_transitions` writes
+its moves inside the window:
 
     cover : states {0..eta-1} + inf; tracks prefix weight up to eta, then
             saturates in an all-accepting sink.
     reach : states ({0..eta-1} x {0,1}) + inf; the bit records whether the
-            weight has been above the threshold.
+            weight has been above the threshold; both bits share the
+            window's moves.
     zero  : over the product alphabet Gamma = (Sigma+eps)^4 \\ {eps^4};
             states -2eta..2eta, 0 initial and uniquely accepting.
     bz    : states -eta..eta; accepts exactly the bounded zero language.
+
+The zero-closure witness is one run of the zero automaton that reads one
+track at a time; `_TrackRun` writes it and checks that its counter stays in
+the automaton's range.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -170,20 +178,26 @@ def _check_state_cap(n: int, max_states: int, what: str) -> None:
         )
 
 
+def _range_transitions(lo: int, hi: int, weights: dict) -> set:
+    """(c, a, c + weights[a]) for every counter c in [lo, hi] and letter a
+    whose move keeps the counter in [lo, hi]."""
+    return {
+        (c, a, c + w)
+        for c in range(lo, hi + 1)
+        for a, w in weights.items()
+        if lo <= c + w <= hi
+    }
+
+
 def build_cover_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
     eta = mp.eta
     _check_state_cap(eta + 1, max_states, "cover automaton")
     states: tuple = tuple(range(eta)) + (INF,)
-    transitions = set()
-    for c in range(eta):
-        for a in mp.alphabet:
-            c2 = c + mp.omega[a]
-            if 0 <= c2 < eta:
-                transitions.add((c, a, c2))
-            if c == eta - 1 and mp.omega[a] == 1:
-                transitions.add((c, a, INF))
+    transitions = _range_transitions(0, eta - 1, mp.omega)
     for a in mp.alphabet:
         transitions.add((INF, a, INF))
+        if mp.omega[a] == 1:
+            transitions.add((eta - 1, a, INF))
     return Nfa(
         states=states,
         alphabet=tuple(mp.alphabet),
@@ -196,14 +210,12 @@ def build_cover_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
 def build_reach_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
     eta = mp.eta
     _check_state_cap(2 * eta + 1, max_states, "reach automaton")
-    counting = [(c, b) for c in range(eta) for b in (0, 1)]
-    states: tuple = tuple(counting) + (INF,)
-    transitions = set()
-    for (c, b) in counting:
-        for a in mp.alphabet:
-            c2 = c + mp.omega[a]
-            if 0 <= c2 < eta:
-                transitions.add(((c, b), a, (c2, b)))
+    states: tuple = tuple((c, b) for c in range(eta) for b in (0, 1)) + (INF,)
+    transitions = {
+        ((c, b), a, (c2, b))
+        for (c, a, c2) in _range_transitions(0, eta - 1, mp.omega)
+        for b in (0, 1)
+    }
     for a in mp.alphabet:
         transitions.add((INF, a, INF))
         if mp.omega[a] == 1:
@@ -242,12 +254,7 @@ def build_zero_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
     _check_state_cap(4 * eta + 1, max_states, "zero automaton")
     states = tuple(range(-2 * eta, 2 * eta + 1))
     gamma = gamma_alphabet(mp.alphabet)
-    transitions = set()
-    for q in states:
-        for g in gamma:
-            q2 = q + gamma_weight(g, mp)
-            if -2 * eta <= q2 <= 2 * eta:
-                transitions.add((q, g, q2))
+    transitions = _range_transitions(-2 * eta, 2 * eta, {g: gamma_weight(g, mp) for g in gamma})
     return Nfa(
         states=states,
         alphabet=gamma,
@@ -261,18 +268,12 @@ def build_bz_automaton(mp: MorphismPair, max_states: int = 10**6) -> Nfa:
     eta = mp.eta
     _check_state_cap(2 * eta + 1, max_states, "bounded-zero automaton")
     states = tuple(range(-eta, eta + 1))
-    transitions = set()
-    for q in states:
-        for a in mp.alphabet:
-            q2 = q + mp.omega[a]
-            if -eta <= q2 <= eta:
-                transitions.add((q, a, q2))
     return Nfa(
         states=states,
         alphabet=tuple(mp.alphabet),
         initial=frozenset({0}),
         accepting=frozenset({0}),
-        transitions=frozenset(transitions),
+        transitions=frozenset(_range_transitions(-eta, eta, mp.omega)),
     )
 
 
@@ -295,24 +296,35 @@ def recover_cover_factorization(
     return (w1, u, w2) with w = w1 u w2, phi(u) stable, omega(u) > 0 and all
     prefixes of w1 u nonnegative."""
     w = mp.check_word(w)
-    total = 0
-    v_end = None
-    for i, a in enumerate(w):
-        total += mp.omega[a]
-        if total == mp.eta:
-            v_end = i + 1
-            break
+    v_end = next((i for i, c in enumerate(mp.prefix_weights(w)) if c == mp.eta), None)
     if v_end is None:
         raise PreconditionError("word never reaches the threshold")
     i, j = extract_stable_factor(w[:v_end], mp, 1)
     return w[:i], w[i:j], w[j:]
 
 
-def _run_weights(word, mp: MorphismPair) -> list[int]:
-    out = [0]
-    for a in word:
-        out.append(out[-1] + mp.omega[a])
-    return out
+class _TrackRun:
+    """A run of the zero automaton that reads one track per Gamma letter:
+    the letters read so far and the counter they lead to, which must stay
+    in [-2 eta, 2 eta]."""
+
+    def __init__(self, mp: MorphismPair):
+        self.mp = mp
+        self.counter = 0
+        self.letters: list[GammaLetter] = []
+
+    def emit(self, slot: int, word) -> None:
+        """Read each letter of `word` on track `slot`."""
+        eta = self.mp.eta
+        for a in word:
+            g = [EPS, EPS, EPS, EPS]
+            g[slot] = a
+            self.letters.append(tuple(g))  # type: ignore[arg-type]
+            self.counter += self.mp.omega[a]
+            if not -2 * eta <= self.counter <= 2 * eta:
+                raise InternalInvariantError(
+                    "witness run left the counter range; this is a bug"
+                )
 
 
 def construct_zero_witness(
@@ -327,7 +339,7 @@ def construct_zero_witness(
         raise PreconditionError("witness needs a word in the zero language "
                                 "but outside the bounded-zero language")
     eta = mp.eta
-    pw = _run_weights(w, mp)
+    pw = mp.prefix_weights(w)
 
     # shortest prefix x with |weight| = eta fixes the orientation
     x_end = next(i for i, c in enumerate(pw) if abs(c) == eta)
@@ -350,27 +362,14 @@ def construct_zero_witness(
     y2, v, y1 = y[:i2], y[i2:j2], y[j2:]
     wu, wv = mp.weight(u), mp.weight(v)
 
-    letters: list[GammaLetter] = []
-    counter = 0
-
-    def emit(slot: int, word) -> None:
-        nonlocal counter
-        for a in word:
-            g = [EPS, EPS, EPS, EPS]
-            g[slot] = a
-            letters.append(tuple(g))  # type: ignore[arg-type]
-            counter += mp.omega[a]
-            if not -2 * eta <= counter <= 2 * eta:
-                raise InternalInvariantError(
-                    "witness run left the counter range; this is a bug"
-                )
+    run = _TrackRun(mp)
 
     # phase 1: x1 u | x2 | y2 v | y1 into the four slots
-    emit(0, x1 + u)
-    emit(1, x2)
-    emit(2, y2 + v)
-    emit(3, y1)
-    if counter != 0:
+    run.emit(0, x1 + u)
+    run.emit(1, x2)
+    run.emit(2, y2 + v)
+    run.emit(3, y1)
+    if run.counter != 0:
         raise InternalInvariantError("phase 1 must end at counter 0")
 
     # phase 2: w1 then w2 letterwise, inserting u/v whenever the counter hits
@@ -378,61 +377,39 @@ def construct_zero_witness(
     m0 = n0 = 0
     for slot, word in ((1, w1), (3, w2)):
         for a in word:
-            emit(slot, (a,))
-            if counter == -wu:
-                emit(0, u)
+            run.emit(slot, (a,))
+            if run.counter == -wu:
+                run.emit(0, u)
                 m0 += 1
-            elif counter == -wv:
-                emit(2, v)
+            elif run.counter == -wv:
+                run.emit(2, v)
                 n0 += 1
 
     # phase 3: pad with whole u/v blocks to reach m*wu + n*wv = 0
-    g = _gcd(abs(wu), abs(wv))
+    g = math.gcd(wu, wv)
     m_base, n_base = abs(wv) // g, abs(wu) // g
     t = 1
     while t * m_base < m0 or t * n_base < n0:
         t += 1
     m, n = t * m_base, t * n_base
-    letters.extend(_greedy_blocks(mp, u, v, m - m0, n - n0, counter, eta))
+    _greedy_blocks(run, u, v, m - m0, n - n0)
 
-    witness = tuple(letters)
-    pump = tuple(_greedy_blocks(mp, u, v, m, n, 0, eta))
-    return witness, pump
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    pump = _TrackRun(mp)
+    _greedy_blocks(pump, u, v, m, n)
+    return tuple(run.letters), tuple(pump.letters)
 
 
-def _greedy_blocks(mp: MorphismPair, u, v, mu: int, nv: int, counter: int, eta: int):
-    """Read mu copies of u (slot 0) and nv copies of v (slot 2), choosing the
-    factor that pushes the counter toward zero; the counter must stay within
-    the zero automaton's range."""
-    wu, wv = mp.weight(u), mp.weight(v)
+def _greedy_blocks(run: _TrackRun, u, v, mu: int, nv: int) -> None:
+    """Read mu copies of u (slot 0) and nv copies of v (slot 2) on `run`,
+    choosing the factor that pushes the counter toward zero."""
+    wu = run.mp.weight(u)
     pos_block, neg_block = ((0, u), (2, v)) if wu > 0 else ((2, v), (0, u))
     pos_left = mu if wu > 0 else nv
     neg_left = nv if wu > 0 else mu
-    out: list[GammaLetter] = []
-
-    def emit(slot: int, word) -> None:
-        nonlocal counter
-        for a in word:
-            g = [EPS, EPS, EPS, EPS]
-            g[slot] = a
-            out.append(tuple(g))  # type: ignore[arg-type]
-            counter += mp.omega[a]
-            if not -2 * eta <= counter <= 2 * eta:
-                raise InternalInvariantError(
-                    "witness run left the counter range; this is a bug"
-                )
-
     while pos_left or neg_left:
-        if pos_left and (counter <= 0 or not neg_left):
-            emit(*pos_block)
+        if pos_left and (run.counter <= 0 or not neg_left):
+            run.emit(*pos_block)
             pos_left -= 1
         else:
-            emit(*neg_block)
+            run.emit(*neg_block)
             neg_left -= 1
-    return out

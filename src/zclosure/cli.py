@@ -23,6 +23,7 @@ import time
 from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from .automata import (
     Nfa,
@@ -72,6 +73,19 @@ def _render_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _check_object(doc, path: str, what: str, keys=(), missing: str = "{} lacks {!r}") -> None:
+    """`doc` must be a JSON object with every one of `keys`; `missing`
+    formats the error for an absent key from `what` and the key."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: {what} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise SchemaError(f"{path}: " + missing.format(what, key))
+
+
+_AUTOMATON_KEYS = ("states", "initial", "accepting", "transitions")
+
+
 def _check_states(states, path: str, where: str) -> list:
     """A JSON list of automaton states; each must be hashable (not an array
     or an object)."""
@@ -101,11 +115,10 @@ class Instance:
     def __init__(self, doc: dict, path: str = "<instance>"):
         if isinstance(doc, dict) and "instance" in doc:  # corpus wrapper
             doc = doc["instance"]
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{path}: instance must be a JSON object")
-        for key in ("dimension", "alphabet", "phi", "omega", "mode", "degree"):
-            if key not in doc:
-                raise SchemaError(f"{path}: missing required field {key!r}")
+        _check_object(
+            doc, path, "instance", ("dimension", "alphabet", "phi", "omega", "mode", "degree"),
+            "missing required field {1!r}",
+        )
         self.dimension = doc["dimension"]
         if not _is_int(self.dimension) or self.dimension < 1:
             raise SchemaError(f"{path}: dimension must be a positive integer")
@@ -167,11 +180,7 @@ class Instance:
         self.doc = doc
 
     def _parse_nfa(self, doc, path) -> Nfa:
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{path}: nfa must be a JSON object")
-        for key in ("states", "initial", "accepting", "transitions"):
-            if key not in doc:
-                raise SchemaError(f"{path}: nfa lacks {key!r}")
+        _check_object(doc, path, "nfa", _AUTOMATON_KEYS)
         transitions = doc["transitions"]
         if not isinstance(transitions, list) or not all(
             isinstance(t, list) and len(t) == 3 for t in transitions
@@ -197,11 +206,7 @@ class Instance:
             raise SchemaError(f"{path}: bad nfa: {exc}") from exc
 
     def _parse_vass(self, doc, path) -> Vass:
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{path}: vass must be a JSON object")
-        for key in ("states", "initial", "accepting", "transitions"):
-            if key not in doc:
-                raise SchemaError(f"{path}: vass lacks {key!r}")
+        _check_object(doc, path, "vass", _AUTOMATON_KEYS)
         if not isinstance(doc["transitions"], list):
             raise SchemaError(f"{path}: vass transitions must be a list")
         transitions = []
@@ -228,8 +233,7 @@ class Instance:
         )
 
     def _parse_caps(self, doc, path) -> Caps:
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{path}: caps must be a JSON object")
+        _check_object(doc, path, "caps")
         bad = set(doc) - {f.name for f in fields(Caps)}
         if bad:
             raise SchemaError(f"{path}: unknown caps {sorted(bad)}")
@@ -272,13 +276,18 @@ class Instance:
         return out
 
 
-def load_instance(path: str) -> Instance:
+def _read_json(source, name: str):
+    """The JSON document in `source`, a file path or a corpus entry; one that
+    cannot be read or parsed is a schema error naming `name`."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    return Instance(doc, path)
+        with open(source, "rb") if isinstance(source, str) else source.open("rb") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not decodable
+        raise SchemaError(f"{name}: {exc}") from exc
+
+
+def load_instance(path: str) -> Instance:
+    return Instance(_read_json(path, path), path)
 
 
 # mode -> the pipeline that runs an instance of it
@@ -329,31 +338,26 @@ def run_pipeline(instance: Instance) -> dict:
 # Corpus
 
 
-def _corpus_dir():
-    return resources.files("zclosure") / "corpus"
-
-
 def _iter_corpus_files(corpus_dir=None):
-    if corpus_dir is not None:
-        try:
-            names = sorted(os.listdir(corpus_dir))
-        except FileNotFoundError:
-            return
-        for name in names:
-            if name.endswith(".json"):
-                with open(os.path.join(corpus_dir, name)) as fh:
-                    yield name, json.load(fh)
+    """(file name, file) of each `.json` file of the corpus directory, the
+    bundled one by default, in name order; a missing directory has none."""
+    root = resources.files("zclosure") / "corpus" if corpus_dir is None else Path(corpus_dir)
+    if not root.is_dir():
         return
-    root = _corpus_dir()
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            yield entry.name, json.loads(entry.read_text())
+            yield entry.name, entry
 
 
-def _verify_entry(name: str, doc: dict) -> dict:
+def _verify_entry(name: str, entry) -> dict:
+    doc = _read_json(entry, name)
     instance = Instance(doc, name)
-    report = run_pipeline(instance)
     expected = doc.get("expected_generators")
+    if expected is not None and not (
+        isinstance(expected, list) and all(isinstance(g, str) for g in expected)
+    ):
+        raise SchemaError(f"{name}: expected_generators must be a list of strings")
+    report = run_pipeline(instance)
     entry = {
         "name": doc.get("name", name),
         "mode": instance.mode,
@@ -438,9 +442,9 @@ def _verify_builtin_blocks() -> dict:
 
 def verify_corpus(corpus_dir=None, include_builtin: bool = True) -> list[dict]:
     entries = []
-    for name, doc in _iter_corpus_files(corpus_dir):
+    for name, entry in _iter_corpus_files(corpus_dir):
         try:
-            entries.append(_verify_entry(name, doc))
+            entries.append(_verify_entry(name, entry))
         except ZClosureError as exc:
             entries.append({"name": name, "status": "FAIL", "error": str(exc)})
     if include_builtin and corpus_dir is None:

@@ -187,7 +187,7 @@ def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, Columns]:
 
 
 def _vanishing_from_rows(dim: int, degree: int, rows: Sequence[Sequence]) -> PolySpace:
-    n = len(monomial_basis(dim * dim, degree))
+    n = comb(dim * dim + degree, degree)
     if not rows:
         return PolySpace.full(dim, degree)
     ker = kernel_basis(rows)
@@ -257,7 +257,7 @@ def _nfa_span_rows(
     fixpoint over the automaton's states, every move of weight 0."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError(f"{what}: automaton and morphism alphabets differ")
-    n = len(monomial_basis(mp.dim * mp.dim, degree))
+    n = comb(mp.dim * mp.dim + degree, degree)
     _check_budget(len(nfa.states), n, caps, what)
     steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
     moves: Moves = {q: [] for q in nfa.states}
@@ -372,7 +372,7 @@ def counter_saturation(
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
     dfa = dfa or CounterDfa.trivial(mp.alphabet)
-    n = len(monomial_basis(mp.dim * mp.dim, degree))
+    n = comb(mp.dim * mp.dim + degree, degree)
     _check_budget(len(dfa.states), n, caps, f"{mode} saturation")  # before the maps
     moves = _window_moves(mp, dfa, _integer_maps(mp, degree))
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
@@ -492,8 +492,9 @@ def _oracle_over_words(
     lengths between words).  Without raise_on_cap, hitting the word budget
     stops gracefully at the achieved length.  A word's point is its integer
     Veronese vector N^mono * s^(D - |mono|), s^D times nu_D(N / s)."""
+    n = comb(mp_dim * mp_dim + degree, degree)
+    _check_budget(0, n, caps, "oracle")  # no states: only the Veronese cap applies
     evaluate = _monomial_evaluator(mp_dim * mp_dim, degree)
-    n = len(monomial_basis(mp_dim * mp_dim, degree))
     span = Span(n)
     # span dimension after each length that contributed at least one word;
     # empty lengths carry no information (sparse languages skip lengths)
@@ -615,7 +616,7 @@ def _gamma_condition_rows(
     only along them; the conditions come from the span at counter 0.
     """
     d = mp.dim
-    n = len(monomial_basis(d * d, degree))
+    n = comb(d * d + degree, degree)
     eta = mp.eta
     _check_budget(4 * eta + 1, n ** 4, caps, "zero pipeline (product-alphabet stage)")
     maps = _integer_maps(mp, degree)

@@ -22,6 +22,9 @@ the s <= C(d,r) <= 2^(d-1) bound absorbs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 
 from .errors import InternalInvariantError, PreconditionError
 from .exactlin import Matrix, Subspace, is_stable, rank, rank_decomp
@@ -79,26 +82,26 @@ def _leaf(m: Matrix, i: int) -> FactTree:
 def _node(children: list[FactTree]) -> FactTree:
     if len(children) == 1:
         return children[0]
-    label = children[0].label
     for prev, c in zip(children, children[1:]):
         if c.span[0] != prev.span[1]:
             raise InternalInvariantError("non-contiguous children spans")
-        label = label * c.label
+    label = reduce(mul, (c.label for c in children))
     tree = FactTree(label, (children[0].span[0], children[-1].span[1]), tuple(children))
     if len(children) >= 3 and not is_stable(label):
         raise InternalInvariantError("wide node with unstable label")
     return tree
 
 
+def _pair_up(trees: list[FactTree]) -> list[FactTree]:
+    """One level of left-to-right pairing; an odd last tree moves up as is."""
+    paired = [_node(trees[i : i + 2]) for i in range(0, len(trees) - 1, 2)]
+    return paired + trees[2 * len(paired) :]
+
+
 def _binary_combine(trees: list[FactTree]) -> FactTree:
     """Balanced left-to-right pairing; adds ceil(log2 n) levels."""
     while len(trees) > 1:
-        nxt = []
-        for i in range(0, len(trees) - 1, 2):
-            nxt.append(_node([trees[i], trees[i + 1]]))
-        if len(trees) % 2:
-            nxt.append(trees[-1])
-        trees = nxt
+        trees = _pair_up(trees)
     return trees[0]
 
 
@@ -122,30 +125,22 @@ class _RankTreeBuilder:
 
     def product(self, lo: int, hi: int) -> Matrix:
         """Product of elements lo..hi, 1-based inclusive."""
-        out = self.labels[lo - 1]
-        for i in range(lo, hi):
-            out = out * self.labels[i]
-        return out
+        return reduce(mul, self.labels[lo - 1 : hi])
 
     def segment(self, lo: int, hi: int) -> FactTree:
         """Canonical subtree over lo..hi: leaf, binary, or one wide node
         (wide-node stability is asserted in _node)."""
-        if hi == lo:
-            return self.nodes[lo - 1]
         return _node(self.nodes[lo - 1 : hi])
 
     def small(self, lo: int, hi: int) -> FactTree:
         """Up to three elements with binary nodes only (no stability needed)."""
-        k = hi - lo + 1
-        if k <= 2:
-            return self.segment(lo, hi) if k == 2 else self.nodes[lo - 1]
+        if hi - lo < 2:
+            return self.segment(lo, hi)
         return _node([_node(self.nodes[lo - 1 : hi - 1]), self.nodes[hi - 1]])
 
     def build(self) -> FactTree:
         m = self.m
-        if m == 1:
-            return self.nodes[0]
-        if m == 2:
+        if m <= 2:
             return _node(self.nodes)
         if rank(self.labels[0]) == 0:
             # all-zero sequence: one wide node, label 0 is stable
@@ -206,22 +201,26 @@ class _RankTreeBuilder:
         return _node([inner, self.nodes[m - 1]]), k
 
 
-def _check_rank_sequence(ms: list[Matrix]) -> int:
+def _check_square_sequence(ms: list[Matrix]) -> int:
+    """The common size d of a nonempty sequence of d x d matrices."""
     if not ms:
         raise PreconditionError("empty sequence")
     d = ms[0].rows
     for i, m in enumerate(ms):
         if not (m.is_square and m.rows == d):
             raise PreconditionError(f"matrix {i + 1} is not {d}x{d}")
+    return d
+
+
+def _check_rank_sequence(ms: list[Matrix]) -> int:
+    _check_square_sequence(ms)
     r = rank(ms[0])
     for i, m in enumerate(ms):
         if rank(m) != r:
             raise PreconditionError(
                 f"not a rank-{r} sequence: element {i + 1} has rank {rank(m)}"
             )
-    prod = ms[0]
-    for i in range(1, len(ms)):
-        prod = prod * ms[i]
+    for i, prod in enumerate(accumulate(ms, mul)):
         if rank(prod) != r:
             raise PreconditionError(
                 f"not a rank-{r} sequence: prefix 1..{i + 1} has rank {rank(prod)}"
@@ -250,23 +249,14 @@ def build_rank_tree(ms: list[Matrix]) -> FactTree:
 def build_tree(ms: list[Matrix]) -> FactTree:
     """Stratified construction: group maximal equal-rank runs, build each run
     with the rank-level construction, pair adjacent results, repeat."""
-    if not ms:
-        raise PreconditionError("empty sequence")
-    d = ms[0].rows
-    for i, m in enumerate(ms):
-        if not (m.is_square and m.rows == d):
-            raise PreconditionError(f"matrix {i + 1} is not {d}x{d}")
+    d = _check_square_sequence(ms)
     nodes = [_leaf(m, i) for i, m in enumerate(ms)]
     while len(nodes) > 1:
         # a stable running product lets one wide node finish the level; this
         # also keeps rank-0 tails from forcing extra strata
-        if len(nodes) >= 3:
-            total = nodes[0].label
-            for nd in nodes[1:]:
-                total = total * nd.label
-            if is_stable(total):
-                nodes = [_node(nodes)]
-                continue
+        if len(nodes) >= 3 and is_stable(reduce(mul, (nd.label for nd in nodes))):
+            nodes = [_node(nodes)]
+            continue
         groups: list[list[FactTree]] = []
         i = 0
         while i < len(nodes):
@@ -281,13 +271,7 @@ def build_tree(ms: list[Matrix]) -> FactTree:
                 j += 1
             groups.append(nodes[i:j])
             i = j
-        built = [rank_tree_over(g) for g in groups]
-        paired: list[FactTree] = []
-        for k in range(0, len(built) - 1, 2):
-            paired.append(_node([built[k], built[k + 1]]))
-        if len(built) % 2:
-            paired.append(built[-1])
-        nodes = paired
+        nodes = _pair_up([rank_tree_over(g) for g in groups])
     tree = nodes[0]
     if tree.height > d * (d + 3):
         raise InternalInvariantError(
@@ -315,10 +299,7 @@ def validate_tree_report(t: FactTree, ms: list[Matrix]) -> tuple[bool, str]:
             pos = c.span[1]
         if pos != node.span[1]:
             return False, f"children of {node.span} do not cover it"
-        label = node.children[0].label
-        for c in node.children[1:]:
-            label = label * c.label
-        if label != node.label:
+        if reduce(mul, (c.label for c in node.children)) != node.label:
             return False, f"product condition fails at {node.span}"
         if len(node.children) >= 3 and not is_stable(node.label):
             return False, f"stability condition fails at {node.span}"
@@ -342,9 +323,7 @@ def extract_stable_factor(w, mp: MorphismPair, sign: int) -> tuple[int, int]:
             f"extract_stable_factor needs sign*omega(w) >= eta = {mp.eta}"
         )
     tree = build_tree([mp.phi[a] for a in w])
-    pw = [0]
-    for a in w:
-        pw.append(pw[-1] + mp.omega[a])
+    pw = mp.prefix_weights(w)
 
     def span_weight(span: tuple[int, int]) -> int:
         return pw[span[1]] - pw[span[0]]

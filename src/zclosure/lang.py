@@ -15,6 +15,9 @@ letters over a fresh intermediate alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionError, PreconditionError, SchemaError
@@ -73,10 +76,11 @@ class MorphismPair:
         return sum(self.omega[a] for a in w)
 
     def image(self, w: Sequence[str]) -> Matrix:
-        m = Matrix.identity(self.dim)
-        for a in w:
-            m = m * self.phi[a]
-        return m
+        return reduce(mul, (self.phi[a] for a in w), Matrix.identity(self.dim))
+
+    def prefix_weights(self, w: Sequence[str]) -> list[int]:
+        """The weights of the prefixes of w, from the empty one to w."""
+        return list(accumulate((self.omega[a] for a in w), initial=0))
 
     def check_word(self, w: Sequence[str]) -> Word:
         w = tuple(w)
@@ -99,13 +103,8 @@ class WordClass:
 
 def classify_word(w: Sequence[str], mp: MorphismPair) -> WordClass:
     """Single left-to-right prefix scan."""
-    w = mp.check_word(w)
-    total = 0
-    lo = hi = 0
-    for a in w:
-        total += mp.omega[a]
-        lo = min(lo, total)
-        hi = max(hi, total)
+    pw = mp.prefix_weights(mp.check_word(w))
+    total, lo, hi = pw[-1], min(pw), max(pw)
     in_lc = lo >= 0
     in_lz = total == 0
     return WordClass(

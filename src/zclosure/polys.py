@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import Sequence
 
@@ -30,17 +31,15 @@ def _grevlex_key(alpha: Exponent) -> tuple:
 
 @lru_cache(maxsize=None)
 def monomial_basis(nvars: int, degree: int) -> tuple[Exponent, ...]:
-    """All exponent tuples of total degree <= degree, grevlex-descending."""
+    """All exponent tuples of total degree <= degree, grevlex-descending.
+    Each is a multiset of `degree` variables, variable `nvars` standing for
+    the degree left over."""
     monos: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int) -> None:
-        if remaining == 0:
-            monos.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], nvars, degree)
+    for picks in combinations_with_replacement(range(nvars + 1), degree):
+        alpha = [0] * (nvars + 1)
+        for v in picks:
+            alpha[v] += 1
+        monos.append(tuple(alpha[:nvars]))
     monos.sort(key=_grevlex_key, reverse=True)
     return tuple(monos)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zclosure.cli import Instance, load_instance, run_pipeline, verify_corpus
+from zclosure.cli import Instance, load_instance, main, run_pipeline, verify_corpus
 from zclosure.closure import Caps
 from zclosure.errors import SchemaError
 
@@ -181,6 +181,52 @@ def test_verify_corpus_flags_corrupted_expectation(tmp_path):
     assert [e["status"] for e in entries] == ["FAIL"]
     proc = _run_cli("verify-corpus", "--corpus-dir", str(tmp_path))
     assert proc.returncode == 1
+
+
+def _malformed_entry(case):
+    with open(_corpus_path("cover_powers_d1.json")) as fh:
+        doc = json.load(fh)
+    if case == "not-json":
+        return "{" + json.dumps(doc)
+    doc["expected_generators"] = {"generators-not-a-list": 5, "generator-not-a-string": [5]}[case]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "case", ["not-json", "generators-not-a-list", "generator-not-a-string", "missing-directory"]
+)
+def test_verify_corpus_reports_malformed_entries(tmp_path, capsys, case):
+    corpus = tmp_path / "corpus"
+    if case != "missing-directory":
+        corpus.mkdir()
+        (corpus / "entry.json").write_text(_malformed_entry(case))
+    entries = verify_corpus(str(corpus))
+    code = main(["verify-corpus", "--corpus-dir", str(corpus)])
+    lines = capsys.readouterr().out.splitlines()
+    if case == "missing-directory":
+        assert (entries, code, lines) == ([], 0, [])
+        return
+    assert code == 1
+    assert [(e["name"], e["status"]) for e in entries] == [("entry.json", "FAIL")]
+    assert entries[0]["error"].startswith("entry.json: ")
+    assert lines == [f"FAIL         entry.json  [{entries[0]['error']}]"]
+
+
+@pytest.mark.parametrize("command", [["run"], ["oracle", "--max-len", "2"]])
+def test_veronese_cap_refuses_before_any_basis_is_built(tmp_path, command):
+    # 144 variables at degree 4: 19,190,605 monomials, far over the cap
+    one = [["1" if i == j else "0" for j in range(12)] for i in range(12)]
+    doc = {
+        "dimension": 12, "alphabet": ["a", "b"], "phi": {"a": one, "b": one},
+        "omega": {"a": 1, "b": -1}, "mode": "zero", "degree": 4, "eta_override": 2,
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_cli(command[0], str(path), *command[1:])
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "infeasible"
+    assert "Veronese dimension 19190605 exceeds the cap 10000" in err["message"]
 
 
 def test_run_pipeline_accepts_regular_mode(tmp_path):

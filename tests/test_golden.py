@@ -14,10 +14,20 @@ instance, `closure run --eta-override 2` on the cover and zero entries (the
 overridden branches; the report without `timings`), `closure run` on the
 inline regular instance, and the exit code and error JSON of `closure run` on
 the reach and VASS entries with `eta_override` removed (the default-threshold
-refusals).  To re-record after an intended change of output:
+refusals).
+
+`golden/automaton_tree.json` pins `closure automaton --which W` for each of
+the four counter constructions and `closure tree --word a,a,b,a,b,b,a,a,a,b
+--json` on every corpus entry.  Each `zero` dump (the product-alphabet
+automaton, most of the output by size) is pinned by the SHA-256 of its
+standard output; every other output is pinned in full.
+
+To re-record both `cli_modes.json` and `automaton_tree.json` after an
+intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import hashlib
 import json
 import os
 import pathlib
@@ -29,6 +39,7 @@ from zclosure.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_corpus.json"
 CLI_MODES = pathlib.Path(__file__).parent / "golden" / "cli_modes.json"
+AUTOMATON_TREE = pathlib.Path(__file__).parent / "golden" / "automaton_tree.json"
 CORPUS = pathlib.Path(__file__).parent.parent / "src" / "zclosure" / "corpus"
 
 REGULAR = {
@@ -84,6 +95,24 @@ def cli_modes(tmp: pathlib.Path) -> dict:
     return out
 
 
+TREE_WORD = "a,a,b,a,b,b,a,a,a,b"
+
+
+def automaton_tree() -> dict:
+    """The automaton dumps and tree demos of every corpus entry, by a
+    readable key; a `zero` dump's stdout is replaced by its SHA-256."""
+    out = {}
+    for path in sorted(CORPUS.glob("*.json")):
+        for which in ("cover", "reach", "zero", "bz"):
+            run = _cli("automaton", str(path), "--which", which)
+            if which == "zero":
+                stdout = run.pop("stdout")
+                run["stdout_sha256"] = hashlib.sha256(stdout.encode()).hexdigest()
+            out[f"automaton {which} {path.stem}"] = run
+        out[f"tree {path.stem}"] = _cli("tree", str(path), "--word", TREE_WORD, "--json")
+    return out
+
+
 def _clear_cap_env(monkeypatch) -> None:
     for key in list(os.environ):
         if key.startswith("CLOSURE_CAP_"):
@@ -105,6 +134,15 @@ def test_cli_modes_match_golden(tmp_path, monkeypatch):
         assert got[key] == want[key], key
 
 
+def test_automaton_and_tree_match_golden(monkeypatch):
+    _clear_cap_env(monkeypatch)
+    want = json.loads(AUTOMATON_TREE.read_text())
+    got = automaton_tree()
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -113,3 +151,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = cli_modes(pathlib.Path(tmp))
     CLI_MODES.write_text(json.dumps(record, indent=2) + "\n")
+    AUTOMATON_TREE.write_text(json.dumps(automaton_tree(), indent=2) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from zclosure.errors import PreconditionError
 from zclosure.polys import (
+    _grevlex_key,
     IdealGens,
     PolySpace,
     gens_from_strings,
@@ -31,6 +33,22 @@ def test_monomial_basis_counts_and_order():
     assert two[0] == (2, 0, 0, 0)
     assert two[1] == (1, 1, 0, 0)
     assert two[2] == (0, 2, 0, 0)
+
+
+@pytest.mark.parametrize("nvars", range(6))
+@pytest.mark.parametrize("degree", range(4))
+def test_monomial_basis_matches_a_brute_force_listing(nvars, degree):
+    every = itertools.product(range(degree + 1), repeat=nvars)
+    want = sorted((m for m in every if sum(m) <= degree), key=_grevlex_key, reverse=True)
+    assert monomial_basis(nvars, degree) == tuple(want)
+
+
+def test_monomial_basis_of_many_variables():
+    # more variables than the interpreter's recursion limit allows frames;
+    # __wrapped__ skips the cache, which would keep the long tuples alive
+    basis = monomial_basis.__wrapped__(1100, 1)
+    assert len(basis) == 1101
+    assert basis[0] == (1,) + (0,) * 1099 and basis[-1] == (0,) * 1100
 
 
 def test_var_name_conventions():
