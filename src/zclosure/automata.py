@@ -82,10 +82,6 @@ class Nfa:
             seen.add((q, a))
         return len(self.initial) == 1
 
-    def is_complete(self) -> bool:
-        pairs = {(q, a) for (q, a, _) in self.transitions}
-        return all((q, a) in pairs for q in self.states for a in self.alphabet)
-
     def to_json(self) -> dict:
         return {
             "states": [state_name(q) for q in self.states],
@@ -287,20 +283,6 @@ def flatten(ws) -> tuple[tuple[Word, Word, Word, Word], Word]:
     prod = tuple(tuple(c) for c in comps)
     flat = tuple(x for c in comps for x in c)
     return prod, flat  # type: ignore[return-value]
-
-
-def recover_cover_factorization(
-    w, mp: MorphismPair
-) -> tuple[Word, Word, Word]:
-    """For w accepted by the cover automaton but outside the cover language,
-    return (w1, u, w2) with w = w1 u w2, phi(u) stable, omega(u) > 0 and all
-    prefixes of w1 u nonnegative."""
-    w = mp.check_word(w)
-    v_end = next((i for i, c in enumerate(mp.prefix_weights(w)) if c == mp.eta), None)
-    if v_end is None:
-        raise PreconditionError("word never reaches the threshold")
-    i, j = extract_stable_factor(w[:v_end], mp, 1)
-    return w[:i], w[i:j], w[j:]
 
 
 class _TrackRun:

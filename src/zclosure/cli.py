@@ -69,10 +69,6 @@ def _parse_rational(text) -> Fraction:
     raise SchemaError(f"rationals must be strings like \"-3/2\", got {text!r}")
 
 
-def _render_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _check_object(doc, path: str, what: str, keys=(), missing: str = "{} lacks {!r}") -> None:
     """`doc` must be a JSON object with every one of `keys`; `missing`
     formats the error for an absent key from `what` and the key."""
@@ -252,29 +248,6 @@ class Instance:
                     f"{path}: cap {key!r} = {value!r} must be a non-negative integer"
                 )
         return replace(DEFAULT_CAPS, **overrides)
-
-    def to_doc(self) -> dict:
-        out = {
-            "dimension": self.dimension,
-            "alphabet": list(self.alphabet),
-            "phi": {
-                a: [[_render_rational(x) for x in row] for row in self.mp.phi[a].entries]
-                for a in self.alphabet
-            },
-            "omega": {a: self.mp.omega[a] for a in self.alphabet},
-            "mode": self.mode,
-            "degree": self.degree,
-        }
-        if self.eta_override:
-            out["eta_override"] = self.eta_override
-        if self.nfa is not None:
-            out["nfa"] = self.doc["nfa"]
-        if self.vass is not None:
-            out["vass"] = self.doc["vass"]
-        if "caps" in self.doc:
-            out["caps"] = self.doc["caps"]
-        return out
-
 
 def _read_json(source, name: str):
     """The JSON document in `source`, a file path or a corpus entry; one that

@@ -4,17 +4,22 @@ Everything here is exact, over `fractions.Fraction` or the integers; there is
 no floating point anywhere in the package.  Subspaces are kept in reduced row
 echelon form so that equality of spans is literal structural equality.
 
-`Span` is the one incremental eliminator.  A span does not change when a
-vector is scaled, so it keeps primitive integer rows by fraction-free
-elimination (rational vectors enter it cleared, `_cleared`); `Fraction`
+`Span` is the only eliminator in the package.  The fixpoints, the oracle and
+the exterior greedy basis insert into it directly; the rest goes through
+`span_of`, which clears each vector (`_cleared`) and inserts it:
+`Subspace.from_vectors` and `contains`, `rank`, `invert` (the RREF of
+[M | I]), `kernel_basis` (the annihilator of a `Span`, in RREF;
+`Subspace.intersection` is the kernel of both operands' kernels) and
+`exterior.combination`.  A span does not change when a vector is scaled, so
+it keeps primitive integer rows by fraction-free elimination; `Fraction`
 appears only where `Span.basis()` divides its integer Gauss-Jordan form by
-the pivots.  The fixpoints' vectors are mostly zeros, so each row keeps its
-support and a positive pivot entry: a row operation updates the vector only
-over the row's support, and scales all of it only when the pivot entry does
-not divide the vector's entry there.  A span that refuses a vector at
-dimension at least half its ambient dimension also keeps its annihilator and
-tests membership by dot products against it, which pays only where most
-inserts are refused (the oracle).  `kernel_basis` is the annihilator of a `Span`, in RREF.
+the pivots, which gives the canonical RREF.  The fixpoints' vectors are
+mostly zeros, so each row keeps its support and a positive pivot entry: a
+row operation updates the vector only over the row's support, and scales all
+of it only when the pivot entry does not divide the vector's entry there.  A
+span that refuses a vector at dimension at least half its ambient dimension
+also keeps its annihilator and tests membership by dot products against it,
+which pays only where most inserts are refused (the oracle).
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -98,75 +103,11 @@ class Matrix:
             ]
         )
 
-    def matvec(self, v: Sequence) -> Vector:
-        v = vec(v)
-        if len(v) != self.cols:
-            raise DimensionError("matvec length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries))) if self.entries else self
-
-    def scale(self, c) -> "Matrix":
-        c = _frac(c)
-        return Matrix([[c * x for x in row] for row in self.entries])
-
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("matrix addition shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ]
-        )
-
     def columns(self) -> list[Vector]:
         return [tuple(row[j] for row in self.entries) for j in range(self.cols)]
 
     def flat(self) -> Vector:
         return tuple(x for row in self.entries for x in row)
-
-
-def rref(vectors: Iterable[Sequence]) -> list[Vector]:
-    """Reduced row echelon form; pivot = first nonzero entry in column order.
-
-    Returns the nonzero rows, pivots normalized to 1 and eliminated from all
-    other rows, rows ordered by pivot column.  This is the unique canonical
-    basis of the span, so two RREFs are equal iff the spans are equal.
-    """
-    work = [list(vec(v)) for v in vectors]
-    if not work:
-        return []
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise DimensionError("rref: inconsistent vector lengths")
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in work:
-        # reduce against existing pivots
-        for prow, pcol in zip(out, pivots):
-            c = row[pcol]
-            if c:
-                for k in range(pcol, ncols):
-                    row[k] -= c * prow[k]
-        pcol = next((k for k, x in enumerate(row) if x), None)
-        if pcol is None:
-            continue
-        inv = row[pcol]
-        if inv != 1:
-            for k in range(pcol, ncols):
-                row[k] /= inv
-        # eliminate the new pivot from earlier rows
-        for prow in out:
-            c = prow[pcol]
-            if c:
-                for k in range(pcol, ncols):
-                    prow[k] -= c * row[k]
-        out.append(row)
-        pivots.append(pcol)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [tuple(out[i]) for i in order]
 
 
 def _cleared(v: Iterable[Fraction]) -> list[int]:
@@ -313,6 +254,17 @@ class Span:
         ]
 
 
+def span_of(n: int, vectors: Iterable[Sequence]) -> Span:
+    """The `Span` of rational (or integer) vectors of length n, each cleared
+    of denominators as it goes in."""
+    span = Span(n)
+    for v in vectors:
+        if len(v) != n:
+            raise DimensionError("vector length does not match ambient dimension")
+        span.insert(_cleared(v))
+    return span
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^n held as its canonical RREF basis (no zero rows)."""
@@ -322,11 +274,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = rref(vectors)
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionError("vector length does not match ambient dimension")
-        return Subspace(ambient_dim, tuple(rows))
+        return Subspace(ambient_dim, tuple(span_of(ambient_dim, vectors).basis()))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -334,49 +282,26 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(
-            ambient_dim, Matrix.identity(ambient_dim).entries
-        )
+        return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        return len(rref([*self.basis, v])) == self.dim
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        return span_of(self.ambient_dim, [*self.basis, v]).dim == self.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Kernel of the stacked-basis system: v in both spans iff
-        v = x.B1 = y.B2 for some coefficients (x, y)."""
+        """The annihilator of the sum of the two annihilators.  A zero or
+        full operand is its own answer or leaves the other one, so both
+        annihilators below have rows."""
         self._check_ambient(other)
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient_dim)
-        # columns of the system are [B1^T | -B2^T]; kernel vectors give (x, y)
-        n1, n2 = len(self.basis), len(other.basis)
-        system = Matrix(
-            [
-                [self.basis[i][k] for i in range(n1)]
-                + [-other.basis[j][k] for j in range(n2)]
-                for k in range(self.ambient_dim)
-            ]
-        )
-        sols = kernel_basis(system)
-        vecs = []
-        for s in sols:
-            x = s[:n1]
-            v = [Fraction(0)] * self.ambient_dim
-            for c, row in zip(x, self.basis):
-                if c:
-                    for k in range(self.ambient_dim):
-                        v[k] += c * row[k]
-            vecs.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        if not self.basis or other.dim == other.ambient_dim:
+            return self
+        if not other.basis or self.dim == self.ambient_dim:
+            return other
+        rows = kernel_basis(self.basis) + kernel_basis(other.basis)
+        return Subspace(self.ambient_dim, tuple(kernel_basis(rows)))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -384,16 +309,14 @@ class Subspace:
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m.entries))
+    return span_of(m.cols, m.entries).dim
 
 
 def kernel_basis(m: Matrix | Sequence[Sequence]) -> list[Vector]:
     """Canonical basis of {v : m v = 0}, m a matrix or its rows (int or
     `Fraction` entries): the annihilator of the span of m's rows, in RREF."""
     rows = m.entries if isinstance(m, Matrix) else m
-    span = Span(m.cols if isinstance(m, Matrix) else len(rows[0]))
-    for row in rows:
-        span.insert(_cleared(row))
+    span = span_of(m.cols if isinstance(m, Matrix) else len(rows[0]), rows)
     out = Span(span.n)
     ann = span.annihilator() if span.ann is None else span.ann  # the span's own, if kept
     while ann:  # each vector is freed as `out` takes its row
@@ -424,11 +347,15 @@ def is_stable(m: Matrix) -> bool:
 
 
 def invert(m: Matrix) -> Matrix:
+    """The right half of the RREF of [M | I], whose left half is I iff M is
+    invertible ([M | I] always has rank d)."""
     if not m.is_square:
         raise DimensionError("invert needs a square matrix")
     d = m.rows
-    aug = rref([list(row) + list(Matrix.identity(d).entries[i]) for i, row in enumerate(m.entries)])
-    if len(aug) < d or any(row[i] != 1 for i, row in enumerate(aug)):
+    aug = span_of(
+        2 * d, [row + unit for row, unit in zip(m.entries, Matrix.identity(d).entries)]
+    ).basis()
+    if any(row[i] != 1 for i, row in enumerate(aug)):
         raise PreconditionError("matrix is singular")
     return Matrix([row[d:] for row in aug])
 

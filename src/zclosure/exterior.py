@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, PreconditionError
-from .exactlin import Span, Subspace, _cleared, rref, vec
+from .exactlin import Span, Subspace, _cleared, span_of, vec
 
 Key = tuple[int, ...]
 
@@ -45,12 +45,6 @@ class ExtVector:
     @property
     def is_zero(self) -> bool:
         return not self.coords
-
-    @property
-    def grade(self) -> int | None:
-        """Common grade of the support, None if mixed or zero."""
-        grades = {len(k) for k in self.coords}
-        return grades.pop() if len(grades) == 1 else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -151,13 +145,14 @@ def combination(targets: list[ExtVector], v: ExtVector) -> list[Fraction] | None
         {k for t in targets for k in t.coords} | set(v.coords), key=_key_order
     )
     n = len(targets)
-    aug = rref(
+    aug = span_of(
+        n + 1,
         [
             [t.coords.get(k, Fraction(0)) for t in targets]
             + [v.coords.get(k, Fraction(0))]
             for k in keys
-        ]
-    )
+        ],
+    ).basis()
     coeffs = [Fraction(0)] * n
     for row in aug:
         piv = next(i for i, x in enumerate(row) if x)

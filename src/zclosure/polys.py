@@ -104,17 +104,6 @@ def poly_degree(p: Poly) -> int:
     return max((sum(k) for k in p), default=0)
 
 
-def poly_eval_flat(p: Poly, flat: Vector) -> Fraction:
-    total = Fraction(0)
-    for k, v in p.items():
-        term = v
-        for var, e in enumerate(k):
-            for _ in range(e):
-                term *= flat[var]
-        total += term
-    return total
-
-
 def poly_to_vector(p: Poly, nvars: int, degree: int) -> Vector:
     idx = basis_index(nvars, degree)
     vec = [Fraction(0)] * len(idx)
@@ -246,10 +235,6 @@ class PolySpace:
             vector_to_poly(row, n, self.degree)
             for row in self.vanishing_basis.basis
         ]
-
-    def contains_poly(self, p: Poly) -> bool:
-        v = poly_to_vector(p, self.dim * self.dim, self.degree)
-        return self.vanishing_basis.contains(v)
 
     @staticmethod
     def from_vectors(dim: int, degree: int, vectors) -> "PolySpace":

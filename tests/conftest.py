@@ -3,9 +3,64 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
+from typing import Iterable, Sequence
 
-from zclosure.exactlin import Matrix, rank
+from zclosure.errors import DimensionError
+from zclosure.exactlin import Matrix, Vector, span_of, vec
 from zclosure.lang import MorphismPair
+from zclosure.polys import Poly, PolySpace, poly_to_vector
+
+
+def rref(vectors: Iterable[Sequence]) -> list[Vector]:
+    """Reduced row echelon form; pivot = first nonzero entry in column order.
+
+    Returns the nonzero rows, pivots normalized to 1 and eliminated from all
+    other rows, rows ordered by pivot column.  This is the unique canonical
+    basis of the span, so two RREFs are equal iff the spans are equal.
+
+    The dense `Fraction` Gauss-Jordan elimination: the reference that the
+    tests check `exactlin.Span` and everything built on it against, so it
+    shares no elimination code with the package.
+    """
+    work = [list(vec(v)) for v in vectors]
+    if not work:
+        return []
+    ncols = len(work[0])
+    if any(len(r) != ncols for r in work):
+        raise DimensionError("rref: inconsistent vector lengths")
+    out: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row in work:
+        # reduce against existing pivots
+        for prow, pcol in zip(out, pivots):
+            c = row[pcol]
+            if c:
+                for k in range(pcol, ncols):
+                    row[k] -= c * prow[k]
+        pcol = next((k for k, x in enumerate(row) if x), None)
+        if pcol is None:
+            continue
+        inv = row[pcol]
+        if inv != 1:
+            for k in range(pcol, ncols):
+                row[k] /= inv
+        # eliminate the new pivot from earlier rows
+        for prow in out:
+            c = prow[pcol]
+            if c:
+                for k in range(pcol, ncols):
+                    prow[k] -= c * row[k]
+        out.append(row)
+        pivots.append(pcol)
+    order = sorted(range(len(out)), key=lambda i: pivots[i])
+    return [tuple(out[i]) for i in order]
+
+
+def contains_poly(space: PolySpace, p: Poly) -> bool:
+    v = poly_to_vector(p, space.dim * space.dim, space.degree)
+    return space.vanishing_basis.contains(v)
 
 
 def random_matrix(rng: random.Random, d: int, lo: int = -2, hi: int = 2) -> Matrix:
@@ -16,20 +71,23 @@ def random_matrix(rng: random.Random, d: int, lo: int = -2, hi: int = 2) -> Matr
 
 def random_rank_sequence(rng: random.Random, d: int, r: int, length: int):
     """M_i = B_i A_i shares rank-r structure; rejection keeps the product at
-    rank r (adjacent r x r middles must be invertible)."""
+    rank r (adjacent r x r middles must be invertible).  The products are
+    integer lists until a sequence is kept."""
     while True:
         ms = []
         for _ in range(length):
-            a = [[Fraction(rng.randint(-2, 2)) for _ in range(d)] for _ in range(r)]
-            b = [[Fraction(rng.randint(-2, 2)) for _ in range(r)] for _ in range(d)]
-            ms.append(Matrix(b) * Matrix(a))
-        if any(rank(m) != r for m in ms):
+            a = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(r)]
+            b = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(d)]
+            ms.append(_int_product(b, a))
+        if any(span_of(d, m).dim != r for m in ms):
             continue
-        prod = ms[0]
-        for m in ms[1:]:
-            prod = prod * m
-        if rank(prod) == r:
-            return ms
+        if span_of(d, reduce(_int_product, ms)).dim == r:
+            return [Matrix(m) for m in ms]
+
+
+def _int_product(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
 def powers_morphism(eta: int = 0) -> MorphismPair:

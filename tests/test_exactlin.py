@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_matrix
+from conftest import random_matrix, rref
 from zclosure.errors import DimensionError, PreconditionError
 from zclosure.exactlin import (
     Matrix,
@@ -12,9 +14,17 @@ from zclosure.exactlin import (
     is_stable,
     rank,
     rank_decomp,
-    rref,
     stable_identity,
 )
+
+
+def _transpose(m: Matrix) -> Matrix:
+    return Matrix(list(zip(*m.entries))) if m.entries else m
+
+
+def _matvec(m: Matrix, v) -> tuple:
+    assert len(v) == m.cols
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m.entries)
 
 
 def test_rank_decomp_invertible():
@@ -67,7 +77,7 @@ def test_rank_of_transpose_matches():
     rng = random.Random(1)
     for _ in range(100):
         m = random_matrix(rng, rng.randint(1, 4))
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(_transpose(m)) == len(rref(m.entries))
 
 
 def test_rank_nullity_on_random_matrices():
@@ -79,7 +89,7 @@ def test_rank_nullity_on_random_matrices():
         assert r == image.dim
         assert image.dim + ker.dim == d
         for v in ker.basis:
-            assert m.matvec(v) == tuple([Fraction(0)] * d)
+            assert _matvec(m, v) == tuple([Fraction(0)] * d)
         for col in m.columns():
             assert image.contains(col)
 
@@ -130,14 +140,15 @@ def test_subspace_equality_is_canonical():
         mixed.append([a + b for a, b in zip(vecs[0], vecs[-1])])
         s2 = Subspace.from_vectors(d, mixed)
         assert s1 == s2
+        assert s1.basis == tuple(rref(vecs))
 
 
 def test_rref_pivot_choice_is_first_nonzero_column():
-    rows = rref([[0, 2, 4], [0, 0, 3]])
-    assert rows == [
+    rows = Subspace.from_vectors(3, [[0, 2, 4], [0, 0, 3]]).basis
+    assert rows == (
         (Fraction(0), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1)),
-    ]
+    )
 
 
 def test_invert_round_trip():
@@ -148,3 +159,49 @@ def test_invert_round_trip():
         if rank(m) < d:
             continue
         assert m * invert(m) == Matrix.identity(d)
+        aug = rref([row + unit for row, unit in zip(m.entries, Matrix.identity(d).entries)])
+        assert invert(m) == Matrix([row[d:] for row in aug])
+
+
+def test_wrong_lengths_and_singular_inverse_are_refused():
+    with pytest.raises(DimensionError):
+        Subspace.from_vectors(3, [[1, 0, 0], [1, 2]])
+    with pytest.raises(DimensionError):
+        Subspace.from_vectors(2, [[0, 0, 0]])
+    with pytest.raises(DimensionError):
+        Subspace.full(2).contains([1, 2, 3])
+    with pytest.raises(DimensionError):
+        Subspace.from_vectors(3, [[1, 0, 0]]).contains([1, 0])
+    with pytest.raises(PreconditionError):
+        invert(Matrix([[1, 2], [2, 4]]))
+    with pytest.raises(PreconditionError):
+        invert(Matrix.zeros(3))
+
+
+_ENTRIES = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1),
+                            Fraction(2), Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def _subspace_pairs(draw):
+    n = draw(st.integers(1, 5))
+    vectors = st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), max_size=n + 1)
+    return n, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspace_pairs())
+@example((3, [], [[1, 0, 0]]))  # a zero operand
+@example((2, [[1, 0], [0, 1]], [[1, 1]]))  # a full operand
+@example((3, [[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [0, 0, 1]]))  # a line in two planes
+def test_intersection_matches_fraction_reference(pair):
+    n, b1, b2 = pair
+    w1, w2 = Subspace.from_vectors(n, b1), Subspace.from_vectors(n, b2)
+    meet = w1.intersection(w2)
+    assert meet == w2.intersection(w1)
+    assert meet.ambient_dim == n
+    assert list(meet.basis) == rref(meet.basis)  # canonical
+    r1, r2 = len(rref(b1)), len(rref(b2))
+    for v in meet.basis:
+        assert len(rref([*b1, v])) == r1 and len(rref([*b2, v])) == r2
+    assert meet.dim == r1 + r2 - len(rref([*b1, *b2]))

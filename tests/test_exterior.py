@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrix
+from conftest import random_matrix, rref
 from zclosure.errors import DimensionError, PreconditionError
-from zclosure.exactlin import Matrix, Subspace, rank, rank_decomp, rref
+from zclosure.exactlin import Matrix, Subspace, rank, rank_decomp
 from zclosure.exterior import (
     ExtVector,
     combination,
