@@ -1,5 +1,7 @@
-"""Finite automata over parameterized alphabets, plus the four counter
-constructions and the zero-closure witness builder.
+"""Finite automata over parameterized alphabets (the one automaton type the
+engine reads), plus the four counter constructions and the zero-closure
+witness builder.  The engine runs the constructions on counters; their
+builders serve `closure automaton` and the tests, as the reference.
 
 States can be any hashable values; `states` fixes the canonical order.  There
 are no epsilon transitions.  Each counter construction is a one-counter
@@ -56,6 +58,12 @@ class Nfa:
         if not (self.initial <= states and self.accepting <= states):
             raise PreconditionError("initial/accepting references unknown state")
 
+    @staticmethod
+    def universal(alphabet) -> "Nfa":
+        """Every word: one initial, accepting state with a loop per letter."""
+        star = frozenset({"*"})
+        return Nfa(("*",), tuple(alphabet), star, star, frozenset(("*", a, "*") for a in alphabet))
+
     def step(self, current: frozenset, letter) -> frozenset:
         return frozenset(q2 for (q, a, q2) in self.transitions if a == letter and q in current)
 
@@ -75,12 +83,11 @@ class Nfa:
         return out
 
     def is_deterministic(self) -> bool:
-        seen = set()
-        for (q, a, _) in self.transitions:
-            if (q, a) in seen:
-                return False
-            seen.add((q, a))
-        return len(self.initial) == 1
+        return len(self.initial) == 1 and len(self.delta()) == len(self.transitions)
+
+    def delta(self) -> dict:
+        """(state, letter) -> state, for a deterministic (maybe partial) one."""
+        return {(q, a): q2 for (q, a, q2) in self.transitions}
 
     def to_json(self) -> dict:
         return {

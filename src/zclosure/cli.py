@@ -395,12 +395,8 @@ def _verify_builtin_blocks() -> dict:
     bm1 = blockify_regular(phi1, label_dfa)
     bm2 = blockify_regular(phi2, label_dfa)
     ok = bm1.dim == 6 and bm2.dim == 8
-    allw = Nfa(
-        ("q",), ("a", "b"), frozenset({"q"}), frozenset({"q"}),
-        frozenset({("q", "a", "q"), ("q", "b", "q")}),
-    )
     lifted = regular_closure(
-        allw, bm1.morphism_pair, 2, replace(DEFAULT_CAPS, budget=10 ** 6)
+        Nfa.universal(("a", "b")), bm1.morphism_pair, 2, replace(DEFAULT_CAPS, budget=10 ** 6)
     )
     ext = extract_block_closure(lifted, bm1, 2)
     want = ideal_slice(gens_from_strings(2, 2, ["x12", "x11^2 - x22"]), 2)

@@ -7,14 +7,14 @@ so a worklist fixpoint over a finite automaton computes the exact span of the
 accepted language; the vanishing space is its orthogonal complement.
 
 One worklist, `_fixpoint`, runs every such fixpoint over configurations
-(state, counter); the stages only build its moves and seeds: the regular
-fixpoint (`_nfa_span_rows`: an NFA's weight-0 transitions, also for the
-cover and bounded-zero automata), the saturation window (`_window_rows`: a
-DFA's moves on a growing counter range) and the product-alphabet stage of
-the zero pipeline (`_gamma_condition_rows`: on one state, the tensor steps
-of the single-track letters of Gamma only, whose commuting maps compose to
-every Gamma letter's; `automata.build_zero_automaton` keeps the paper's
-automaton over all of Gamma for `closure automaton`).
+(state, counter).  A stage gives it seeds and moves, `_moves` of an automaton
+with a weight per letter: the regular fixpoint (`_nfa_span_rows`: an NFA,
+weight 0), the default-threshold cover and bounded-zero stages
+(`_threshold_rows`: the universal automaton on fixed counters) and the
+saturation window (`_window_rows`: on growing counters).  The zero
+pipeline's product-alphabet stage (`_gamma_condition_rows`) pushes the
+tensor steps of Gamma's single-track letters on one state; their commuting
+maps compose to every Gamma letter's.
 
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
@@ -35,8 +35,9 @@ its parent's, and a word's point is N^mono * s^(D - |mono|).
 
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
-runs the bounded-zero/product-alphabet pair.  Reach needs the lifted
-reduction, whose flat stage is astronomically large at the default
+the bounded-zero/product-alphabet pair, on counters; `automata` builds
+these automata only for `closure automaton` and the tests.  Reach needs the
+lifted reduction, whose flat stage is astronomically large at the default
 threshold, and so does a 1-VASS at its lifted threshold; both refuse.  Every
 eta-overridden pipeline (cover, zero, reach, and 1-VASS cover/reach under the
 DFA of its transitions) runs `run_saturation`: bounded-counter saturation -
@@ -63,7 +64,7 @@ from math import comb, gcd, inf, lcm
 from operator import mul
 from typing import Callable, Collection, Iterator, Sequence
 
-from .automata import Nfa, build_bz_automaton, build_cover_automaton
+from .automata import Nfa
 from .errors import (
     DimensionError,
     InfeasibleError,
@@ -250,22 +251,34 @@ def _fixpoint(
                 refused.setdefault(c2, []).append((q2, v, step))
 
 
-def _nfa_span_rows(
-    nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps, what: str
-) -> list[list[int]]:
+def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Moves:
+    """Per state, a move for each of its transitions: the letter's step and
+    weight, and the target."""
+    moves: Moves = {q: [] for q in nfa.states}
+    for (q, a, q2) in sorted(nfa.transitions, key=str):
+        moves[q].append((steps[a], weights[a], q2))
+    return moves
+
+
+def _stage(
+    mp: MorphismPair, degree: int, caps: Caps, states: int, what: str
+) -> tuple[Span, dict[str, Callable], list[int]]:
+    """After a stage's budget check: its empty accepted span, each letter's
+    step (`apply_map` with its integer map) and the seed nu_D(I)."""
+    n = comb(mp.dim * mp.dim + degree, degree)
+    _check_budget(states, n, caps, what)
+    steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
+    return Span(n), steps, _cleared(veronese(Matrix.identity(mp.dim), degree))
+
+
+def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> list[list[int]]:
     """Integer rows spanning the evaluations over the accepted language: the
     fixpoint over the automaton's states, every move of weight 0."""
     if set(nfa.alphabet) != set(mp.alphabet):
-        raise PreconditionError(f"{what}: automaton and morphism alphabets differ")
-    n = comb(mp.dim * mp.dim + degree, degree)
-    _check_budget(len(nfa.states), n, caps, what)
-    steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
-    moves: Moves = {q: [] for q in nfa.states}
-    for (q, a, q2) in sorted(nfa.transitions, key=str):
-        moves[q].append((steps[a], 0, q2))
-    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
+        raise PreconditionError("regular closure: automaton and morphism alphabets differ")
+    accepted, steps, seed = _stage(mp, degree, caps, len(nfa.states), "regular closure")
     queue = deque(((q, 0), seed) for q in nfa.states if q in nfa.initial)
-    accepted = Span(n)
+    moves = _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0))
     _fixpoint(queue, moves, nfa.accepting, False, 0, 0, ({}, accepted, None))
     return accepted.rows
 
@@ -274,9 +287,28 @@ def regular_closure(
     nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
 ) -> PolySpace:
     """Exactly {p : deg p <= degree, p(phi(w)) = 0 for all w in L(nfa)}."""
-    mp = getattr(mp, "morphism_pair", mp)
-    rows = _nfa_span_rows(nfa, mp, degree, caps, "regular closure")
-    return _vanishing_from_rows(mp.dim, degree, rows)
+    return _vanishing_from_rows(mp.dim, degree, _nfa_span_rows(nfa, mp, degree, caps))
+
+
+def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> list[list[int]]:
+    """Integer rows spanning the evaluations over the cover or bounded-zero
+    ("bz") language at mp.eta: the universal automaton on counters [-eta,
+    eta] ending at 0, or on [0, eta - 1], whose pushes past eta - 1 are
+    parked and then seed one absorbing top configuration (the cover
+    automaton's inf) where every letter has weight 0."""
+    eta, cover = mp.eta, mode == "cover"
+    lo, hi, what = ((0, eta - 1, "cover pipeline (cover-automaton stage)") if cover
+                    else (-eta, eta, "zero pipeline (bounded-zero stage)"))
+    accepted, steps, seed = _stage(mp, degree, caps, hi - lo + 1 + cover, what)
+    sigma = Nfa.universal(mp.alphabet)
+    parked = {} if cover else None
+    _fixpoint(deque([(("*", 0), seed)]), _moves(sigma, steps, mp.omega), sigma.accepting,
+              not cover, lo, hi, ({}, accepted, parked))
+    if cover:
+        top = deque((("*", eta), step(v)) for _, v, step in parked.get(eta, ()))
+        _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
+                  False, eta, eta, ({}, accepted, None))
+    return accepted.rows
 
 
 def finite_vanishing_space(
@@ -306,33 +338,8 @@ def finite_vanishing_space(
 # Bounded-counter saturation
 
 
-@dataclass(frozen=True)
-class CounterDfa:
-    """Deterministic complete automaton used as the regular constraint in the
-    saturation engine; `None` means the trivial one-state constraint."""
-
-    states: tuple
-    initial: object
-    accepting: frozenset
-    delta: dict  # (state, letter) -> state
-
-    @staticmethod
-    def trivial(alphabet: tuple[str, ...]) -> "CounterDfa":
-        delta = {("*", a): "*" for a in alphabet}
-        return CounterDfa(("*",), "*", frozenset({"*"}), delta)
-
-
-def _window_moves(mp: MorphismPair, dfa: CounterDfa, maps: dict[str, Columns]) -> Moves:
-    """The saturation windows' moves: per DFA state, each letter in order."""
-    steps = {a: partial(apply_map, maps[a]) for a in mp.alphabet}
-    return {
-        q: [(steps[a], mp.omega[a], dfa.delta[(q, a)]) for a in mp.alphabet]
-        for q in dfa.states
-    }
-
-
 def _window_rows(
-    mode: str, dfa: CounterDfa, moves: Moves, bound: int, caps: Caps,
+    mode: str, nfa: Nfa, moves: Moves, bound: int, caps: Caps,
     window: tuple[dict, Span, deque, dict],
 ) -> int:
     """Grow `window` (span per (state, counter), accepted span, worklist,
@@ -344,11 +351,11 @@ def _window_rows(
     dimension."""
     spans, accepted, queue, refused = window
     lo = -bound if mode == "zero" else 0
-    nstates = len(dfa.states) * (bound - lo + 1)
+    nstates = len(nfa.states) * (bound - lo + 1)
     _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
     for c in [c for c in refused if lo <= c <= bound]:
         queue.extend(((q, c), step(v)) for q, v, step in refused.pop(c))
-    _fixpoint(queue, moves, dfa.accepting, mode != "cover", lo, bound, (spans, accepted, refused))
+    _fixpoint(queue, moves, nfa.accepting, mode != "cover", lo, bound, (spans, accepted, refused))
     return accepted.dim
 
 
@@ -361,26 +368,24 @@ def counter_saturation(
     mp: MorphismPair,
     degree: int,
     mode: str,
-    dfa: CounterDfa | None = None,
+    nfa: Nfa | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> tuple[PolySpace, int]:
-    """Grow the prefix-weight window, warm-starting one fixpoint from bound
-    to bound (`_window_rows`), until the space is unchanged for caps.window
-    consecutive bounds; returns (space, final bound).  The accepted spans
-    nest, so unchanged means the same dimension; the RREF and the vanishing
-    space are computed once, at the returned bound."""
+    """Grow the prefix-weight window over the paths of `nfa` (default: every
+    word), warm-starting one fixpoint from bound to bound (`_window_rows`),
+    until the space is unchanged for caps.window consecutive bounds; returns
+    (space, final bound).  The accepted spans nest, so unchanged means the
+    same dimension; the RREF and the vanishing space are computed once, at
+    the returned bound."""
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
-    dfa = dfa or CounterDfa.trivial(mp.alphabet)
-    n = comb(mp.dim * mp.dim + degree, degree)
-    _check_budget(len(dfa.states), n, caps, f"{mode} saturation")  # before the maps
-    moves = _window_moves(mp, dfa, _integer_maps(mp, degree))
-    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    accepted = Span(n)
-    window = ({}, accepted, deque([((dfa.initial, 0), seed)]), {})
+    nfa = nfa or Nfa.universal(mp.alphabet)
+    accepted, steps, seed = _stage(mp, degree, caps, len(nfa.states), f"{mode} saturation")
+    moves = _moves(nfa, steps, mp.omega)
+    window = ({}, accepted, deque(((q, 0), seed) for q in nfa.states if q in nfa.initial), {})
     history: list[int] = []
     for bound in range(2, caps.counter + 1):
-        history.append(_window_rows(mode, dfa, moves, bound, caps, window))
+        history.append(_window_rows(mode, nfa, moves, bound, caps, window))
         if _stable(history, caps.window):
             return _vanishing_from_rows(mp.dim, degree, accepted.rows), bound
     raise InfeasibleError(
@@ -409,24 +414,27 @@ Length = list[tuple[Word, list[int], int]]
 def word_frontier(
     mp: MorphismPair,
     predicate: str | Callable[[Word], bool],
-    dfa: CounterDfa | None = None,
+    nfa: Nfa | None = None,
 ) -> Iterator[Length]:
     """For n = 0, 1, 2, ...: the words of length n in the language, in
     letter-index order, each with its image.
 
-    The language is the paths of `dfa` (default: every word) whose prefix
-    weights satisfy `predicate` (see `lang.in_language`), or the words a
-    callable predicate accepts.  A node is a prefix with its automaton state
-    and counter.  It waits in the bucket of the earliest length at which it
-    can complete (depth + |counter| when the total weight must be 0, else its
-    depth), and bucket n is expanded only when length n is asked for.  A
-    node's image is one integer product of its parent's image with the
-    letter's denominator-cleared matrix, made when the node is expanded.
-    States from which no accepting state is reachable are never entered.
+    The language is the paths of `nfa` (default: every word; it must be
+    deterministic and may be partial) whose prefix weights satisfy
+    `predicate` (see `lang.in_language`), or the words a callable predicate
+    accepts.  A node is a prefix with its automaton state and counter.  It
+    waits in the bucket of the earliest length at which it can complete
+    (depth + |counter| when the total weight must be 0, else its depth), and
+    bucket n is expanded only when length n is asked for.  A node's image is
+    one integer product of its parent's image with the letter's
+    denominator-cleared matrix, made when the node is expanded.  States from
+    which no accepting state is reachable are never entered.
     """
     if not callable(predicate) and predicate not in PREDICATES:
         raise PreconditionError(f"unknown predicate {predicate!r}")
-    dfa = dfa or CounterDfa.trivial(mp.alphabet)
+    nfa = nfa or Nfa.universal(mp.alphabet)
+    if not nfa.is_deterministic():
+        raise PreconditionError("the oracle's automaton must be deterministic")
     exact = predicate in ("reach", "zero", "bz")
     lo = {"cover": 0, "reach": 0, "bz": -mp.eta}.get(predicate, -inf)
     hi = mp.eta if predicate == "bz" else inf
@@ -437,20 +445,22 @@ def word_frontier(
         t = lcm(*(x.denominator for x in flat))
         cleared = [x.numerator * (t // x.denominator) for x in flat]
         letters.append(([cleared[j::d] for j in range(d)], t))
-    live = set(dfa.accepting)
-    while grown := {q for (q, _), q2 in dfa.delta.items() if q2 in live} - live:
+    delta = nfa.delta()
+    live = set(nfa.accepting)
+    while grown := {q for (q, _), q2 in delta.items() if q2 in live} - live:
         live |= grown
     moves = {
         q: [
-            (i, mp.omega[a], dfa.delta[(q, a)])
+            (i, mp.omega[a], delta[(q, a)])
             for i, a in enumerate(mp.alphabet)
-            if dfa.delta[(q, a)] in live
+            if delta.get((q, a)) in live
         ]
-        for q in dfa.states
+        for q in nfa.states
     }
     # a node: (letter indices, state, counter, parent's N, parent's s)
     identity = [int(i == j) for i in range(d) for j in range(d)]
-    buckets = {0: [((), dfa.initial, 0, identity, 1)]}
+    (initial,) = nfa.initial
+    buckets = {0: [((), initial, 0, identity, 1)]}
     for ln in itertools.count():
         found = []
         bucket = buckets.setdefault(ln, [])
@@ -465,7 +475,7 @@ def word_frontier(
                 if g != 1:
                     n = [x // g for x in n]
                     s //= g
-            if len(word) == ln and q in dfa.accepting:  # counter 0 if exact
+            if len(word) == ln and q in nfa.accepting:  # counter 0 if exact
                 names = tuple(mp.alphabet[i] for i in word)
                 if not callable(predicate) or predicate(names):
                     found.append((word, names, n, s))
@@ -537,13 +547,13 @@ def oracle_closure(
     degree: int,
     max_len: int,
     caps: Caps = DEFAULT_CAPS,
-    dfa: CounterDfa | None = None,
+    nfa: Nfa | None = None,
 ) -> OracleResult:
     """finite_vanishing_space over the words of `word_frontier(mp, predicate,
-    dfa)` up to max_len; reports whether the space was identical over the
+    nfa)` up to max_len; reports whether the space was identical over the
     last `window` length increments."""
     return _oracle_over_words(
-        mp.dim, degree, word_frontier(mp, predicate, dfa), max_len, caps
+        mp.dim, degree, word_frontier(mp, predicate, nfa), max_len, caps
     )
 
 
@@ -655,17 +665,17 @@ def run_saturation(
     mode: str,
     degree: int,
     caps: Caps,
-    dfa: CounterDfa | None = None,
+    nfa: Nfa | None = None,
     mode_name: str | None = None,
 ) -> PipelineResult:
     """`counter_saturation`, cross-checked against the brute-force oracle
-    over the same language (`word_frontier(mp, mode, dfa)`); on disagreement
+    over the same language (`word_frontier(mp, mode, nfa)`); on disagreement
     the result is withheld."""
-    space, bound = counter_saturation(mp, degree, mode, dfa, caps)
+    space, bound = counter_saturation(mp, degree, mode, nfa, caps)
     oracle = _oracle_over_words(
         mp.dim,
         degree,
-        word_frontier(mp, mode, dfa),
+        word_frontier(mp, mode, nfa),
         caps.oracle_len,
         caps,
         extend_to=caps.oracle_extend,
@@ -691,8 +701,7 @@ def run_cover(
 ) -> PipelineResult:
     if not mp.eta_is_default:
         return run_saturation(mp, "cover", degree, caps)
-    nfa = build_cover_automaton(mp, caps.states)
-    space = regular_closure(nfa, mp, degree, caps)
+    space = _vanishing_from_rows(mp.dim, degree, _threshold_rows(mp, degree, caps, "cover"))
     return PipelineResult(space, "cover", mp.eta, "cover-automaton")
 
 
@@ -701,11 +710,7 @@ def run_zero(
 ) -> PipelineResult:
     if not mp.eta_is_default:
         return run_saturation(mp, "zero", degree, caps)
-    bz_rows = _nfa_span_rows(
-        build_bz_automaton(mp, caps.states), mp, degree, caps,
-        "zero pipeline (bounded-zero stage)",
-    )
-    rows = bz_rows + _gamma_condition_rows(mp, degree, caps)
+    rows = _threshold_rows(mp, degree, caps, "bz") + _gamma_condition_rows(mp, degree, caps)
     return PipelineResult(
         _vanishing_from_rows(mp.dim, degree, rows), "zero", mp.eta, "bz+flat"
     )

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import Nfa
-from .closure import (
-    Caps,
-    DEFAULT_CAPS,
-    CounterDfa,
-    PipelineResult,
-    run_saturation,
-)
+from .closure import Caps, DEFAULT_CAPS, PipelineResult, run_saturation
 from .errors import InfeasibleError, PreconditionError, SchemaError
 from .exactlin import Matrix, Subspace, Vector, kernel_basis
 from .lang import MorphismPair
@@ -67,7 +61,7 @@ def blockify_regular(mp: MorphismPair, dfa: Nfa) -> BlockMorphism:
     pos = {q: i for i, q in enumerate(order)}
     k, d = len(order), mp.dim
     b = d + 1
-    delta = {(q, a): q2 for (q, a, q2) in dfa.transitions}
+    delta = dfa.delta()
     lifted = {}
     for a in mp.alphabet:
         m = [[Fraction(0)] * (k * b) for _ in range(k * b)]
@@ -162,7 +156,7 @@ class Vass:
                 )
 
 
-def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, CounterDfa]:
+def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Nfa]:
     """The state-elimination recipe: transitions become letters carrying their
     weights, the path language becomes a complete DFA constraint, and the
     matrices come from the original letters."""
@@ -175,17 +169,14 @@ def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Cou
         phi[name] = mp.phi[letter]
         omega[name] = weight
     mp_t = MorphismPair(letters, mp.dim, phi, omega, mp.eta)
-    delta = {}
-    for q in vass.states + (DEAD,):
-        for name, (src, _, _, dst) in zip(letters, vass.transitions):
-            delta[(q, name)] = dst if q == src else DEAD
-    dfa = CounterDfa(
-        states=vass.states + (DEAD,),
-        initial=vass.initial,
-        accepting=frozenset(vass.accepting),
-        delta=delta,
+    states = vass.states + (DEAD,)
+    transitions = frozenset(
+        (q, name, dst if q == src else DEAD)
+        for q in states
+        for name, (src, _, _, dst) in zip(letters, vass.transitions)
     )
-    return mp_t, dfa
+    return mp_t, Nfa(states, letters, frozenset({vass.initial}), frozenset(vass.accepting),
+                      transitions)
 
 
 def run_vass(

@@ -11,7 +11,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import contains_poly, powers_morphism, random_matrix, rref, unipotent_morphism
-from zclosure.automata import Nfa, gamma_alphabet, gamma_weight
+from zclosure.automata import (
+    Nfa,
+    build_bz_automaton,
+    build_cover_automaton,
+    gamma_alphabet,
+    gamma_weight,
+)
 from zclosure.closure import (
     Caps,
     Span,
@@ -20,6 +26,8 @@ from zclosure.closure import (
     _integer_maps,
     _mu_pullback_rows,
     _tensor_index,
+    _threshold_rows,
+    _vanishing_from_rows,
     apply_map,
     counter_saturation,
     finite_vanishing_space,
@@ -42,13 +50,6 @@ from zclosure.polys import (
     parse_poly,
     space_to_generators,
 )
-
-
-def _sigma_star(alphabet):
-    return Nfa(
-        ("q",), tuple(alphabet), frozenset({"q"}), frozenset({"q"}),
-        frozenset({("q", a, "q") for a in alphabet}),
-    )
 
 
 def test_finite_vanishing_examples():
@@ -288,7 +289,7 @@ def test_regular_closure_clears_letter_denominators():
                 break
             prev = space
             powers.append(powers[-1] * a)
-        engine = regular_closure(_sigma_star("a"), mp, degree)
+        engine = regular_closure(Nfa.universal("a"), mp, degree)
         assert engine == space
         assert contains_poly(engine, parse_poly("5*x12 + 2*x11 - 2*x22", 2))
 
@@ -370,7 +371,7 @@ def test_cover_default_eta_examples():
     mp0 = MorphismPair(
         ("a", "b"), 1, {"a": Matrix([[2]]), "b": Matrix([[3]])}, {"a": 0, "b": 0}
     )
-    full_lang = regular_closure(_sigma_star("ab"), mp0, 2)
+    full_lang = regular_closure(Nfa.universal("ab"), mp0, 2)
     assert run_cover(mp0, 2).space == full_lang
     assert run_zero(mp0, 2).space == full_lang
 
@@ -413,13 +414,16 @@ def test_cover_d2_default_eta_trips_budget():
     assert "budget" in str(err.value)
 
 
-# d = 1, degree 1: 2 coordinates.  At the default eta = 17 the bounded-zero
-# automaton has 35 states (70 within a budget of 100) and the product-alphabet
-# stage 69 counters of 2^4 tensor coordinates; at eta = 2 the reach window of
-# bound 2 has 3 configurations.
+# d = 1, degree 1: 2 coordinates.  At the default eta = 17 the cover stage
+# has 18 configurations (17 counters and the top), the bounded-zero stage 35
+# (70 within a budget of 100) and the product-alphabet stage 69 counters of
+# 2^4 tensor coordinates; at eta = 2 the reach window of bound 2 has 3
+# configurations.
 @pytest.mark.parametrize("run, budget, stage", [
-    (lambda mp, caps: regular_closure(_sigma_star(mp.alphabet), mp, 1, caps), 1,
+    (lambda mp, caps: regular_closure(Nfa.universal(mp.alphabet), mp, 1, caps), 1,
      r"regular closure: states x Veronese = 1x2 "),
+    (lambda mp, caps: run_cover(mp, 1, caps), 30,
+     r"cover pipeline \(cover-automaton stage\): states x Veronese = 18x2 "),
     (lambda mp, caps: run_zero(mp, 1, caps), 60,
      r"zero pipeline \(bounded-zero stage\): states x Veronese = 35x2 "),
     (lambda mp, caps: run_zero(mp, 1, caps), 100,
@@ -430,6 +434,29 @@ def test_cover_d2_default_eta_trips_budget():
 def test_budget_refusal_names_its_stage(run, budget, stage):
     with pytest.raises(InfeasibleError, match=f"^{stage}exceeds the budget {budget};"):
         run(powers_morphism(), Caps(budget=budget))
+
+
+_THRESHOLD_ENTRIES = st.sampled_from([Fraction(x) for x in (0, 1, -1, 2, 3)] + [Fraction(1, 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(("cover", "bz")))
+def test_threshold_stages_equal_their_automata(data, mode):
+    # the counter stages at a small eta against the fixpoint over the built
+    # cover or bounded-zero automaton, whose counter is folded into the state
+    d = data.draw(st.integers(1, 2))
+    alphabet = ("a", "b", "c")[:data.draw(st.integers(1, 3))]
+    mp = MorphismPair(
+        alphabet, d,
+        {a: Matrix([[data.draw(_THRESHOLD_ENTRIES) for _ in range(d)] for _ in range(d)])
+         for a in alphabet},
+        {a: data.draw(st.sampled_from([-1, 0, 1])) for a in alphabet},
+        data.draw(st.sampled_from([1, 2, 3, 5])),
+    )
+    degree = data.draw(st.integers(1, 2))
+    build = build_cover_automaton if mode == "cover" else build_bz_automaton
+    stage = _vanishing_from_rows(d, degree, _threshold_rows(mp, degree, Caps(), mode))
+    assert stage == regular_closure(build(mp), mp, degree)
 
 
 def test_reach_default_eta_refuses():

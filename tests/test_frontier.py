@@ -2,9 +2,11 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zclosure.automata import Nfa
 from zclosure.closure import (
     Caps,
     _oracle_over_words,
@@ -12,6 +14,7 @@ from zclosure.closure import (
     oracle_closure,
     word_frontier,
 )
+from zclosure.errors import PreconditionError
 from zclosure.exactlin import Matrix
 from zclosure.lang import MorphismPair, in_language
 from zclosure.reduction import Vass, vass_to_constrained
@@ -103,6 +106,38 @@ def test_vass_frontier_matches_brute_force_in_order(data, mode):
     _assert_lengths_match(
         mp_t, word_frontier(mp_t, mode, dfa), lambda ln: _vass_brute(vass, mode, ln)
     )
+
+
+@st.composite
+def _partial_dfas(draw, alphabet):
+    states = (0, 1, 2)[: draw(st.integers(1, 3))]
+    transitions = frozenset(
+        (q, a, draw(st.sampled_from(states)))
+        for q in states for a in alphabet if draw(st.booleans())
+    )
+    accepting = frozenset(draw(st.sets(st.sampled_from(states), min_size=1)))
+    return Nfa(states, alphabet, frozenset({0}), accepting, transitions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(PREDICATES))
+def test_partial_dfa_frontier_matches_brute_force_in_order(data, predicate):
+    mp = data.draw(_morphism_pairs())
+    dfa = data.draw(_partial_dfas(mp.alphabet))
+    _assert_lengths_match(
+        mp, word_frontier(mp, predicate, dfa),
+        lambda ln: [w for w in _brute(mp, predicate, ln) if dfa.accepts(w)],
+    )
+
+
+def test_frontier_refuses_a_nondeterministic_automaton():
+    mp = MorphismPair(("a",), 1, {"a": Matrix([[2]])}, {"a": 1})
+    two_targets = Nfa((0, 1), ("a",), frozenset({0}), frozenset({1}),
+                      frozenset({(0, "a", 0), (0, "a", 1)}))
+    two_initial = Nfa((0, 1), ("a",), frozenset({0, 1}), frozenset({1}), frozenset())
+    for nfa in (two_targets, two_initial):
+        with pytest.raises(PreconditionError, match="deterministic"):
+            next(word_frontier(mp, "cover", nfa))
 
 
 @settings(max_examples=60, deadline=None)

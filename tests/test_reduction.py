@@ -31,13 +31,6 @@ from zclosure.reduction import (
 BIG = replace(DEFAULT_CAPS, budget=10 ** 6, veronese=10 ** 5)
 
 
-def _sigma_star(alphabet):
-    return Nfa(
-        ("q",), tuple(alphabet), frozenset({"q"}), frozenset({"q"}),
-        frozenset({("q", a, "q") for a in alphabet}),
-    )
-
-
 def _phi1():
     return MorphismPair(
         ("a", "b"), 2,
@@ -54,7 +47,7 @@ def _label_dfa():
 
 
 def test_blockify_one_state_dimension():
-    bm = blockify_regular(unipotent_morphism(), _sigma_star("ab"))
+    bm = blockify_regular(unipotent_morphism(), Nfa.universal("ab"))
     assert bm.dim == 3
     # single block: the lift embeds phi with the homogenizing 1
     lifted = bm.lifted["a"]
@@ -139,7 +132,7 @@ def test_pullback_vectors_evaluate_to_the_homogenized_base_monomials(data, d, k,
 
 def test_extraction_reproduces_reference_block_ideal():
     bm = blockify_regular(_phi1(), _label_dfa())
-    lifted = regular_closure(_sigma_star("ab"), bm.morphism_pair, 2, BIG)
+    lifted = regular_closure(Nfa.universal("ab"), bm.morphism_pair, 2, BIG)
     ext = extract_block_closure(lifted, bm, 2)
     assert ext == ideal_slice(gens_from_strings(2, 2, ["x12", "x11^2 - x22"]), 2)
 
@@ -159,7 +152,7 @@ def test_extraction_is_sound_on_enumerated_words():
     # every returned polynomial vanishes on phi(w) for every state-accepted
     # word up to length 12
     bm = blockify_regular(_phi1(), _label_dfa())
-    lifted = regular_closure(_sigma_star("ab"), bm.morphism_pair, 2, BIG)
+    lifted = regular_closure(Nfa.universal("ab"), bm.morphism_pair, 2, BIG)
     ext = extract_block_closure(lifted, bm, 2)
     polys = ext.polynomials()
     dfa = _label_dfa()
@@ -182,10 +175,10 @@ def test_extraction_is_sound_on_enumerated_words():
 
 def test_extraction_one_state_drops_homogenizer():
     mp = unipotent_morphism()
-    bm = blockify_regular(mp, _sigma_star("ab"))
-    lifted = regular_closure(_sigma_star("ab"), bm.morphism_pair, 1, BIG)
+    bm = blockify_regular(mp, Nfa.universal("ab"))
+    lifted = regular_closure(Nfa.universal("ab"), bm.morphism_pair, 1, BIG)
     assert extract_block_closure(lifted, bm, 1) == regular_closure(
-        _sigma_star("ab"), mp, 1
+        Nfa.universal("ab"), mp, 1
     )
 
 
@@ -197,20 +190,20 @@ def test_extraction_round_trip_on_finite_language():
         frozenset({(q, a, min(q + 1, 3)) for q in (0, 1, 2, 3) for a in "ab"}),
     )
     bm = blockify_regular(mp, fin)
-    lifted = regular_closure(_sigma_star("ab"), bm.morphism_pair, 2, BIG)
+    lifted = regular_closure(Nfa.universal("ab"), bm.morphism_pair, 2, BIG)
     ext = extract_block_closure(lifted, bm, 2)
     points = [mp.image(w) for w in itertools.product("ab", repeat=2)]
     assert ext == finite_vanishing_space(points, 2)
 
 
 def test_extraction_vacuous_full_space():
-    bm = blockify_regular(powers_morphism(), _sigma_star("ab"))
+    bm = blockify_regular(powers_morphism(), Nfa.universal("ab"))
     full = PolySpace.full(bm.dim, 2)
     assert extract_block_closure(full, bm, 2) == PolySpace.full(1, 2)
 
 
 def test_extraction_degree_guard():
-    bm = blockify_regular(powers_morphism(), _sigma_star("ab"))
+    bm = blockify_regular(powers_morphism(), Nfa.universal("ab"))
     with pytest.raises(PreconditionError):
         extract_block_closure(PolySpace.full(bm.dim, 2), bm, 1)
 
@@ -232,8 +225,8 @@ def test_vass_to_constrained_shapes():
     assert mp_t.omega == {"t0": 1, "t1": -1, "t2": -1}
     assert mp_t.phi["t0"] == unipotent_morphism().phi["a"]
     assert set(dfa.states) == {"s", "t", "_dead"}
-    assert dfa.delta[("s", "t0")] == "s"
-    assert dfa.delta[("t", "t0")] == "_dead"
+    assert dfa.delta()[("s", "t0")] == "s"
+    assert dfa.delta()[("t", "t0")] == "_dead"
 
 
 def test_vass_word_enumeration_matches_brute_force():

@@ -8,21 +8,22 @@ bound, and `counter_saturation` the same bound and space.
 """
 from collections import deque
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unipotent_morphism
+from zclosure.automata import Nfa
 from zclosure.closure import (
     Caps,
-    CounterDfa,
     Span,
     _check_budget,
     _cleared,
     _integer_maps,
+    _moves,
     _vanishing_from_rows,
-    _window_moves,
     _window_rows,
     apply_map,
     counter_saturation,
@@ -41,7 +42,9 @@ def cold_window(mp, degree, mode, dfa, bound, caps, maps):
     _check_budget(nstates, n, caps, f"{mode} saturation at counter bound {bound}")
     spans = {}
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    queue = [((dfa.initial, 0), seed)]
+    delta = {(q, a): q2 for q, a, q2 in dfa.transitions}
+    (initial,) = dfa.initial
+    queue = [((initial, 0), seed)]
     while queue:
         (q, c), v = queue.pop()
         span = spans.get((q, c))
@@ -52,7 +55,7 @@ def cold_window(mp, degree, mode, dfa, bound, caps, maps):
         for a in mp.alphabet:
             c2 = c + mp.omega[a]
             if lo <= c2 <= bound:
-                queue.append(((dfa.delta[(q, a)], c2), apply_map(maps[a], v)))
+                queue.append(((delta[(q, a)], c2), apply_map(maps[a], v)))
     acc = Span(n)
     for (q, c), span in sorted(spans.items(), key=lambda kv: str(kv[0])):
         if q in dfa.accepting and (mode == "cover" or c == 0):
@@ -87,12 +90,13 @@ def instances(draw):
     omega = {a: draw(st.sampled_from([-1, 0, 1])) for a in alphabet}
     mp = MorphismPair(alphabet, d, phi, omega, 2)
     mode = draw(st.sampled_from(["cover", "reach", "zero"]))
-    dfa = CounterDfa.trivial(alphabet)
+    dfa = Nfa.universal(alphabet)
     if draw(st.booleans()):
         states = (0, 1)
-        delta = {(q, a): draw(st.sampled_from(states)) for q in states for a in alphabet}
+        transitions = frozenset((q, a, draw(st.sampled_from(states)))
+                                for q in states for a in alphabet)
         accepting = frozenset(draw(st.sets(st.sampled_from(states), min_size=1)))
-        dfa = CounterDfa(states, 0, accepting, delta)
+        dfa = Nfa(states, alphabet, frozenset({0}), accepting, transitions)
     degree = draw(st.integers(1, 2))
     return mp, degree, mode, dfa
 
@@ -105,8 +109,8 @@ def warm_dims_equal_cold(mp, degree, mode, dfa, counter):
     n = len(monomial_basis(mp.dim * mp.dim, degree))
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     accepted = Span(n)
-    moves = _window_moves(mp, dfa, maps)
-    window = ({}, accepted, deque([((dfa.initial, 0), seed)]), {})
+    moves = _moves(dfa, {a: partial(apply_map, cols) for a, cols in maps.items()}, mp.omega)
+    window = ({}, accepted, deque([((initial, 0), seed) for initial in dfa.initial]), {})
     dims = []
     for bound in range(2, counter + 1):
         dims.append(_window_rows(mode, dfa, moves, bound, caps, window))
@@ -130,9 +134,9 @@ def test_pushes_refused_at_the_edge_are_replayed(mode, weight):
     # push that window b refused at counter +-(b+1)
     mp = MorphismPair(("a", "c"), 1, {"a": Matrix([[2]]), "c": Matrix([[1]])},
                       {"a": weight, "c": -weight}, 2)
-    delta = {("p", "a"): "p", ("p", "c"): "r", ("r", "a"): "x", ("r", "c"): "r",
-             ("x", "a"): "x", ("x", "c"): "x"}
-    dfa = CounterDfa(("p", "r", "x"), "p", frozenset({"p", "r"}), delta)
+    transitions = frozenset({("p", "a", "p"), ("p", "c", "r"), ("r", "a", "x"), ("r", "c", "r"),
+                             ("x", "a", "x"), ("x", "c", "x")})
+    dfa = Nfa(("p", "r", "x"), ("a", "c"), frozenset({"p"}), frozenset({"p", "r"}), transitions)
     dims = warm_dims_equal_cold(mp, 4, mode, dfa, counter=6)
     assert dims[:3] == [3, 4, 5]
 
@@ -170,5 +174,5 @@ def test_window_zero_returns_at_bound_two():
     mp = unipotent_morphism().with_eta(2)
     space, bound = counter_saturation(mp, 2, "reach", None, Caps(window=0))
     assert bound == 2
-    assert (space, bound) == cold_saturation(mp, 2, "reach", CounterDfa.trivial(mp.alphabet),
+    assert (space, bound) == cold_saturation(mp, 2, "reach", Nfa.universal(mp.alphabet),
                                              Caps(window=0))
