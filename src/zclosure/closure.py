@@ -20,13 +20,15 @@ A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
 letter and cleared of denominators once (scaling every path image by a
 nonzero constant), and `Span` keeps primitive integer rows by fraction-free
-elimination.  The vectors are mostly zeros, so the letter maps are kept by
-columns (`Columns`): `apply_map` and `_tensor_apply` visit only the nonzero
-coordinates of the vector they map, and `Span` eliminates over each row's
-support.  The integer rows go straight to `kernel_basis`; `Fraction`
-appears only in the final division by the pivots.  Worklists are first in,
-first out: the spans are least fixpoints in any order, but short words
-first keep the integers small.
+elimination, each only as its support and the values there.  The worklist
+pushes the row a span stored, the pushed vector's residual against the
+configuration's earlier rows, which is zero at their pivots.  The letter
+maps are kept by columns (`Columns`), so `apply_map` and `_tensor_apply`
+map a stored row by visiting only its support, into a dense image for the
+next insert.  The rows go to `kernel_basis` densified; `Fraction` appears
+only in the final division by the pivots.  Worklists are first in, first
+out: the spans are least fixpoints in any order, but short words first keep
+the integers small.
 
 The oracle shares only `Span` with the fixpoints.  Its words come from one
 lazy frontier over (automaton state, counter) (`word_frontier`); a prefix's
@@ -71,7 +73,7 @@ from .errors import (
     OracleDisagreementError,
     PreconditionError,
 )
-from .exactlin import Matrix, Span, Subspace, Vector, _cleared, kernel_basis, vec
+from .exactlin import Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, vec
 from .lang import PREDICATES, MorphismPair, Word
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
@@ -154,14 +156,15 @@ def letter_map(a: Matrix | Sequence[Sequence], degree: int) -> Columns:
     return [(tuple(ts), tuple(cs)) for ts, cs in cols]
 
 
-def apply_map(cols: Columns, v: Sequence[int]) -> tuple[int, ...]:
-    """T v, adding v[s] times column s for the nonzero v[s] only."""
+def apply_map(cols: Columns, row: Row) -> list[int]:
+    """T v for the sparse row v, dense: x times column s for each entry x of
+    v at s, so only v's support is visited."""
     out = [0] * len(cols)
-    for x, (ts, cs) in zip(v, cols):
-        if x:
-            for t, c in zip(ts, cs):
-                out[t] += c * x
-    return tuple(out)
+    for s, x in zip(*row):
+        ts, cs = cols[s]
+        for t, c in zip(ts, cs):
+            out[t] += c * x
+    return out
 
 
 def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, Columns]:
@@ -216,7 +219,8 @@ def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
 # The worklist fixpoint
 
 
-# Per state, its moves (step, weight, target): step maps a vector to its image.
+# Per state, its moves (step, weight, target): step maps a sparse row to its
+# dense image.
 Moves = dict[object, list[tuple[Callable, int, object]]]
 
 
@@ -226,13 +230,20 @@ def _fixpoint(
 ) -> None:
     """Grow `state` (span per configuration (q, c), accepted span, refused
     pushes by target counter) to the least fixpoint of the pushes ((q, c), v)
-    in `queue`, popped first in, first out.  A vector that grows its
-    configuration's span goes into the accepted span when q is accepting
-    (and c is 0 if `exact`), and is pushed along each move of q whose
-    counter stays in [lo, hi]; a push that leaves the range is parked,
-    unmapped, in `refused` (if kept) when a wider range can admit it: ranges
-    grow upwards, and downwards too when they reach below 0.  Budgets are
-    the callers' to check."""
+    in `queue`, dense vectors popped first in, first out.  When v grows its
+    configuration's span, the row the span stored goes into the accepted
+    span when q is accepting (and c is 0 if `exact`), and is pushed along
+    each move of q whose counter stays in [lo, hi]; a push that leaves the
+    range is parked, unmapped, in `refused` (if kept) when a wider range can
+    admit it: ranges grow upwards, and downwards too when they reach below
+    0.  Budgets are the callers' to check.
+
+    The row is v's primitive residual against the configuration's earlier
+    rows: a multiple of v minus a multiple of it lies in their span, and
+    each of them has already been accepted, pushed along every admitted move
+    and parked on every refused one.  So pushing the row instead of v leaves
+    every span as it was, and the row is zero at the earlier rows' pivots,
+    so the maps visit fewer coordinates."""
     spans, accepted, refused = state
     while queue:
         (q, c), v = queue.popleft()
@@ -241,14 +252,15 @@ def _fixpoint(
             span = spans[(q, c)] = Span(len(v))
         if not span.insert(v):
             continue
+        row = span.rows[-1]
         if q in accepting and not (exact and c):
-            accepted.insert(v)
+            accepted.insert(dense(row, span.n))
         for step, w, q2 in moves[q]:
             c2 = c + w
             if lo <= c2 <= hi:
-                queue.append(((q2, c2), step(v)))
+                queue.append(((q2, c2), step(row)))
             elif refused is not None and (c2 > hi or lo < 0):
-                refused.setdefault(c2, []).append((q2, v, step))
+                refused.setdefault(c2, []).append((q2, row, step))
 
 
 def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Moves:
@@ -280,7 +292,7 @@ def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> list[
     queue = deque(((q, 0), seed) for q in nfa.states if q in nfa.initial)
     moves = _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0))
     _fixpoint(queue, moves, nfa.accepting, False, 0, 0, ({}, accepted, None))
-    return accepted.rows
+    return accepted.dense_rows()
 
 
 def regular_closure(
@@ -305,10 +317,10 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> lis
     _fixpoint(deque([(("*", 0), seed)]), _moves(sigma, steps, mp.omega), sigma.accepting,
               not cover, lo, hi, ({}, accepted, parked))
     if cover:
-        top = deque((("*", eta), step(v)) for _, v, step in parked.get(eta, ()))
+        top = deque((("*", eta), step(row)) for _, row, step in parked.get(eta, ()))
         _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
                   False, eta, eta, ({}, accepted, None))
-    return accepted.rows
+    return accepted.dense_rows()
 
 
 def finite_vanishing_space(
@@ -354,7 +366,7 @@ def _window_rows(
     nstates = len(nfa.states) * (bound - lo + 1)
     _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
     for c in [c for c in refused if lo <= c <= bound]:
-        queue.extend(((q, c), step(v)) for q, v, step in refused.pop(c))
+        queue.extend(((q, c), step(row)) for q, row, step in refused.pop(c))
     _fixpoint(queue, moves, nfa.accepting, mode != "cover", lo, bound, (spans, accepted, refused))
     return accepted.dim
 
@@ -387,7 +399,7 @@ def counter_saturation(
     for bound in range(2, caps.counter + 1):
         history.append(_window_rows(mode, nfa, moves, bound, caps, window))
         if _stable(history, caps.window):
-            return _vanishing_from_rows(mp.dim, degree, accepted.rows), bound
+            return _vanishing_from_rows(mp.dim, degree, accepted.dense_rows()), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
         f"{caps.counter}; raise the counter cap"
@@ -428,13 +440,22 @@ def word_frontier(
     bucket n is expanded only when length n is asked for.  A node's image is
     one integer product of its parent's image with the letter's
     denominator-cleared matrix, made when the node is expanded.  States from
-    which no accepting state is reachable are never entered.
+    which no accepting state is reachable are never entered.  The predicate
+    and the automaton are checked when the frontier is made, before any
+    length is asked for.
     """
     if not callable(predicate) and predicate not in PREDICATES:
         raise PreconditionError(f"unknown predicate {predicate!r}")
     nfa = nfa or Nfa.universal(mp.alphabet)
     if not nfa.is_deterministic():
         raise PreconditionError("the oracle's automaton must be deterministic")
+    return _frontier(mp, predicate, nfa)
+
+
+def _frontier(
+    mp: MorphismPair, predicate: str | Callable[[Word], bool], nfa: Nfa
+) -> Iterator[Length]:
+    """`word_frontier`'s generator, over a checked predicate and automaton."""
     exact = predicate in ("reach", "zero", "bz")
     lo = {"cover": 0, "reach": 0, "bz": -mp.eta}.get(predicate, -inf)
     hi = mp.eta if predicate == "bz" else inf
@@ -537,7 +558,7 @@ def _oracle_over_words(
             history.append(span.dim)
         if capped or (ln >= max_len and (extend_to is None or window_stable())):
             break
-    space = _vanishing_from_rows(mp_dim, degree, span.rows)
+    space = _vanishing_from_rows(mp_dim, degree, span.dense_rows())
     return OracleResult(space, window_stable() and not capped, achieved, used)
 
 
@@ -565,19 +586,19 @@ def _tensor_index(n: int, idx: tuple[int, int, int, int]) -> int:
     return ((idx[0] * n + idx[1]) * n + idx[2]) * n + idx[3]
 
 
-def _tensor_apply(cols: Columns, f: int, v: Sequence[int], n: int) -> list[int]:
+def _tensor_apply(cols: Columns, f: int, row: Row, n: int) -> list[int]:
     """The map `cols` applied to factor f of a tensor of four n-vectors,
-    (I x .. x T x .. x I) v, with T in position f; like `apply_map`, only
-    the nonzero coordinates of v are visited."""
-    out = [0] * len(v)
+    (I x .. x T x .. x I) v for the sparse row v, dense; like `apply_map`,
+    only v's support is visited.  Factor f of the flat index k is
+    k // stride % n, and T moves k by stride per step of that factor."""
+    out = [0] * n ** 4
     stride = n ** (3 - f)  # distance between consecutive values of factor f
-    block = n * stride  # size of one full cycle of factor f
-    for start in range(0, len(v), block):
-        for base in range(start, start + stride):
-            for x, (ts, cs) in zip(v[base:base + block:stride], cols):
-                if x:
-                    for t, c in zip(ts, cs):
-                        out[base + t * stride] += c * x
+    for k, x in zip(*row):
+        s = k // stride % n
+        ts, cs = cols[s]
+        base = k - s * stride
+        for t, c in zip(ts, cs):
+            out[base + t * stride] += c * x
     return out
 
 
@@ -640,7 +661,7 @@ def _gamma_condition_rows(
     mu_rows = _mu_pullback_rows(d, degree)
     return [
         tuple(sum(c * s[idx] for idx, c in row.items()) for row in mu_rows)
-        for s in spans[("*", 0)].rows
+        for s in spans[("*", 0)].dense_rows()
     ]
 
 
@@ -670,12 +691,14 @@ def run_saturation(
 ) -> PipelineResult:
     """`counter_saturation`, cross-checked against the brute-force oracle
     over the same language (`word_frontier(mp, mode, nfa)`); on disagreement
-    the result is withheld."""
+    the result is withheld.  The frontier is made first, so an automaton
+    the oracle cannot read is refused before the saturation runs."""
+    lengths = word_frontier(mp, mode, nfa)
     space, bound = counter_saturation(mp, degree, mode, nfa, caps)
     oracle = _oracle_over_words(
         mp.dim,
         degree,
-        word_frontier(mp, mode, nfa),
+        lengths,
         caps.oracle_len,
         caps,
         extend_to=caps.oracle_extend,

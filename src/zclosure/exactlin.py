@@ -14,12 +14,16 @@ the exterior greedy basis insert into it directly; the rest goes through
 it keeps primitive integer rows by fraction-free elimination; `Fraction`
 appears only where `Span.basis()` divides its integer Gauss-Jordan form by
 the pivots, which gives the canonical RREF.  The fixpoints' vectors are
-mostly zeros, so each row keeps its support and a positive pivot entry: a
-row operation updates the vector only over the row's support, and scales all
-of it only when the pivot entry does not divide the vector's entry there.  A
-span that refuses a vector at dimension at least half its ambient dimension
-also keeps its annihilator and tests membership by dot products against it,
-which pays only where most inserts are refused (the oracle).
+mostly zeros, so a row is stored only sparsely, as a pair of int tuples
+(support, values) with the pivot first and a positive pivot entry (`Row`):
+a row operation updates the vector only over the row's support, and scales
+all of it only when the pivot entry does not divide the vector's entry
+there.  A tuple of ints holds nothing the cyclic garbage collector must
+follow, so it untracks the rows; `basis()` and `dense_rows()` densify on
+demand.  A span that refuses a vector at dimension at least half its
+ambient dimension also keeps its annihilator and tests membership by dot
+products against it, which pays only where most inserts are refused (the
+oracle).
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -37,6 +41,8 @@ from typing import Iterable, Sequence
 from .errors import DimensionError, PreconditionError
 
 Vector = tuple[Fraction, ...]
+# A sparse integer vector: its nonzero columns, ascending, and its entries there.
+Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _frac(x) -> Fraction:
@@ -118,20 +124,23 @@ def _cleared(v: Iterable[Fraction]) -> list[int]:
 
 
 class Span:
-    """Incremental span of dense integer vectors, kept fraction-free.
+    """Incremental span of integer vectors, kept fraction-free.
 
-    Rows are primitive integer lists in semi-echelon form, in insertion
-    order: each row is zero at the pivots (first nonzero columns) of the
-    rows before it, and its pivot entry is positive.  Membership does not
-    depend on scaling, so `insert` eliminates by integer combinations and
-    never leaves the integers.  Each row also keeps its support, the list
-    of its nonzero columns (the pivot first): clearing a pivot from v
-    touches only that support, and multiplies the whole of v only when the
-    pivot entry does not divide v's entry there, so a row whose pivot entry
-    is 1 never scales it (with a pivot entry of -1 every step would).
-    `reduced()` eliminates each row at the pivots of the rows after it, the
-    same step run backwards, and `basis()` divides that integer
-    Gauss-Jordan form by its pivots: the canonical `Fraction` RREF.
+    Each row is a pair of int tuples (support, values): its nonzero columns,
+    ascending, and its entries there.  The rows are primitive and in
+    semi-echelon form, in insertion order: each is zero at the pivots
+    (first nonzero columns) of the rows before it, and its pivot entry,
+    values[0], is positive.  Membership does not depend on scaling, so
+    `insert` eliminates a dense copy of v by integer combinations and never
+    leaves the integers: clearing a pivot touches only the row's support,
+    and multiplies the whole of v only when the pivot entry does not divide
+    v's entry there, so a row whose pivot entry is 1 never scales it (with
+    a pivot entry of -1 every step would).  A row holds only ints, so the
+    cyclic garbage collector untracks it and a collection walks each span's
+    row list, not its rows.  `reduced()` eliminates each row at the pivots
+    of the rows after it, the same step run backwards; `basis()` divides
+    that integer Gauss-Jordan form by its pivots, the canonical `Fraction`
+    RREF, and `dense_rows()` gives the rows as dense lists.
 
     Once an insert is refused at dimension at least n/2, the span also keeps
     `ann`, a primitive integer basis of the annihilator {k : k.r = 0 for
@@ -143,40 +152,47 @@ class Span:
     never builds it.
     """
 
+    __slots__ = ("n", "rows", "ann")
+
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.supports: list[list[int]] = []
+        self.rows: list[Row] = []
         self.ann: list[list[int]] | None = None
 
     @staticmethod
-    def _eliminate(
-        v: list[int],
-        rows: Sequence[list[int]],
-        pivots: Sequence[int],
-        supports: Sequence[list[int]],
-    ) -> list[int]:
+    def _eliminate(v: list[int], rows: Iterable[Row]) -> list[int]:
         """v plus integer multiples of the rows, zero at their pivots.  v is
         updated in place unless a pivot entry that does not divide it forces
         a scaled copy; the result is returned either way."""
-        for row, piv, support in zip(rows, pivots, supports):
-            c = v[piv]
+        for support, values in rows:
+            c = v[support[0]]
             if c:
-                p = row[piv]
+                p = values[0]
                 if p != 1:
                     g = gcd(p, c)
                     c //= g
                     if p != g:
                         p //= g
                         v = [p * x for x in v]
-                for k in support:
-                    v[k] -= c * row[k]
+                for k, x in zip(support, values):
+                    v[k] -= c * x
         return v
 
+    def _row(self, v: list[int]) -> Row | None:
+        """The primitive row of a dense v with a positive pivot entry, or
+        None for the zero vector."""
+        support = tuple(compress(range(self.n), v))
+        if not support:
+            return None
+        values = tuple(v[k] for k in support)
+        g = gcd(*values) if values[0] > 0 else -gcd(*values)
+        if g != 1:
+            values = tuple(x // g for x in values)
+        return support, values
+
     def insert(self, v: Iterable[int]) -> bool:
-        """Add v to the span; True iff the dimension grew.  v is copied, so
-        it may be a row of another span."""
+        """Add v, a dense integer vector, to the span; True iff the
+        dimension grew.  v is copied, never eliminated in place."""
         if len(self.rows) == self.n:
             return False  # already the whole space
         v = list(v)
@@ -196,62 +212,70 @@ class Span:
                     k = [p0 * x - c * y for x, y in zip(k, k0)]
                     g = gcd(*k)
                     ann[j] = [x // g for x in k]
-        v = self._eliminate(v, self.rows, self.pivots, self.supports)
-        support = list(compress(range(self.n), v))
-        if not support:
+        row = self._row(self._eliminate(v, self.rows))
+        if row is None:
             if ann is None and 2 * len(self.rows) >= self.n:
                 self.ann = self.annihilator()
             return False
-        g = gcd(*v) if v[support[0]] > 0 else -gcd(*v)
-        if g != 1:
-            v = [x // g for x in v]
-        self.rows.append(v)
-        self.pivots.append(support[0])
-        self.supports.append(support)
+        self.rows.append(row)
         return True
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduced(self) -> list[tuple[int, list[int]]]:
-        """(pivot, row) by pivot column: primitive integer rows, each zero at
-        the other rows' pivots, with a positive pivot entry."""
+    def reduced(self) -> list[Row]:
+        """The rows, each eliminated at the other rows' pivots and made
+        primitive again (positive pivots are only ever scaled by
+        positives), sorted by pivot column."""
         rows = self.rows[:]
-        supports = self.supports[:]
-        pivots = self.pivots
         for i in reversed(range(len(rows))):
-            # a copy: rows[i] may still be the span's own row
-            v = self._eliminate(rows[i][:], rows[i + 1:], pivots[i + 1:], supports[i + 1:])
-            g = gcd(*v)  # positive pivots are only ever scaled by positives
-            rows[i] = v = [x // g for x in v]
-            supports[i] = list(compress(range(self.n), v))
-        return sorted(zip(pivots, rows))
+            rows[i] = self._row(self._eliminate(dense(rows[i], self.n), rows[i + 1:]))
+        return sorted(rows)
 
     def annihilator(self) -> list[list[int]]:
         """Primitive integer basis of {k : k.r = 0 for every row r}, one
         vector per free column f: e_f times the lcm of the pivots, solved at
         the pivot columns of the integer Gauss-Jordan form."""
         reduced = self.reduced()
-        scale = lcm(*(row[p] for p, row in reduced))
-        pivots = {p for p, _ in reduced}
+        scale = lcm(*(values[0] for _, values in reduced))
+        pivots = {support[0] for support, _ in reduced}
+        solved: dict[int, list[tuple[int, int]]] = {}  # f -> (pivot, k[pivot])
+        for support, values in reduced:
+            m = scale // values[0]
+            for f, x in zip(support[1:], values[1:]):  # free columns only
+                solved.setdefault(f, []).append((support[0], -x * m))
         out = []
         for f in range(self.n):
             if f not in pivots:
                 k = [0] * self.n
                 k[f] = scale
-                for p, row in reduced:
-                    k[p] = -row[f] * (scale // row[p])
+                for p, x in solved.get(f, ()):
+                    k[p] = x
                 g = gcd(*k)
                 out.append([x // g for x in k])
         return out
 
     def basis(self) -> list[Vector]:
         zero = Fraction(0)  # one shared zero: most entries of a large basis
-        return [
-            tuple(Fraction(x, row[p]) if x else zero for x in row)
-            for p, row in self.reduced()
-        ]
+        out = []
+        for support, values in self.reduced():
+            row = [zero] * self.n
+            for k, x in zip(support, values):
+                row[k] = Fraction(x, values[0])
+            out.append(tuple(row))
+        return out
+
+    def dense_rows(self) -> list[list[int]]:
+        return [dense(row, self.n) for row in self.rows]
+
+
+def dense(row: Row, n: int) -> list[int]:
+    """The sparse row (support, values) as a list of length n."""
+    out = [0] * n
+    for k, x in zip(*row):
+        out[k] = x
+    return out
 
 
 def span_of(n: int, vectors: Iterable[Sequence]) -> Span:

@@ -8,7 +8,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from zclosure.errors import DimensionError
-from zclosure.exactlin import Matrix, Vector, span_of, vec
+from zclosure.exactlin import Matrix, Span, Vector, span_of, vec
 from zclosure.lang import MorphismPair
 from zclosure.polys import Poly, PolySpace, poly_to_vector
 
@@ -56,6 +56,62 @@ def rref(vectors: Iterable[Sequence]) -> list[Vector]:
         pivots.append(pcol)
     order = sorted(range(len(out)), key=lambda i: pivots[i])
     return [tuple(out[i]) for i in order]
+
+
+def dense_apply_map(cols, v: Sequence) -> list:
+    """T v for a dense v, by scanning every coordinate: the reference for
+    `closure.apply_map`, which visits only a sparse row's support."""
+    out = [0] * len(cols)
+    for x, (ts, cs) in zip(v, cols):
+        if x:
+            for t, c in zip(ts, cs):
+                out[t] += c * x
+    return out
+
+
+def dense_tensor_apply(cols, f: int, v: Sequence, n: int) -> list:
+    """(I x .. x T x .. x I) v, T in position f, for a dense tensor v of
+    four n-vectors, by walking every line of factor f: the reference for
+    `closure._tensor_apply`."""
+    out = [0] * len(v)
+    stride = n ** (3 - f)  # distance between consecutive values of factor f
+    block = n * stride  # size of one full cycle of factor f
+    for start in range(0, len(v), block):
+        for base in range(start, start + stride):
+            for x, (ts, cs) in zip(v[base:base + block:stride], cols):
+                if x:
+                    for t, c in zip(ts, cs):
+                        out[base + t * stride] += c * x
+    return out
+
+
+def sparse(v: Sequence) -> tuple[tuple[int, ...], tuple]:
+    """The (support, values) form of a dense vector."""
+    support = tuple(k for k, x in enumerate(v) if x)
+    return support, tuple(v[k] for k in support)
+
+
+def raw_fixpoint(queue, moves, accepting, exact, lo, hi, state) -> None:
+    """`closure._fixpoint` as it pushes, accepts and parks each vector v
+    that grows its configuration's span, rather than the row the span
+    stored; its moves' steps map dense vectors (`dense_apply_map`,
+    `dense_tensor_apply`)."""
+    spans, accepted, refused = state
+    while queue:
+        (q, c), v = queue.popleft()
+        span = spans.get((q, c))
+        if span is None:
+            span = spans[(q, c)] = Span(len(v))
+        if not span.insert(v):
+            continue
+        if q in accepting and not (exact and c):
+            accepted.insert(v)
+        for step, w, q2 in moves[q]:
+            c2 = c + w
+            if lo <= c2 <= hi:
+                queue.append(((q2, c2), step(v)))
+            elif refused is not None and (c2 > hi or lo < 0):
+                refused.setdefault(c2, []).append((q2, v, step))
 
 
 def contains_poly(space: PolySpace, p: Poly) -> bool:

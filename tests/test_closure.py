@@ -10,7 +10,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import contains_poly, powers_morphism, random_matrix, rref, unipotent_morphism
+from conftest import (
+    contains_poly,
+    dense_apply_map,
+    dense_tensor_apply,
+    powers_morphism,
+    random_matrix,
+    rref,
+    sparse,
+    unipotent_morphism,
+)
 from zclosure.automata import (
     Nfa,
     build_bz_automaton,
@@ -25,6 +34,7 @@ from zclosure.closure import (
     _gamma_condition_rows,
     _integer_maps,
     _mu_pullback_rows,
+    _tensor_apply,
     _tensor_index,
     _threshold_rows,
     _vanishing_from_rows,
@@ -41,7 +51,7 @@ from zclosure.closure import (
     veronese,
 )
 from zclosure.errors import InfeasibleError, OracleDisagreementError
-from zclosure.exactlin import Matrix, Subspace, kernel_basis, rank
+from zclosure.exactlin import Matrix, Subspace, dense, kernel_basis, rank
 from zclosure.lang import MorphismPair
 from zclosure.polys import (
     PolySpace,
@@ -65,6 +75,10 @@ def test_finite_vanishing_examples():
     assert finite_vanishing_space([], 2, dim=2) == PolySpace.full(2, 2)
 
 
+def _mapped(a, m, degree):
+    return tuple(apply_map(letter_map(a, degree), sparse(veronese(m, degree))))
+
+
 def test_veronese_transition_maps_are_exact():
     rng = random.Random(23)
     for _ in range(100):
@@ -74,21 +88,46 @@ def test_veronese_transition_maps_are_exact():
             degree = 2  # keep the suite quick; d=3,D=3 covered below
         m = random_matrix(rng, d)
         a = random_matrix(rng, d)
-        assert veronese(m * a, degree) == apply_map(letter_map(a, degree), veronese(m, degree))
+        assert veronese(m * a, degree) == _mapped(a, m, degree)
     m = random_matrix(rng, 3)
     a = random_matrix(rng, 3)
-    assert veronese(m * a, 3) == apply_map(letter_map(a, 3), veronese(m, 3))
+    assert veronese(m * a, 3) == _mapped(a, m, 3)
     # sparse and triangular matrices: nu_3(m) has zero coordinates, which
-    # the column maps skip
+    # its sparse row leaves out
     for _ in range(6):
         m, a = (Matrix([[rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)]) for _ in range(3)]
                         for _ in range(3)]) for _ in range(2))
-        assert veronese(m * a, 3) == apply_map(letter_map(a, 3), veronese(m, 3))
+        assert veronese(m * a, 3) == _mapped(a, m, 3)
         m, a = (Matrix([[rng.randint(-2, 2) if j >= i else 0 for j in range(3)]
                         for i in range(3)]) for _ in range(2))
-        v = veronese(m, 3)
-        assert 0 in v
-        assert veronese(m * a, 3) == apply_map(letter_map(a, 3), v)
+        assert 0 in veronese(m, 3)
+        assert veronese(m * a, 3) == _mapped(a, m, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 2), st.integers(1, 3))
+def test_sparse_map_kernels_match_dense_references(data, d, degree):
+    # random letters and sparse integer rows, often zero at the leading
+    # coordinates; every tensor factor f
+    entries = st.integers(-3, 3)
+    a = [[data.draw(entries) for _ in range(d)] for _ in range(d)]
+    cols = letter_map(a, degree)
+    n = len(cols)
+
+    def rows(length):
+        skip = data.draw(st.integers(0, length - 1))
+        support = data.draw(st.lists(st.integers(skip, length - 1), unique=True, max_size=6))
+        v = [0] * length
+        for k in support:
+            v[k] = data.draw(entries.filter(bool))
+        return v
+
+    v = rows(n)
+    assert apply_map(cols, sparse(v)) == dense_apply_map(cols, v)
+    if n <= 10:  # n^4 tensor coordinates
+        t = rows(n ** 4)
+        for f in range(4):
+            assert _tensor_apply(cols, f, sparse(t), n) == dense_tensor_apply(cols, f, t, n)
 
 
 def test_integer_maps_clear_the_rational_maps():
@@ -173,16 +212,20 @@ def _check_annihilator(span):
     assert len(rref(span.ann)) == len(span.ann)
     for k in span.ann:
         assert gcd(*k) == 1
-        assert all(sum(x * y for x, y in zip(k, row)) == 0 for row in span.rows)
+        assert all(sum(k[i] * x for i, x in zip(*row)) == 0 for row in span.rows)
 
 
-def _check_rows(span):
-    """Each row's support is exactly its nonzero columns, and its pivot is
-    the first of them, with a positive entry."""
-    assert len(span.supports) == len(span.rows) == len(span.pivots)
-    for row, p, support in zip(span.rows, span.pivots, span.supports):
-        assert support == [k for k, x in enumerate(row) if x]
-        assert p == support[0] and row[p] > 0
+def _check_rows(rows, n):
+    """Each row is a pair of int tuples (support, values): the support is
+    exactly its nonzero columns, ascending, so the pivot comes first, and the
+    pivot entry is positive."""
+    for support, values in rows:
+        assert type(support) is tuple and type(values) is tuple
+        assert all(type(x) is int for x in support + values)
+        assert len(support) == len(values) > 0
+        assert list(support) == sorted(set(support)) and 0 <= support[0] <= support[-1] < n
+        assert all(values)
+        assert values[0] > 0
 
 
 def _units(n, *ks):
@@ -209,7 +252,7 @@ def test_integer_span_matches_rational_rref(stream):
         assert span.insert(w) == (len(rref(inserted)) > before)
         assert w == _cleared(v)  # the input is copied, not eliminated in place
         assert span.dim == len(rref(inserted))
-        _check_rows(span)
+        _check_rows(span.rows, n)
         _check_annihilator(span)
     want = rref(inserted)
     assert span.basis() == want
@@ -217,20 +260,23 @@ def test_integer_span_matches_rational_rref(stream):
     assert rank(Matrix(vectors)) == len(want)
     # a span fed this one's rows, as the accepting-state merge does, leaves
     # them as they were
-    rows = [row[:] for row in span.rows]
+    rows = list(span.rows)
     merged = Span(n)
     for row in reversed(span.rows):
-        merged.insert(row)
+        merged.insert(dense(row, n))
     assert span.rows == rows
+    _check_rows(merged.rows, n)
     assert merged.basis() == want
     # the integer Gauss-Jordan form: primitive rows with positive pivots,
     # each zero at the other pivots, that divide to the RREF rows
     reduced = span.reduced()
-    assert [p for p, _ in reduced] == [next(k for k, x in enumerate(r) if x) for r in want]
-    for (p, row), r in zip(reduced, want):
-        assert row[p] > 0 and gcd(*row) == 1
-        assert all(row[q] == 0 for q, _ in reduced if q != p)
-        assert [Fraction(x, row[p]) for x in row] == list(r)
+    _check_rows(reduced, n)
+    pivots = [support[0] for support, _ in reduced]
+    assert pivots == [next(k for k, x in enumerate(r) if x) for r in want]
+    for (support, values), r in zip(reduced, want):
+        assert gcd(*values) == 1
+        assert not set(support) & set(pivots) - {support[0]}
+        assert [Fraction(x, values[0]) for x in dense((support, values), n)] == list(r)
 
 
 def _reference_kernel(rows, n):
@@ -623,7 +669,7 @@ def _full_gamma_span(mp, degree):
             full = q + w in spans and spans[q + w].dim == n ** 4
             if abs(q + w) <= 2 * mp.eta and not full:
                 queue.append((q + w, [sum(c * v[s] for s, c in row.items()) for row in rows]))
-    return spans[0].rows
+    return spans[0].dense_rows()
 
 
 _GAMMA_ENTRIES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),

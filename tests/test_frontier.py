@@ -137,7 +137,9 @@ def test_frontier_refuses_a_nondeterministic_automaton():
     two_initial = Nfa((0, 1), ("a",), frozenset({0, 1}), frozenset({1}), frozenset())
     for nfa in (two_targets, two_initial):
         with pytest.raises(PreconditionError, match="deterministic"):
-            next(word_frontier(mp, "cover", nfa))
+            word_frontier(mp, "reach", nfa)  # refused when made, not when advanced
+    with pytest.raises(PreconditionError, match="unknown predicate"):
+        word_frontier(mp, "sideways")
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,12 +9,13 @@ bound, and `counter_saturation` the same bound and space.
 from collections import deque
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unipotent_morphism
+from conftest import dense_apply_map, unipotent_morphism
 from zclosure.automata import Nfa
 from zclosure.closure import (
     Caps,
@@ -27,9 +28,10 @@ from zclosure.closure import (
     _window_rows,
     apply_map,
     counter_saturation,
+    run_saturation,
     veronese,
 )
-from zclosure.errors import InfeasibleError
+from zclosure.errors import InfeasibleError, PreconditionError
 from zclosure.exactlin import Matrix
 from zclosure.lang import MorphismPair
 from zclosure.polys import monomial_basis
@@ -55,11 +57,11 @@ def cold_window(mp, degree, mode, dfa, bound, caps, maps):
         for a in mp.alphabet:
             c2 = c + mp.omega[a]
             if lo <= c2 <= bound:
-                queue.append(((delta[(q, a)], c2), apply_map(maps[a], v)))
+                queue.append(((delta[(q, a)], c2), dense_apply_map(maps[a], v)))
     acc = Span(n)
     for (q, c), span in sorted(spans.items(), key=lambda kv: str(kv[0])):
         if q in dfa.accepting and (mode == "cover" or c == 0):
-            for row in span.rows:
+            for row in span.dense_rows():
                 acc.insert(row)
     return acc.basis()
 
@@ -176,3 +178,16 @@ def test_window_zero_returns_at_bound_two():
     assert bound == 2
     assert (space, bound) == cold_saturation(mp, 2, "reach", Nfa.universal(mp.alphabet),
                                              Caps(window=0))
+
+
+def test_saturation_refuses_a_nondeterministic_automaton_before_it_runs():
+    # the oracle reads only deterministic automata; the refusal comes before
+    # any window is built
+    mp = MorphismPair(("a", "b"), 1, {"a": Matrix([[2]]), "b": Matrix([[1]])},
+                      {"a": 1, "b": -1}, 2)
+    nfa = Nfa((0, 1), ("a", "b"), frozenset({0}), frozenset({1}),
+              frozenset({(0, "a", 0), (0, "a", 1), (1, "b", 1)}))
+    with mock.patch("zclosure.closure.counter_saturation") as saturation:
+        with pytest.raises(PreconditionError, match="deterministic"):
+            run_saturation(mp, "cover", 1, Caps(), nfa)
+    saturation.assert_not_called()
