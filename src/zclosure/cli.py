@@ -31,6 +31,7 @@ from .automata import (
     build_cover_automaton,
     build_reach_automaton,
     build_zero_automaton,
+    determinize,
 )
 from .closure import (
     Caps,
@@ -279,12 +280,13 @@ MODES = tuple(_RUNNERS)
 
 def _language(instance: Instance) -> tuple:
     """The instance's language as `oracle_closure` takes it: (morphism,
-    predicate, DFA), a 1-VASS's through `vass_to_constrained`."""
+    predicate name, DFA or None), a 1-VASS's through `vass_to_constrained`
+    and a regular NFA's as "all" under `determinize`, capped by caps.states."""
     if instance.vass is not None:
         mp, dfa = vass_to_constrained(instance.vass, instance.mp)
         return mp, instance.mode.removeprefix("vass-"), dfa
     if instance.nfa is not None:
-        return instance.mp, instance.nfa.accepts, None
+        return instance.mp, "all", determinize(instance.nfa, instance.caps.states)
     return instance.mp, instance.mode, None
 
 

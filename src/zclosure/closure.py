@@ -30,10 +30,12 @@ only in the final division by the pivots.  Worklists are first in, first
 out: the spans are least fixpoints in any order, but short words first keep
 the integers small.
 
-The oracle shares only `Span` with the fixpoints.  Its words come from one
-lazy frontier over (automaton state, counter) (`word_frontier`); a prefix's
-image is an integer matrix N over one denominator s, one direct product with
-its parent's, and a word's point is N^mono * s^(D - |mono|).
+The oracle shares only `Span` with the fixpoints.  It reads a language as a
+predicate name (`lang.bounds`) plus a deterministic automaton.  Its words
+come from one lazy frontier over (automaton state, counter)
+(`word_frontier`); a prefix's image is an integer matrix N over one
+denominator s, one direct product with its parent's, and a word's point is
+N^mono * s^(D - |mono|).
 
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
@@ -62,7 +64,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, gcd, inf, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -74,7 +76,7 @@ from .errors import (
     PreconditionError,
 )
 from .exactlin import Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, vec
-from .lang import PREDICATES, MorphismPair, Word
+from .lang import MorphismPair, Word, bounds
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
 
@@ -304,18 +306,19 @@ def regular_closure(
 
 def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> list[list[int]]:
     """Integer rows spanning the evaluations over the cover or bounded-zero
-    ("bz") language at mp.eta: the universal automaton on counters [-eta,
-    eta] ending at 0, or on [0, eta - 1], whose pushes past eta - 1 are
-    parked and then seed one absorbing top configuration (the cover
-    automaton's inf) where every letter has weight 0."""
+    ("bz") language at mp.eta: the universal automaton on the counters of
+    the bz window (`lang.bounds`), or on [0, eta - 1], whose pushes past
+    eta - 1 are parked and then seed one absorbing top configuration (the
+    cover automaton's inf) where every letter has weight 0."""
     eta, cover = mp.eta, mode == "cover"
-    lo, hi, what = ((0, eta - 1, "cover pipeline (cover-automaton stage)") if cover
-                    else (-eta, eta, "zero pipeline (bounded-zero stage)"))
+    lo, hi, exact = (0, eta - 1, False) if cover else bounds(mode, eta)
+    what = ("cover pipeline (cover-automaton stage)" if cover
+            else "zero pipeline (bounded-zero stage)")
     accepted, steps, seed = _stage(mp, degree, caps, hi - lo + 1 + cover, what)
     sigma = Nfa.universal(mp.alphabet)
     parked = {} if cover else None
     _fixpoint(deque([(("*", 0), seed)]), _moves(sigma, steps, mp.omega), sigma.accepting,
-              not cover, lo, hi, ({}, accepted, parked))
+              exact, lo, hi, ({}, accepted, parked))
     if cover:
         top = deque((("*", eta), step(row)) for _, row, step in parked.get(eta, ()))
         _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
@@ -355,19 +358,20 @@ def _window_rows(
     window: tuple[dict, Span, deque, dict],
 ) -> int:
     """Grow `window` (span per (state, counter), accepted span, worklist,
-    refused pushes by target counter) to the least fixpoint over the words
-    whose prefix weights stay in [lo, bound].  Windows nest, and each
-    accepted vector was pushed along every admitted move and parked,
+    refused pushes by target counter) to the least fixpoint over the words of
+    the mode's window (`lang.bounds`) cut to [-bound, bound].  Windows nest,
+    and each accepted vector was pushed along every admitted move and parked,
     unmapped, on every refused one; so replaying the parked pushes now
     admitted gives the fixpoint a cold start builds.  Returns the accepted
     dimension."""
     spans, accepted, queue, refused = window
-    lo = -bound if mode == "zero" else 0
+    lo, _, exact = bounds(mode, bound)
+    lo = max(lo, -bound)
     nstates = len(nfa.states) * (bound - lo + 1)
     _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
     for c in [c for c in refused if lo <= c <= bound]:
         queue.extend(((q, c), step(row)) for q, row, step in refused.pop(c))
-    _fixpoint(queue, moves, nfa.accepting, mode != "cover", lo, bound, (spans, accepted, refused))
+    _fixpoint(queue, moves, nfa.accepting, exact, lo, bound, (spans, accepted, refused))
     return accepted.dim
 
 
@@ -423,42 +427,32 @@ class OracleResult:
 Length = list[tuple[Word, list[int], int]]
 
 
-def word_frontier(
-    mp: MorphismPair,
-    predicate: str | Callable[[Word], bool],
-    nfa: Nfa | None = None,
-) -> Iterator[Length]:
+def word_frontier(mp: MorphismPair, predicate: str, nfa: Nfa | None = None) -> Iterator[Length]:
     """For n = 0, 1, 2, ...: the words of length n in the language, in
     letter-index order, each with its image.
 
     The language is the paths of `nfa` (default: every word; it must be
-    deterministic and may be partial) whose prefix weights satisfy
-    `predicate` (see `lang.in_language`), or the words a callable predicate
-    accepts.  A node is a prefix with its automaton state and counter.  It
-    waits in the bucket of the earliest length at which it can complete
-    (depth + |counter| when the total weight must be 0, else its depth), and
-    bucket n is expanded only when length n is asked for.  A node's image is
-    one integer product of its parent's image with the letter's
-    denominator-cleared matrix, made when the node is expanded.  States from
-    which no accepting state is reachable are never entered.  The predicate
-    and the automaton are checked when the frontier is made, before any
-    length is asked for.
+    deterministic and may be partial) whose prefix weights stay in the
+    predicate's window (`lang.bounds`).  A node is a prefix with its
+    automaton state and counter.  It waits in the bucket of the earliest
+    length at which it can complete (depth + |counter| when the total weight
+    must be 0, else its depth), and bucket n is expanded only when length n
+    is asked for.  A node's image is one integer product of its parent's
+    image with the letter's denominator-cleared matrix, made when the node
+    is expanded.  States from which no accepting state is reachable are
+    never entered.  The predicate and the automaton are checked when the
+    frontier is made, before any length is asked for.
     """
-    if not callable(predicate) and predicate not in PREDICATES:
-        raise PreconditionError(f"unknown predicate {predicate!r}")
+    bounds(predicate, mp.eta)  # refuses an unknown predicate
     nfa = nfa or Nfa.universal(mp.alphabet)
     if not nfa.is_deterministic():
         raise PreconditionError("the oracle's automaton must be deterministic")
     return _frontier(mp, predicate, nfa)
 
 
-def _frontier(
-    mp: MorphismPair, predicate: str | Callable[[Word], bool], nfa: Nfa
-) -> Iterator[Length]:
+def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa) -> Iterator[Length]:
     """`word_frontier`'s generator, over a checked predicate and automaton."""
-    exact = predicate in ("reach", "zero", "bz")
-    lo = {"cover": 0, "reach": 0, "bz": -mp.eta}.get(predicate, -inf)
-    hi = mp.eta if predicate == "bz" else inf
+    lo, hi, exact = bounds(predicate, mp.eta)
     d = mp.dim
     letters = []  # per letter: the columns of its cleared matrix, the divisor
     for a in mp.alphabet:
@@ -497,16 +491,14 @@ def _frontier(
                     n = [x // g for x in n]
                     s //= g
             if len(word) == ln and q in nfa.accepting:  # counter 0 if exact
-                names = tuple(mp.alphabet[i] for i in word)
-                if not callable(predicate) or predicate(names):
-                    found.append((word, names, n, s))
+                found.append((word, n, s))
             for i, w, q2 in moves[q]:
                 if lo <= c + w <= hi:
                     e = len(word) + 1 + (abs(c + w) if exact else 0)
                     buckets.setdefault(e, []).append((word + (i,), q2, c + w, n, s))
         del buckets[ln]
         found.sort()  # by the letter indices, which differ between words
-        yield [(names, n, s) for _, names, n, s in found]
+        yield [(tuple(mp.alphabet[i] for i in word), n, s) for word, n, s in found]
 
 
 def _oracle_over_words(
@@ -564,15 +556,16 @@ def _oracle_over_words(
 
 def oracle_closure(
     mp: MorphismPair,
-    predicate: str | Callable[[Word], bool],
+    predicate: str,
     degree: int,
     max_len: int,
     caps: Caps = DEFAULT_CAPS,
     nfa: Nfa | None = None,
 ) -> OracleResult:
-    """finite_vanishing_space over the words of `word_frontier(mp, predicate,
-    nfa)` up to max_len; reports whether the space was identical over the
-    last `window` length increments."""
+    """finite_vanishing_space over the words of the language named by the
+    predicate and read by the deterministic `nfa` (default: every word),
+    `word_frontier(mp, predicate, nfa)`, up to max_len; reports whether the
+    space was identical over the last `window` length increments."""
     return _oracle_over_words(
         mp.dim, degree, word_frontier(mp, predicate, nfa), max_len, caps
     )

@@ -1,12 +1,15 @@
 """Weighted-language semantics: morphism pairs and membership.
 
 A morphism pair assigns each letter a square rational matrix and a weight in
-{-1, 0, 1}.  The four languages of interest are
+{-1, 0, 1}.  A language is named by a predicate on prefix weights: a word is
+in it when every prefix weight stays in a window [lo, hi] and, if the window
+is exact, the total weight is 0.  `bounds` is the one table of the windows:
 
     cover  : every prefix has nonnegative weight
     reach  : cover and total weight zero
     zero   : total weight zero
     bz     : zero with every prefix weight in [-eta, eta]
+    all    : every word
 
 General integer weights are deliberately unsupported; `split_weights` is the
 opt-in preprocessing helper that rewrites a weight-k letter into |k| unit
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
+from math import inf
 from operator import mul
 from typing import Sequence
 
@@ -24,8 +28,6 @@ from .errors import DimensionError, PreconditionError, SchemaError
 from .exactlin import Matrix
 
 Word = tuple[str, ...]
-
-PREDICATES = ("cover", "reach", "zero", "bz", "all")
 
 
 def default_eta(d: int) -> int:
@@ -101,33 +103,32 @@ class WordClass:
     in_LBZ: bool
 
 
+def bounds(predicate: str, eta: int) -> tuple[float, float, bool]:
+    """(lo, hi, exact) of the predicate's language at threshold eta: its
+    words keep every prefix weight in [lo, hi] and, if exact, end at 0."""
+    windows = {
+        "cover": (0, inf, False),
+        "reach": (0, inf, True),
+        "zero": (-inf, inf, True),
+        "bz": (-eta, eta, True),
+        "all": (-inf, inf, False),
+    }
+    if predicate not in windows:
+        raise PreconditionError(f"unknown predicate {predicate!r}")
+    return windows[predicate]
+
+
 def classify_word(w: Sequence[str], mp: MorphismPair) -> WordClass:
-    """Single left-to-right prefix scan."""
+    """The word's weight, prefix-weight range and membership in each language."""
     pw = mp.prefix_weights(mp.check_word(w))
-    total, lo, hi = pw[-1], min(pw), max(pw)
-    in_lc = lo >= 0
-    in_lz = total == 0
-    return WordClass(
-        weight=total,
-        min_prefix_weight=lo,
-        max_prefix_weight=hi,
-        in_LC=in_lc,
-        in_LR=in_lc and in_lz,
-        in_LZ=in_lz,
-        in_LBZ=in_lz and -mp.eta <= lo and hi <= mp.eta,
-    )
+    flags = (in_language(w, mp, predicate) for predicate in ("cover", "reach", "zero", "bz"))
+    return WordClass(pw[-1], min(pw), max(pw), *flags)
 
 
 def in_language(w: Sequence[str], mp: MorphismPair, predicate: str) -> bool:
-    if predicate == "all":
-        return True
-    c = classify_word(w, mp)
-    return {
-        "cover": c.in_LC,
-        "reach": c.in_LR,
-        "zero": c.in_LZ,
-        "bz": c.in_LBZ,
-    }[predicate]
+    pw = mp.prefix_weights(mp.check_word(w))
+    lo, hi, exact = bounds(predicate, mp.eta)
+    return lo <= min(pw) and max(pw) <= hi and not (exact and pw[-1])
 
 
 def split_weights(

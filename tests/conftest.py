@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -112,6 +113,23 @@ def raw_fixpoint(queue, moves, accepting, exact, lo, hi, state) -> None:
                 queue.append(((q2, c2), step(v)))
             elif refused is not None and (c2 > hi or lo < 0):
                 refused.setdefault(c2, []).append((q2, v, step))
+
+
+def in_reference_language(w: Sequence[str], mp: MorphismPair, predicate: str) -> bool:
+    """The languages' definitions, written out apart from `lang.bounds` as
+    the reference that membership and the frontier are checked against: LC
+    (cover) has every prefix weight >= 0, LR (reach) is LC with weight 0, LZ
+    (zero) has weight 0, and LBZ (bz) is LZ with every prefix weight in
+    [-eta, eta]."""
+    pw = list(accumulate((mp.omega[a] for a in w), initial=0))
+    lc, lz = min(pw) >= 0, pw[-1] == 0
+    return {
+        "cover": lc,
+        "reach": lc and lz,
+        "zero": lz,
+        "bz": lz and all(-mp.eta <= c <= mp.eta for c in pw),
+        "all": True,
+    }[predicate]
 
 
 def contains_poly(space: PolySpace, p: Poly) -> bool:

@@ -22,7 +22,7 @@ from zclosure.facttree import build_rank_tree, build_tree, extract_stable_factor
 from zclosure.lang import MorphismPair
 from zclosure.polys import gens_from_strings, ideal_slice
 from zclosure.reduction import Vass, run_vass
-from zclosure.automata import Nfa
+from zclosure.automata import Nfa, determinize
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -247,7 +247,7 @@ def test_criterion_8_engine_vs_oracle():
             frozenset({0}), frozenset({rng.randrange(ns)}), frozenset(trans),
         )
         engine = regular_closure(nfa, mp, degree)
-        orc = oracle_closure(mp, nfa.accepts, degree, 12, Caps(oracle_words=10 ** 6))
+        orc = oracle_closure(mp, "all", degree, 12, Caps(oracle_words=10 ** 6), determinize(nfa))
         if not orc.stabilized:
             continue
         checked += 1

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import os
 import pathlib
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zclosure.automata import determinize
 from zclosure.cli import Instance, load_instance, main, run_pipeline, verify_corpus
-from zclosure.closure import Caps
+from zclosure.closure import Caps, finite_vanishing_space
 from zclosure.errors import SchemaError
+from zclosure.polys import space_to_generators
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "zclosure", "corpus")
 
@@ -266,6 +269,37 @@ def test_run_pipeline_accepts_regular_mode(tmp_path):
     report = run_pipeline(Instance(doc))
     assert report["mode"] == "regular"
     assert report["generators"] == []
+
+
+def test_oracle_reads_a_nondeterministic_regular_instance(tmp_path):
+    doc = {
+        "dimension": 2, "alphabet": ["a", "b"],
+        "phi": {"a": [["1", "1"], ["0", "2"]], "b": [["1", "0"], ["0", "3"]]},
+        "omega": {"a": 1, "b": -1}, "mode": "regular", "degree": 2,
+        "nfa": {  # two a-transitions out of p: the words with a factor ab
+            "states": ["p", "q", "r"], "initial": ["p"], "accepting": ["r"],
+            "transitions": [["p", "a", "p"], ["p", "a", "q"], ["p", "b", "p"],
+                            ["q", "b", "r"], ["r", "a", "r"], ["r", "b", "r"]],
+        },
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    instance = Instance(doc)
+    assert not instance.nfa.is_deterministic()
+    words = [w for n in range(9) for w in itertools.product("ab", repeat=n)
+             if instance.nfa.accepts(w)]
+    want = finite_vanishing_space([instance.mp.image(w) for w in words], 2, 2)
+    proc = _run_cli("oracle", str(path), "--max-len", "8")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["words_used"] == len(words)
+    assert out["generators"] == list(space_to_generators(want).generators) != []
+
+    subsets = len(determinize(instance.nfa).states)
+    proc = _run_cli("oracle", str(path), "--max-len", "8",
+                    env_extra={"CLOSURE_CAP_STATES": str(subsets - 1)})
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "infeasible"
 
 
 def test_missing_nfa_for_regular_mode_is_schema_error():

@@ -24,6 +24,7 @@ from zclosure.automata import (
     Nfa,
     build_bz_automaton,
     build_cover_automaton,
+    determinize,
     gamma_alphabet,
     gamma_weight,
 )
@@ -376,9 +377,9 @@ def test_engine_within_and_equal_to_oracle():
             frozenset({0}), frozenset({rng.randrange(ns)}), frozenset(trans),
         )
         engine = regular_closure(nfa, mp, degree)
-        orc = oracle_closure(mp, nfa.accepts, degree, 11, Caps(oracle_words=10 ** 6))
-        for row in engine.vanishing_basis.basis:
-            assert orc.space.vanishing_basis.contains(row)
+        orc = oracle_closure(mp, "all", degree, 11, Caps(oracle_words=10 ** 6), determinize(nfa))
+        within = orc.space.vanishing_basis.intersection(engine.vanishing_basis)
+        assert within == engine.vanishing_basis
         if orc.stabilized:
             assert engine == orc.space
 
@@ -401,9 +402,9 @@ def test_regular_closure_d3_degree3_equals_oracle():
         nfa = Nfa(tuple(range(4)), alphabet, frozenset({0}),
                   frozenset({rng.randrange(4)}), frozenset(trans))
         engine = regular_closure(nfa, mp, 3)
-        orc = oracle_closure(mp, nfa.accepts, 3, 8, Caps(oracle_words=10 ** 6))
-        for row in engine.vanishing_basis.basis:
-            assert orc.space.vanishing_basis.contains(row)
+        orc = oracle_closure(mp, "all", 3, 8, Caps(oracle_words=10 ** 6), determinize(nfa))
+        within = orc.space.vanishing_basis.intersection(engine.vanishing_basis)
+        assert within == engine.vanishing_basis
         if orc.stabilized and orc.words_used:
             checked += 1
             assert engine == orc.space
@@ -532,9 +533,10 @@ def test_oracle_examples():
     # max_len 0: only the empty word
     o = oracle_closure(mp, "reach", 1, 0)
     assert o.space == finite_vanishing_space([Matrix.identity(1)], 1)
-    # empty language: reach over positive-only weights
+    # empty language: a one-state automaton without an accepting state
     mp_pos = MorphismPair(("a",), 1, {"a": Matrix([[2]])}, {"a": 1})
-    o = oracle_closure(mp_pos, lambda w: len(w) > 0 and mp_pos.weight(w) == -1, 2, 6)
+    empty = Nfa((0,), ("a",), frozenset({0}), frozenset(), frozenset({(0, "a", 0)}))
+    o = oracle_closure(mp_pos, "all", 2, 6, nfa=empty)
     assert o.space == PolySpace.full(1, 2)
 
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zclosure.automata import Nfa
+from conftest import in_reference_language
+from zclosure.automata import Nfa, product
 from zclosure.closure import (
     Caps,
     _oracle_over_words,
@@ -16,7 +17,7 @@ from zclosure.closure import (
 )
 from zclosure.errors import PreconditionError
 from zclosure.exactlin import Matrix
-from zclosure.lang import MorphismPair, in_language
+from zclosure.lang import MorphismPair
 from zclosure.reduction import Vass, vass_to_constrained
 
 MAX_LEN = 5
@@ -52,16 +53,26 @@ def _vasses(draw, alphabet):
     return Vass(states, states[0], tuple(accepting), tuple(transitions))
 
 
-def _even_count_of_a(w):
-    return w.count("a") % 2 == 0
+def _even_count_of_a(alphabet):
+    """The two-state DFA of the words with an even number of a's."""
+    return Nfa((0, 1), alphabet, frozenset({0}), frozenset({0}),
+               frozenset((q, x, q ^ (x == "a")) for q in (0, 1) for x in alphabet))
 
 
-PREDICATES = ("cover", "reach", "zero", "bz", "all", _even_count_of_a)
+# the predicate names, and "even a": "all" under `_even_count_of_a`
+LANGUAGES = ("cover", "reach", "zero", "bz", "all", "even a")
 
 
-def _brute(mp, predicate, ln):
-    accept = predicate if callable(predicate) else (lambda w: in_language(w, mp, predicate))
-    return [w for w in itertools.product(mp.alphabet, repeat=ln) if accept(w)]
+def _language(mp, name):
+    """(predicate, DFA or None for every word) of a name in LANGUAGES."""
+    return ("all", _even_count_of_a(mp.alphabet)) if name == "even a" else (name, None)
+
+
+def _brute(mp, predicate, dfa, ln):
+    return [
+        w for w in itertools.product(mp.alphabet, repeat=ln)
+        if in_reference_language(w, mp, predicate) and (dfa is None or dfa.accepts(w))
+    ]
 
 
 def _vass_brute(vass, mode, ln):
@@ -90,10 +101,11 @@ def _assert_lengths_match(mp, frontier, brute_by_len):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_morphism_pairs(), st.sampled_from(PREDICATES))
-def test_frontier_matches_brute_force_in_order(mp, predicate):
+@given(_morphism_pairs(), st.sampled_from(LANGUAGES))
+def test_frontier_matches_brute_force_in_order(mp, language):
+    predicate, dfa = _language(mp, language)
     _assert_lengths_match(
-        mp, word_frontier(mp, predicate), lambda ln: _brute(mp, predicate, ln)
+        mp, word_frontier(mp, predicate, dfa), lambda ln: _brute(mp, predicate, dfa, ln)
     )
 
 
@@ -120,13 +132,14 @@ def _partial_dfas(draw, alphabet):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.sampled_from(PREDICATES))
-def test_partial_dfa_frontier_matches_brute_force_in_order(data, predicate):
+@given(st.data(), st.sampled_from(LANGUAGES))
+def test_partial_dfa_frontier_matches_brute_force_in_order(data, language):
     mp = data.draw(_morphism_pairs())
-    dfa = data.draw(_partial_dfas(mp.alphabet))
+    partial = data.draw(_partial_dfas(mp.alphabet))
+    predicate, dfa = _language(mp, language)
     _assert_lengths_match(
-        mp, word_frontier(mp, predicate, dfa),
-        lambda ln: [w for w in _brute(mp, predicate, ln) if dfa.accepts(w)],
+        mp, word_frontier(mp, predicate, partial if dfa is None else product(partial, dfa)),
+        lambda ln: [w for w in _brute(mp, predicate, dfa, ln) if partial.accepts(w)],
     )
 
 
@@ -138,19 +151,21 @@ def test_frontier_refuses_a_nondeterministic_automaton():
     for nfa in (two_targets, two_initial):
         with pytest.raises(PreconditionError, match="deterministic"):
             word_frontier(mp, "reach", nfa)  # refused when made, not when advanced
-    with pytest.raises(PreconditionError, match="unknown predicate"):
-        word_frontier(mp, "sideways")
+    for predicate in ("sideways", lambda w: True):  # a language is a name, not a callable
+        with pytest.raises(PreconditionError, match="unknown predicate"):
+            word_frontier(mp, predicate)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    _morphism_pairs(), st.sampled_from(PREDICATES), st.integers(0, 40),
+    _morphism_pairs(), st.sampled_from(LANGUAGES), st.integers(0, 40),
     st.integers(1, 2),
 )
-def test_word_cap_keeps_the_first_words(mp, predicate, k, degree):
-    words = [w for ln in range(MAX_LEN + 1) for w in _brute(mp, predicate, ln)]
+def test_word_cap_keeps_the_first_words(mp, language, k, degree):
+    predicate, dfa = _language(mp, language)
+    words = [w for ln in range(MAX_LEN + 1) for w in _brute(mp, predicate, dfa, ln)]
     o = _oracle_over_words(
-        mp.dim, degree, word_frontier(mp, predicate), MAX_LEN,
+        mp.dim, degree, word_frontier(mp, predicate, dfa), MAX_LEN,
         Caps(oracle_words=k), raise_on_cap=False,
     )
     want = finite_vanishing_space([mp.image(w) for w in words[:k]], degree, mp.dim)
@@ -165,6 +180,8 @@ def test_long_words_do_not_recurse():
     mp = MorphismPair(("a",), 2, {"a": Matrix([[1, 1], [0, 1]])}, {"a": 0})
     o = oracle_closure(mp, "all", 1, 1200)
     assert o.words_used == 1201 and o.max_len == 1200
-    o = oracle_closure(mp, lambda w: len(w) == 1200, 1, 1200)
+    chain = Nfa(tuple(range(1201)), ("a",), frozenset({0}), frozenset({1200}),
+                frozenset((i, "a", i + 1) for i in range(1200)))
+    o = oracle_closure(mp, "all", 1, 1200, nfa=chain)
     assert o.words_used == 1
     assert o.space == finite_vanishing_space([mp.image(("a",) * 1200)], 1)

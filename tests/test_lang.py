@@ -1,9 +1,11 @@
 import random
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import powers_morphism
+from conftest import in_reference_language, powers_morphism
 from zclosure.closure import Caps, oracle_closure, word_frontier
 from zclosure.errors import InfeasibleError, PreconditionError, SchemaError
 from zclosure.exactlin import Matrix
@@ -11,6 +13,7 @@ from zclosure.lang import (
     MorphismPair,
     classify_word,
     default_eta,
+    in_language,
     split_weights,
 )
 
@@ -38,6 +41,24 @@ def test_classify_empty_word_in_everything():
 def test_classify_rejects_unknown_letter():
     with pytest.raises(PreconditionError):
         classify_word(("z",), powers_morphism())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 4))
+def test_membership_matches_the_reference_definitions(data, k, eta):
+    alphabet = tuple("abc"[:k])
+    weights = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=k, max_size=k))
+    mp = MorphismPair(alphabet, 1, {a: Matrix([[1]]) for a in alphabet},
+                      dict(zip(alphabet, weights)), eta)
+    w = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=12)))
+    pw = list(accumulate((mp.omega[a] for a in w), initial=0))
+    c = classify_word(w, mp)
+    assert (c.weight, c.min_prefix_weight, c.max_prefix_weight) == (pw[-1], min(pw), max(pw))
+    assert (c.in_LC, c.in_LR, c.in_LZ, c.in_LBZ) == tuple(
+        in_reference_language(w, mp, p) for p in ("cover", "reach", "zero", "bz")
+    )
+    for p in ("cover", "reach", "zero", "bz", "all"):
+        assert in_language(w, mp, p) == in_reference_language(w, mp, p)
 
 
 def _words(mp, predicate, max_len):
