@@ -140,7 +140,8 @@ def determinize(nfa: Nfa, max_states: int = 10**6) -> Nfa:
                 frontier.append(nxt)
                 if len(states) > max_states:
                     raise InfeasibleError(
-                        f"determinization exceeded {max_states} states"
+                        f"determinization exceeded the states cap {max_states}; "
+                        "raise it with CLOSURE_CAP_STATES"
                     )
     accepting = frozenset(s for s in states if set(s) & nfa.accepting)
     return Nfa(

@@ -411,14 +411,14 @@ def _verify_builtin_blocks() -> dict:
     }
 
 
-def verify_corpus(corpus_dir=None, include_builtin: bool = True) -> list[dict]:
+def verify_corpus(corpus_dir=None) -> list[dict]:
     entries = []
     for name, entry in _iter_corpus_files(corpus_dir):
         try:
             entries.append(_verify_entry(name, entry))
         except ZClosureError as exc:
             entries.append({"name": name, "status": "FAIL", "error": str(exc)})
-    if include_builtin and corpus_dir is None:
+    if corpus_dir is None:
         entries.append(_verify_builtin_chain())
         entries.append(_verify_builtin_blocks())
     return entries

@@ -25,10 +25,11 @@ pushes the row a span stored, the pushed vector's residual against the
 configuration's earlier rows, which is zero at their pivots.  The letter
 maps are kept by columns (`Columns`), so `apply_map` and `_tensor_apply`
 map a stored row by visiting only its support, into a dense image for the
-next insert.  The rows go to `kernel_basis` densified; `Fraction` appears
-only in the final division by the pivots.  Worklists are first in, first
-out: the spans are least fixpoints in any order, but short words first keep
-the integers small.
+next insert.  Each stage hands its accepted span to `kernel_basis`, which
+takes the annihilator without eliminating the rows again; `Fraction`
+appears only in the final division by the pivots.  Worklists are first in,
+first out: the spans are least fixpoints in any order, but short words
+first keep the integers small.
 
 The oracle shares only `Span` with the fixpoints.  It reads a language as a
 predicate name (`lang.bounds`) plus a deterministic automaton.  Its words
@@ -75,7 +76,9 @@ from .errors import (
     OracleDisagreementError,
     PreconditionError,
 )
-from .exactlin import Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, vec
+from .exactlin import (
+    Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, span_of, vec,
+)
 from .lang import MorphismPair, Word, bounds
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
@@ -192,12 +195,9 @@ def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, Columns]:
     return out
 
 
-def _vanishing_from_rows(dim: int, degree: int, rows: Sequence[Sequence]) -> PolySpace:
-    n = comb(dim * dim + degree, degree)
-    if not rows:
-        return PolySpace.full(dim, degree)
-    ker = kernel_basis(rows)
-    return PolySpace(dim, degree, Subspace(n, tuple(ker)))
+def _vanishing(dim: int, degree: int, span: Span) -> PolySpace:
+    """The polynomials vanishing on the span of evaluation vectors."""
+    return PolySpace(dim, degree, Subspace(span.n, tuple(kernel_basis(span))))
 
 
 def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
@@ -285,27 +285,27 @@ def _stage(
     return Span(n), steps, _cleared(veronese(Matrix.identity(mp.dim), degree))
 
 
-def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> list[list[int]]:
-    """Integer rows spanning the evaluations over the accepted language: the
-    fixpoint over the automaton's states, every move of weight 0."""
+def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> Span:
+    """The span of the evaluations over the accepted language: the fixpoint
+    over the automaton's states, every move of weight 0."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError("regular closure: automaton and morphism alphabets differ")
     accepted, steps, seed = _stage(mp, degree, caps, len(nfa.states), "regular closure")
     queue = deque(((q, 0), seed) for q in nfa.states if q in nfa.initial)
     moves = _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0))
     _fixpoint(queue, moves, nfa.accepting, False, 0, 0, ({}, accepted, None))
-    return accepted.dense_rows()
+    return accepted
 
 
 def regular_closure(
     nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
 ) -> PolySpace:
     """Exactly {p : deg p <= degree, p(phi(w)) = 0 for all w in L(nfa)}."""
-    return _vanishing_from_rows(mp.dim, degree, _nfa_span_rows(nfa, mp, degree, caps))
+    return _vanishing(mp.dim, degree, _nfa_span_rows(nfa, mp, degree, caps))
 
 
-def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> list[list[int]]:
-    """Integer rows spanning the evaluations over the cover or bounded-zero
+def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> Span:
+    """The span of the evaluations over the cover or bounded-zero
     ("bz") language at mp.eta: the universal automaton on the counters of
     the bz window (`lang.bounds`), or on [0, eta - 1], whose pushes past
     eta - 1 are parked and then seed one absorbing top configuration (the
@@ -323,7 +323,7 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> lis
         top = deque((("*", eta), step(row)) for _, row, step in parked.get(eta, ()))
         _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
                   False, eta, eta, ({}, accepted, None))
-    return accepted.dense_rows()
+    return accepted
 
 
 def finite_vanishing_space(
@@ -333,20 +333,16 @@ def finite_vanishing_space(
     the oracle kernel: rows are direct monomial evaluations, independent of
     the fixpoint's transition maps.  An empty point set vanishes vacuously
     (full space); it needs the ambient dimension passed explicitly."""
-    if not points:
-        if dim is None:
-            raise PreconditionError(
-                "finite_vanishing_space of an empty set needs dim="
-            )
-        return PolySpace.full(dim, degree)
-    d = points[0].rows
+    if not points and dim is None:
+        raise PreconditionError("finite_vanishing_space of an empty set needs dim=")
+    d = points[0].rows if points else dim
     if dim is not None and dim != d:
         raise DimensionError("dim= does not match the points")
     for p in points:
         if not (p.is_square and p.rows == d):
             raise DimensionError("points of mixed dimensions")
-    rows = [veronese(p, degree) for p in points]
-    return _vanishing_from_rows(d, degree, rows)
+    n = comb(d * d + degree, degree)
+    return _vanishing(d, degree, span_of(n, (veronese(p, degree) for p in points)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +399,7 @@ def counter_saturation(
     for bound in range(2, caps.counter + 1):
         history.append(_window_rows(mode, nfa, moves, bound, caps, window))
         if _stable(history, caps.window):
-            return _vanishing_from_rows(mp.dim, degree, accepted.dense_rows()), bound
+            return _vanishing(mp.dim, degree, accepted), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
         f"{caps.counter}; raise the counter cap"
@@ -550,7 +546,7 @@ def _oracle_over_words(
             history.append(span.dim)
         if capped or (ln >= max_len and (extend_to is None or window_stable())):
             break
-    space = _vanishing_from_rows(mp_dim, degree, span.dense_rows())
+    space = _vanishing(mp_dim, degree, span)
     return OracleResult(space, window_stable() and not capped, achieved, used)
 
 
@@ -654,7 +650,7 @@ def _gamma_condition_rows(
     mu_rows = _mu_pullback_rows(d, degree)
     return [
         tuple(sum(c * s[idx] for idx, c in row.items()) for row in mu_rows)
-        for s in spans[("*", 0)].dense_rows()
+        for s in (dense(r, n ** 4) for r in spans[("*", 0)].rows)
     ]
 
 
@@ -717,7 +713,7 @@ def run_cover(
 ) -> PipelineResult:
     if not mp.eta_is_default:
         return run_saturation(mp, "cover", degree, caps)
-    space = _vanishing_from_rows(mp.dim, degree, _threshold_rows(mp, degree, caps, "cover"))
+    space = _vanishing(mp.dim, degree, _threshold_rows(mp, degree, caps, "cover"))
     return PipelineResult(space, "cover", mp.eta, "cover-automaton")
 
 
@@ -726,10 +722,10 @@ def run_zero(
 ) -> PipelineResult:
     if not mp.eta_is_default:
         return run_saturation(mp, "zero", degree, caps)
-    rows = _threshold_rows(mp, degree, caps, "bz") + _gamma_condition_rows(mp, degree, caps)
-    return PipelineResult(
-        _vanishing_from_rows(mp.dim, degree, rows), "zero", mp.eta, "bz+flat"
-    )
+    accepted = _threshold_rows(mp, degree, caps, "bz")
+    for row in _gamma_condition_rows(mp, degree, caps):
+        accepted.insert(row)
+    return PipelineResult(_vanishing(mp.dim, degree, accepted), "zero", mp.eta, "bz+flat")
 
 
 def _reach_default_cost(mp: MorphismPair, degree: int) -> str:

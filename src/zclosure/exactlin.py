@@ -7,23 +7,25 @@ echelon form so that equality of spans is literal structural equality.
 `Span` is the only eliminator in the package.  The fixpoints, the oracle and
 the exterior greedy basis insert into it directly; the rest goes through
 `span_of`, which clears each vector (`_cleared`) and inserts it:
-`Subspace.from_vectors` and `contains`, `rank`, `invert` (the RREF of
-[M | I]), `kernel_basis` (the annihilator of a `Span`, in RREF;
-`Subspace.intersection` is the kernel of both operands' kernels) and
-`exterior.combination`.  A span does not change when a vector is scaled, so
-it keeps primitive integer rows by fraction-free elimination; `Fraction`
-appears only where `Span.basis()` divides its integer Gauss-Jordan form by
-the pivots, which gives the canonical RREF.  The fixpoints' vectors are
-mostly zeros, so a row is stored only sparsely, as a pair of int tuples
-(support, values) with the pivot first and a positive pivot entry (`Row`):
-a row operation updates the vector only over the row's support, and scales
-all of it only when the pivot entry does not divide the vector's entry
-there.  A tuple of ints holds nothing the cyclic garbage collector must
-follow, so it untracks the rows; `basis()` and `dense_rows()` densify on
-demand.  A span that refuses a vector at dimension at least half its
-ambient dimension also keeps its annihilator and tests membership by dot
-products against it, which pays only where most inserts are refused (the
-oracle).
+`Subspace.from_vectors`, `contains` and `intersection`, `rank`,
+`rank_decomp`, `invert` (the RREF of [M | I]), the block extraction,
+`closure.finite_vanishing_space` and `exterior.combination`.  Every kernel
+is `kernel_basis` of a `Span`, the RREF of its annihilator, so the engine's
+stages hand over the spans they accepted and no span is eliminated twice.
+A span does not change when a vector is scaled, so it keeps primitive
+integer rows by fraction-free elimination; `Fraction` appears only where
+`Span.basis()` divides its integer Gauss-Jordan form by the pivots, which
+gives the canonical RREF.  The fixpoints' vectors are mostly zeros, so a
+row is stored only sparsely, as a pair of int tuples (support, values) with
+the pivot first and a positive pivot entry (`Row`): a row operation updates
+the vector only over the row's support, and scales all of it only when the
+pivot entry does not divide the vector's entry there.  A tuple of ints
+holds nothing the cyclic garbage collector must follow, so it untracks the
+rows; `basis()` densifies them on demand and `dense` one row.  A span that
+refuses a vector at dimension at least half its ambient dimension also
+keeps its annihilator, which `kernel_basis` then reads, and tests
+membership by dot products against it, which pays only where most inserts
+are refused (the oracle).
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -140,7 +142,8 @@ class Span:
     row list, not its rows.  `reduced()` eliminates each row at the pivots
     of the rows after it, the same step run backwards; `basis()` divides
     that integer Gauss-Jordan form by its pivots, the canonical `Fraction`
-    RREF, and `dense_rows()` gives the rows as dense lists.
+    RREF, and `annihilator()` solves it for the annihilator's integer basis,
+    which `kernel_basis` puts in RREF.
 
     Once an insert is refused at dimension at least n/2, the span also keeps
     `ann`, a primitive integer basis of the annihilator {k : k.r = 0 for
@@ -266,9 +269,6 @@ class Span:
             out.append(tuple(row))
         return out
 
-    def dense_rows(self) -> list[list[int]]:
-        return [dense(row, self.n) for row in self.rows]
-
 
 def dense(row: Row, n: int) -> list[int]:
     """The sparse row (support, values) as a list of length n."""
@@ -316,16 +316,11 @@ class Subspace:
         return span_of(self.ambient_dim, [*self.basis, v]).dim == self.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """The annihilator of the sum of the two annihilators.  A zero or
-        full operand is its own answer or leaves the other one, so both
-        annihilators below have rows."""
+        """The annihilator of the sum of the two annihilators."""
         self._check_ambient(other)
-        if not self.basis or other.dim == other.ambient_dim:
-            return self
-        if not other.basis or self.dim == self.ambient_dim:
-            return other
-        rows = kernel_basis(self.basis) + kernel_basis(other.basis)
-        return Subspace(self.ambient_dim, tuple(kernel_basis(rows)))
+        n = self.ambient_dim
+        sums = span_of(n, (k for s in (self, other) for k in kernel_basis(span_of(n, s.basis))))
+        return Subspace(n, tuple(kernel_basis(sums)))
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -336,14 +331,12 @@ def rank(m: Matrix) -> int:
     return span_of(m.cols, m.entries).dim
 
 
-def kernel_basis(m: Matrix | Sequence[Sequence]) -> list[Vector]:
-    """Canonical basis of {v : m v = 0}, m a matrix or its rows (int or
-    `Fraction` entries): the annihilator of the span of m's rows, in RREF."""
-    rows = m.entries if isinstance(m, Matrix) else m
-    span = span_of(m.cols if isinstance(m, Matrix) else len(rows[0]), rows)
+def kernel_basis(span: Span) -> list[Vector]:
+    """The RREF basis of the span's annihilator.  A kept `ann` is copied,
+    not consumed, so the span stays usable."""
     out = Span(span.n)
-    ann = span.annihilator() if span.ann is None else span.ann  # the span's own, if kept
-    while ann:  # each vector is freed as `out` takes its row
+    ann = span.annihilator() if span.ann is None else span.ann[:]
+    while ann:  # each computed vector is freed as `out` takes its row
         out.insert(ann.pop())
     return out.basis()
 
@@ -353,7 +346,7 @@ def rank_decomp(m: Matrix) -> tuple[int, Subspace, Subspace]:
     if not m.is_square:
         raise DimensionError("rank_decomp needs a square matrix")
     image = Subspace.from_vectors(m.rows, m.columns())
-    ker = Subspace(m.cols, tuple(kernel_basis(m)))
+    ker = Subspace(m.cols, tuple(kernel_basis(span_of(m.cols, m.entries))))
     return image.dim, image, ker
 
 

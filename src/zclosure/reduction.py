@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import Nfa
-from .closure import Caps, DEFAULT_CAPS, PipelineResult, run_saturation
+from .closure import Caps, DEFAULT_CAPS, PipelineResult, _vanishing, run_saturation
 from .errors import InfeasibleError, PreconditionError, SchemaError
-from .exactlin import Matrix, Subspace, Vector, kernel_basis
+from .exactlin import Matrix, Vector, kernel_basis, span_of
 from .lang import MorphismPair
-from .polys import PolySpace, monomial_basis, poly_to_vector, substitution_rows
+from .polys import PolySpace, poly_to_vector, substitution_rows
 
 DEAD = "_dead"
 
@@ -111,23 +111,16 @@ def extract_block_closure(
         raise PreconditionError("space degree differs from the requested degree")
     if space.dim != bm.dim:
         raise PreconditionError("space dimension differs from the lifted dimension")
-    d = bm.base.dim
-    n_base = len(monomial_basis(d * d, degree))
     pullbacks = _pullback_vectors(bm, degree)
     # evaluation span of the lifted language = complement of its vanishing space
-    if space.vanishing_basis.basis:
-        eval_rows = kernel_basis(Matrix(space.vanishing_basis.basis))
-    else:
-        eval_rows = [tuple(r) for r in Matrix.identity(space.vanishing_basis.ambient_dim).entries]
-    if not eval_rows:
-        return PolySpace.full(d, degree)
-    constraint = Matrix(
-        [
-            [sum((a * b for a, b in zip(s, pb)), Fraction(0)) for pb in pullbacks]
-            for s in eval_rows
-        ]
+    lifted = space.vanishing_basis
+    eval_rows = kernel_basis(span_of(lifted.ambient_dim, lifted.basis))
+    constraint = span_of(
+        len(pullbacks),
+        ([sum((a * b for a, b in zip(s, pb)), Fraction(0)) for pb in pullbacks]
+         for s in eval_rows),
     )
-    return PolySpace(d, degree, Subspace(n_base, tuple(kernel_basis(constraint))))
+    return _vanishing(bm.base.dim, degree, constraint)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -56,6 +57,31 @@ def test_run_is_byte_deterministic_modulo_timings():
         report.pop("timings")
         out.append(json.dumps(report, sort_keys=True))
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("name, extra, generators", [
+    ("dyck_reach.json", (), 1),
+    ("cover_powers_d1.json", ("--eta-override", "2"), 0),
+])
+def test_run_text_matches_the_json_report(name, extra, generators):
+    args = ("run", _corpus_path(name), *extra)
+    proc = _run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    proc = _run_cli(*args, "--text")
+    assert proc.returncode == 0, proc.stderr
+    head, oracle, *rest = proc.stdout.splitlines()
+    m = re.fullmatch(r"mode (\S+)  degree (\d+)  eta (\d+)  method (\S+)", head)
+    assert m and m.groups() == (report["mode"], str(report["degree"]),
+                                str(report["eta_used"]), report["method"])
+    m = re.fullmatch(r"oracle checked to length (\d+) \(stabilized: (True|False)\)", oracle)
+    assert report["oracle_checked"] and m
+    assert m.groups() == (str(report["oracle_max_len"]), str(report["oracle_stabilized"]))
+    assert len(report["generators"]) == generators
+    if generators:
+        assert rest == [f"  {g}" for g in report["generators"]]
+    else:
+        assert rest == ["  (zero space: no degree-bounded relations)"]
 
 
 def _to_doc(inst):
@@ -299,7 +325,10 @@ def test_oracle_reads_a_nondeterministic_regular_instance(tmp_path):
     proc = _run_cli("oracle", str(path), "--max-len", "8",
                     env_extra={"CLOSURE_CAP_STATES": str(subsets - 1)})
     assert proc.returncode == 3 and "Traceback" not in proc.stderr
-    assert json.loads(proc.stderr)["error"] == "infeasible"
+    err = json.loads(proc.stderr)
+    assert err["error"] == "infeasible"
+    assert f"states cap {subsets - 1}" in err["message"]
+    assert "CLOSURE_CAP_STATES" in err["message"]
 
 
 def test_missing_nfa_for_regular_mode_is_schema_error():

@@ -38,7 +38,7 @@ from zclosure.closure import (
     _tensor_apply,
     _tensor_index,
     _threshold_rows,
-    _vanishing_from_rows,
+    _vanishing,
     apply_map,
     counter_saturation,
     finite_vanishing_space,
@@ -52,7 +52,7 @@ from zclosure.closure import (
     veronese,
 )
 from zclosure.errors import InfeasibleError, OracleDisagreementError
-from zclosure.exactlin import Matrix, Subspace, dense, kernel_basis, rank
+from zclosure.exactlin import Matrix, Subspace, dense, kernel_basis, rank, span_of
 from zclosure.lang import MorphismPair
 from zclosure.polys import (
     PolySpace,
@@ -301,9 +301,9 @@ def _reference_kernel(rows, n):
 @example((3, [[Fraction(0)] * 3, [Fraction(-2), Fraction(1), Fraction(4)],
               [Fraction(-2), Fraction(1), Fraction(4)]]))  # zero, duplicate, negative lead
 @example((2, [[Fraction(0), Fraction(3)], [Fraction(-2), Fraction(1)]]))  # full rank
+@example((3, []))  # the empty span: its kernel is the identity basis
 def test_kernel_basis_matches_fraction_reference(stream):
     n, vectors = stream
-    assume(vectors)
     want = _reference_kernel(vectors, n)
     calls = []
     annihilator = Span.annihilator
@@ -314,10 +314,35 @@ def test_kernel_basis_matches_fraction_reference(stream):
 
     # one annihilator per kernel: the one a refused insert built, if any
     with mock.patch.object(Span, "annihilator", counted):
-        assert kernel_basis(Matrix(vectors)) == want
+        assert kernel_basis(span_of(n, vectors)) == want
     assert len(calls) == 1
-    assert kernel_basis([_cleared(v) for v in vectors]) == want  # integer rows
+    assert kernel_basis(span_of(n, [_cleared(v) for v in vectors])) == want  # integer rows
     assert len(want) == n - len(rref(vectors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_vector_streams())
+@example((4, _units(4, 0, 1, 2)))
+def test_kernel_basis_leaves_a_kept_annihilator_usable(stream):
+    # fill to half the dimension, then refuse the zero vector, so that both
+    # spans keep `ann`; the kernel reads it and every later insert must
+    # behave as on the twin that no kernel read
+    n, vectors = stream
+    span, twin = Span(n), Span(n)
+    for v in vectors:
+        if 2 * span.dim >= n:
+            break
+        span.insert(_cleared(v))
+        twin.insert(_cleared(v))
+    span.insert([0] * n)
+    twin.insert([0] * n)
+    assume(span.ann is not None)
+    ann = [k[:] for k in span.ann]
+    assert kernel_basis(span) == _reference_kernel(span.basis(), n)
+    assert span.ann == ann
+    for v in _units(n, *range(n)) + vectors:
+        assert span.insert(_cleared(v)) == twin.insert(_cleared(v))
+    assert span.rows == twin.rows and span.ann == twin.ann
 
 
 def test_regular_closure_clears_letter_denominators():
@@ -502,7 +527,7 @@ def test_threshold_stages_equal_their_automata(data, mode):
     )
     degree = data.draw(st.integers(1, 2))
     build = build_cover_automaton if mode == "cover" else build_bz_automaton
-    stage = _vanishing_from_rows(d, degree, _threshold_rows(mp, degree, Caps(), mode))
+    stage = _vanishing(d, degree, _threshold_rows(mp, degree, Caps(), mode))
     assert stage == regular_closure(build(mp), mp, degree)
 
 
@@ -671,7 +696,7 @@ def _full_gamma_span(mp, degree):
             full = q + w in spans and spans[q + w].dim == n ** 4
             if abs(q + w) <= 2 * mp.eta and not full:
                 queue.append((q + w, [sum(c * v[s] for s, c in row.items()) for row in rows]))
-    return spans[0].dense_rows()
+    return [dense(row, n ** 4) for row in spans[0].rows]
 
 
 _GAMMA_ENTRIES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),

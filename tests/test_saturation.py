@@ -24,7 +24,7 @@ from zclosure.closure import (
     _cleared,
     _integer_maps,
     _moves,
-    _vanishing_from_rows,
+    _vanishing,
     _window_rows,
     apply_map,
     counter_saturation,
@@ -32,7 +32,7 @@ from zclosure.closure import (
     veronese,
 )
 from zclosure.errors import InfeasibleError, PreconditionError
-from zclosure.exactlin import Matrix
+from zclosure.exactlin import Matrix, dense, span_of
 from zclosure.lang import MorphismPair
 from zclosure.polys import monomial_basis
 
@@ -61,8 +61,8 @@ def cold_window(mp, degree, mode, dfa, bound, caps, maps):
     acc = Span(n)
     for (q, c), span in sorted(spans.items(), key=lambda kv: str(kv[0])):
         if q in dfa.accepting and (mode == "cover" or c == 0):
-            for row in span.dense_rows():
-                acc.insert(row)
+            for row in span.rows:
+                acc.insert(dense(row, n))
     return acc.basis()
 
 
@@ -74,7 +74,8 @@ def cold_saturation(mp, degree, mode, dfa, caps):
         if len(history) >= caps.window + 1 and all(
             history[-1] == history[-k] for k in range(2, caps.window + 2)
         ):
-            return _vanishing_from_rows(mp.dim, degree, history[-1]), bound
+            n = len(monomial_basis(mp.dim * mp.dim, degree))
+            return _vanishing(mp.dim, degree, span_of(n, history[-1])), bound
     raise InfeasibleError("did not stabilize")
 
 
