@@ -508,6 +508,8 @@ def _cmd_automaton(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.max_len < 0:
+        raise SchemaError("--max-len must be >= 0")
     instance = load_instance(args.file)
     mp, predicate, dfa = _language(instance)
     result = oracle_closure(

@@ -34,9 +34,11 @@ first keep the integers small.
 The oracle shares only `Span` with the fixpoints.  It reads a language as a
 predicate name (`lang.bounds`) plus a deterministic automaton.  Its words
 come from one lazy frontier over (automaton state, counter)
-(`word_frontier`); a prefix's image is an integer matrix N over one
-denominator s, one direct product with its parent's, and a word's point is
-N^mono * s^(D - |mono|).
+(`word_frontier`).  A prefix is a node of constant size: its word is one
+integer code (the letter indices as base-|Sigma| digits), and its image is
+an integer matrix N over one denominator s, one direct product with its
+parent's.  A word's point is N^mono * s^(D - |mono|); letter names are never
+built.
 
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
@@ -79,7 +81,7 @@ from .errors import (
 from .exactlin import (
     Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, span_of, vec,
 )
-from .lang import MorphismPair, Word, bounds
+from .lang import MorphismPair, bounds
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
 
@@ -418,22 +420,26 @@ class OracleResult:
     words_used: int
 
 
-# The words of one length with their images phi(w) = N / s: N the d x d
-# integer matrix flattened row-major, s > 0 one common denominator.
-Length = list[tuple[Word, list[int], int]]
+# The words of one length n with their images phi(w) = N / s: each word as
+# its code, the sum of i_j * |Sigma|^(n - 1 - j) over its letter indices i_j;
+# N the d x d integer matrix flattened row-major, s > 0 one common denominator.
+Length = list[tuple[int, list[int], int]]
 
 
 def word_frontier(mp: MorphismPair, predicate: str, nfa: Nfa | None = None) -> Iterator[Length]:
     """For n = 0, 1, 2, ...: the words of length n in the language, in
-    letter-index order, each with its image.
+    letter-index order, each as its code (`Length`) with its image.
 
     The language is the paths of `nfa` (default: every word; it must be
     deterministic and may be partial) whose prefix weights stay in the
-    predicate's window (`lang.bounds`).  A node is a prefix with its
-    automaton state and counter.  It waits in the bucket of the earliest
-    length at which it can complete (depth + |counter| when the total weight
-    must be 0, else its depth), and bucket n is expanded only when length n
-    is asked for.  A node's image is one integer product of its parent's
+    predicate's window (`lang.bounds`).  A node is a prefix as its code and
+    length, with its automaton state, its counter and its parent's image: six
+    fields at any depth, never a copy of the word.  A child's code is
+    code * |Sigma| + i for letter i, so a node's last letter is
+    code % |Sigma|.  A node waits in the bucket of the earliest length at
+    which it can complete (depth + |counter| when the total weight must be
+    0, else its depth), and bucket n is expanded only when length n is
+    asked for.  A node's image is one integer product of its parent's
     image with the letter's denominator-cleared matrix, made when the node
     is expanded.  States from which no accepting state is reachable are
     never entered.  The predicate and the automaton are checked when the
@@ -468,33 +474,35 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa) -> Iterator[Length]:
         ]
         for q in nfa.states
     }
-    # a node: (letter indices, state, counter, parent's N, parent's s)
+    # a node: (word code, depth, state, counter, parent's N, parent's s)
+    k = len(mp.alphabet)
     identity = [int(i == j) for i in range(d) for j in range(d)]
     (initial,) = nfa.initial
-    buckets = {0: [((), initial, 0, identity, 1)]}
+    buckets = {0: [(0, 0, initial, 0, identity, 1)]}
     for ln in itertools.count():
         found = []
         bucket = buckets.setdefault(ln, [])
         while bucket:  # nodes that can still complete at ln join it
-            word, q, c, n, s = bucket.pop()
-            if word:
-                cols, t = letters[word[-1]]
+            code, depth, q, c, n, s = bucket.pop()
+            if depth:
+                cols, t = letters[code % k]
                 rows = [n[r:r + d] for r in range(0, d * d, d)]
                 n = [sum(map(mul, row, col)) for row in rows for col in cols]
                 s *= t
-                g = gcd(s, *n)
-                if g != 1:
-                    n = [x // g for x in n]
-                    s //= g
-            if len(word) == ln and q in nfa.accepting:  # counter 0 if exact
-                found.append((word, n, s))
+                if s != 1:  # with s = 1 the gcd is 1
+                    g = gcd(s, *n)
+                    if g != 1:
+                        n = [x // g for x in n]
+                        s //= g
+            if depth == ln and q in nfa.accepting:  # counter 0 if exact
+                found.append((code, n, s))
             for i, w, q2 in moves[q]:
                 if lo <= c + w <= hi:
-                    e = len(word) + 1 + (abs(c + w) if exact else 0)
-                    buckets.setdefault(e, []).append((word + (i,), q2, c + w, n, s))
+                    e = depth + 1 + (abs(c + w) if exact else 0)
+                    buckets.setdefault(e, []).append((code * k + i, depth + 1, q2, c + w, n, s))
         del buckets[ln]
-        found.sort()  # by the letter indices, which differ between words
-        yield [(tuple(mp.alphabet[i] for i in word), n, s) for word, n, s in found]
+        found.sort()  # by code: equal-length codes differ and sort as letter indices
+        yield found
 
 
 def _oracle_over_words(

@@ -132,6 +132,19 @@ def in_reference_language(w: Sequence[str], mp: MorphismPair, predicate: str) ->
     }[predicate]
 
 
+def word_of_code(code: int, length: int, alphabet: Sequence[str]) -> tuple[str, ...]:
+    """The letters of the word of `length` that `closure.word_frontier`
+    yields as `code`: its letter indices are the code's base-|alphabet|
+    digits, first letter most significant."""
+    k = len(alphabet)
+    letters = []
+    for _ in range(length):
+        code, i = divmod(code, k)
+        letters.append(alphabet[i])
+    assert code == 0, "the code has more digits than the length"
+    return tuple(reversed(letters))
+
+
 def contains_poly(space: PolySpace, p: Poly) -> bool:
     v = poly_to_vector(p, space.dim * space.dim, space.degree)
     return space.vanishing_basis.contains(v)

@@ -297,6 +297,15 @@ def test_run_pipeline_accepts_regular_mode(tmp_path):
     assert report["generators"] == []
 
 
+def test_oracle_refuses_a_negative_max_len():
+    proc = _run_cli("oracle", _corpus_path("simple_reach.json"), "--max-len", "-3")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "schema", "message": "--max-len must be >= 0",
+    }
+
+
 def test_oracle_reads_a_nondeterministic_regular_instance(tmp_path):
     doc = {
         "dimension": 2, "alphabet": ["a", "b"],

@@ -1,13 +1,16 @@
 """The oracle's word frontier against brute-force enumeration."""
 import itertools
+import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_reference_language
+from conftest import in_reference_language, word_of_code
 from zclosure.automata import Nfa, product
+from zclosure.cli import load_instance
 from zclosure.closure import (
     Caps,
     _oracle_over_words,
@@ -93,7 +96,7 @@ def _vass_brute(vass, mode, ln):
 
 def _assert_lengths_match(mp, frontier, brute_by_len):
     for ln in range(MAX_LEN + 1):
-        got = next(frontier)
+        got = [(word_of_code(code, ln, mp.alphabet), n, s) for code, n, s in next(frontier)]
         assert [w for w, _, _ in got] == brute_by_len(ln)
         for w, n, s in got:
             image = mp.image(w)
@@ -185,3 +188,21 @@ def test_long_words_do_not_recurse():
     o = oracle_closure(mp, "all", 1, 1200, nfa=chain)
     assert o.words_used == 1
     assert o.space == finite_vanishing_space([mp.image(("a",) * 1200)], 1)
+
+
+def test_frontier_nodes_do_not_copy_their_words():
+    # rvsc2_phi1_reach to length 22: the frontier holds tens of thousands of
+    # nodes, so a node that copied its word (O(depth) each) peaked at about
+    # 1.5 MB under tracemalloc, and one of fixed size peaks near 0.7 MB
+    instance = load_instance(os.path.join(
+        os.path.dirname(__file__), "..", "src", "zclosure", "corpus", "rvsc2_phi1_reach.json"
+    ))
+    mp, dfa = vass_to_constrained(instance.vass, instance.mp)
+    tracemalloc.start()
+    try:
+        o = oracle_closure(mp, "reach", 2, 22, nfa=dfa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (o.words_used, o.max_len) == (911, 22)
+    assert peak < 1_000_000, f"oracle peak {peak} bytes"

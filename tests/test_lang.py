@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_reference_language, powers_morphism
+from conftest import in_reference_language, powers_morphism, word_of_code
 from zclosure.closure import Caps, oracle_closure, word_frontier
 from zclosure.errors import InfeasibleError, PreconditionError, SchemaError
 from zclosure.exactlin import Matrix
@@ -65,7 +65,10 @@ def _words(mp, predicate, max_len):
     """The language's words of length <= max_len, by length, then in
     alphabet order."""
     lengths = islice(word_frontier(mp, predicate), max_len + 1)
-    return [names for length in lengths for names, _, _ in length]
+    return [
+        word_of_code(code, ln, mp.alphabet)
+        for ln, length in enumerate(lengths) for code, _, _ in length
+    ]
 
 
 def test_enumerate_examples():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import powers_morphism, unipotent_morphism
+from conftest import powers_morphism, unipotent_morphism, word_of_code
 from zclosure.automata import Nfa
 from zclosure.closure import (
     DEFAULT_CAPS,
@@ -257,4 +257,5 @@ def test_vass_word_enumeration_matches_brute_force():
         return out
 
     for ln in range(0, 7):
-        assert [w for w, _, _ in next(source)] == brute(ln)
+        got = [word_of_code(code, ln, mp_t.alphabet) for code, _, _ in next(source)]
+        assert got == brute(ln)
