@@ -9,12 +9,12 @@ accepted language; the vanishing space is its orthogonal complement.
 One worklist, `_fixpoint`, runs every such fixpoint over configurations
 (state, counter).  A stage gives it seeds and moves, `_moves` of an automaton
 with a weight per letter: the regular fixpoint (`_nfa_span_rows`: an NFA,
-weight 0), the default-threshold cover and bounded-zero stages
-(`_threshold_rows`: the universal automaton on fixed counters) and the
-saturation window (`_window_rows`: on growing counters).  The zero
-pipeline's product-alphabet stage (`_gamma_condition_rows`) pushes the
-tensor steps of Gamma's single-track letters on one state; their commuting
-maps compose to every Gamma letter's.
+weight 0), the default-threshold cover stage (`_threshold_rows`: the
+universal automaton on fixed counters) and the saturation window
+(`_window_rows`: on growing counters).  The zero pipeline's product-alphabet
+stage (`_gamma_condition_rows`) pushes the tensor steps of Gamma's
+single-track letters on one state; their commuting maps compose to every
+Gamma letter's.
 
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
@@ -42,7 +42,9 @@ built.
 
 Pipeline policy.  At the default threshold eta the constructions carry the
 theorem-level guarantee: cover runs the cover-automaton reduction and zero
-the bounded-zero/product-alphabet pair, on counters; `automata` builds
+the product-alphabet stage, on counters.  The paper's zero closure is the
+bounded-zero words together with the flattened product-alphabet language;
+the second contains the first, so one stage gives both.  `automata` builds
 these automata only for `closure automaton` and the tests.  Reach needs the
 lifted reduction, whose flat stage is astronomically large at the default
 threshold, and so does a 1-VASS at its lifted threshold; both refuse.  Every
@@ -203,20 +205,18 @@ def _vanishing(dim: int, degree: int, span: Span) -> PolySpace:
 
 
 def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
-    if vdim > caps.veronese:
-        raise InfeasibleError(
-            f"{what}: Veronese dimension {vdim} exceeds the cap {caps.veronese}"
-        )
-    if states > caps.states:
-        raise InfeasibleError(
-            f"{what}: {states} states exceed the cap {caps.states}"
-        )
-    if states * vdim > caps.budget:
-        raise InfeasibleError(
-            f"{what}: states x Veronese = {states}x{vdim} exceeds the budget "
-            f"{caps.budget}; set eta_override (result is then oracle-checked) "
-            "or raise the budget cap"
-        )
+    for over, cap, excess in (
+        (vdim > caps.veronese, "veronese",
+         f"Veronese dimension {vdim} exceeds the cap {caps.veronese}"),
+        (states > caps.states, "states", f"{states} states exceed the cap {caps.states}"),
+        (states * vdim > caps.budget, "budget",
+         f"states x Veronese = {states}x{vdim} exceeds the budget {caps.budget}"),
+    ):
+        if over:
+            raise InfeasibleError(
+                f"{what}: {excess}; set eta_override (result is then oracle-checked) "
+                f"or raise the {cap} cap"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +306,26 @@ def regular_closure(
     return _vanishing(mp.dim, degree, _nfa_span_rows(nfa, mp, degree, caps))
 
 
-def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps, mode: str) -> Span:
-    """The span of the evaluations over the cover or bounded-zero
-    ("bz") language at mp.eta: the universal automaton on the counters of
-    the bz window (`lang.bounds`), or on [0, eta - 1], whose pushes past
+def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
+    """The span of the evaluations over the cover language at mp.eta: the
+    universal automaton on the counters [0, eta - 1], whose pushes past
     eta - 1 are parked and then seed one absorbing top configuration (the
-    cover automaton's inf) where every letter has weight 0."""
-    eta, cover = mp.eta, mode == "cover"
-    lo, hi, exact = (0, eta - 1, False) if cover else bounds(mode, eta)
-    what = ("cover pipeline (cover-automaton stage)" if cover
-            else "zero pipeline (bounded-zero stage)")
-    accepted, steps, seed = _stage(mp, degree, caps, hi - lo + 1 + cover, what)
+    cover automaton's inf) where every letter has weight 0.
+
+    The zero pipeline needs no such stage for its bounded-zero words: each
+    is a one-track word of the product-alphabet stage, whose counter window
+    [-2 eta, 2 eta] contains the bounded-zero window [-eta, eta]
+    (`_gamma_condition_rows`)."""
+    eta = mp.eta
+    accepted, steps, seed = _stage(
+        mp, degree, caps, eta + 1, "cover pipeline (cover-automaton stage)")
     sigma = Nfa.universal(mp.alphabet)
-    parked = {} if cover else None
+    parked: dict = {}
     _fixpoint(deque([(("*", 0), seed)]), _moves(sigma, steps, mp.omega), sigma.accepting,
-              exact, lo, hi, ({}, accepted, parked))
-    if cover:
-        top = deque((("*", eta), step(row)) for _, row, step in parked.get(eta, ()))
-        _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
-                  False, eta, eta, ({}, accepted, None))
+              False, 0, eta - 1, ({}, accepted, parked))
+    top = deque((("*", eta), step(row)) for _, row, step in parked.get(eta, ()))
+    _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
+              False, eta, eta, ({}, accepted, None))
     return accepted
 
 
@@ -527,35 +528,25 @@ def _oracle_over_words(
     # empty lengths carry no information (sparse languages skip lengths)
     history: list[int] = []
     used = 0
-    achieved = 0
-    limit = max(max_len, extend_to or 0)
-
-    def window_stable() -> bool:
-        return span.dim == n or _stable(history, caps.window)
-
-    capped = False
-    for ln in range(limit + 1):
-        try:
-            count = 0
-            for _, image, s in next(lengths):
-                used += 1
-                if used > caps.oracle_words:
-                    raise InfeasibleError(
-                        f"oracle exceeded the word cap {caps.oracle_words}"
-                    )
-                count += 1
-                span.insert(evaluate(image, s))
-        except InfeasibleError:
+    for ln in range(max(max_len, extend_to or 0) + 1):
+        words = next(lengths)
+        capped = used + len(words) > caps.oracle_words
+        if capped:
             if raise_on_cap:
-                raise
-            capped = True
-        achieved = ln
-        if count:
+                raise InfeasibleError(f"oracle exceeded the word cap {caps.oracle_words}")
+            words = words[:caps.oracle_words - used]
+            used = caps.oracle_words + 1  # the word past the cap counts as used
+        else:
+            used += len(words)
+        for _, image, s in words:
+            span.insert(evaluate(image, s))
+        if words:
             history.append(span.dim)
-        if capped or (ln >= max_len and (extend_to is None or window_stable())):
+        stable = span.dim == n or _stable(history, caps.window)
+        if capped or (ln >= max_len and (extend_to is None or stable)):
             break
     space = _vanishing(mp_dim, degree, span)
-    return OracleResult(space, window_stable() and not capped, achieved, used)
+    return OracleResult(space, stable and not capped, ln, used)
 
 
 def oracle_closure(
@@ -627,11 +618,9 @@ def _mu_pullback_rows(d: int, degree: int) -> list[dict[int, int]]:
     ]
 
 
-def _gamma_condition_rows(
-    mp: MorphismPair, degree: int, caps: Caps
-) -> list[tuple[int, ...]]:
-    """Integer linear conditions on p (degree <= D) saying p vanishes on the
-    image of the flattened product-automaton language.
+def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
+    """The span of the evaluations over the flattened product-automaton
+    language, the zero pipeline's whole answer at the default threshold.
 
     The automaton (`automata.build_zero_automaton`) reads the letters of
     Gamma, 4-tuples over epsilon + Sigma, on counters in [-2 eta, 2 eta].
@@ -641,7 +630,13 @@ def _gamma_condition_rows(
     track, the one away from the nearer bound first, keeps the counter in
     range.  So the 4|Sigma| single-track letters reach the same span at
     every counter as all of Gamma, and `_fixpoint`, on one state, pushes
-    only along them; the conditions come from the span at counter 0.
+    only along them; the span at counter 0, pulled back along the product
+    of the four blocks, is the answer.
+
+    The bounded-zero words (weight 0, prefix weights in [-eta, eta]) need
+    no stage of their own: read on the first track with the other three
+    empty, each is a word of this automaton, whose window [-2 eta, 2 eta]
+    contains theirs, and its flattening is the word itself.
     """
     d = mp.dim
     n = comb(d * d + degree, degree)
@@ -656,10 +651,10 @@ def _gamma_condition_rows(
     spans: dict = {}
     _fixpoint(deque([(("*", 0), seed)]), moves, (), True, -2 * eta, 2 * eta, (spans, None, None))
     mu_rows = _mu_pullback_rows(d, degree)
-    return [
-        tuple(sum(c * s[idx] for idx, c in row.items()) for row in mu_rows)
-        for s in (dense(r, n ** 4) for r in spans[("*", 0)].rows)
-    ]
+    accepted = Span(len(mu_rows))
+    for s in (dense(r, n ** 4) for r in spans[("*", 0)].rows):
+        accepted.insert([sum(c * s[idx] for idx, c in row.items()) for row in mu_rows])
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +716,7 @@ def run_cover(
 ) -> PipelineResult:
     if not mp.eta_is_default:
         return run_saturation(mp, "cover", degree, caps)
-    space = _vanishing(mp.dim, degree, _threshold_rows(mp, degree, caps, "cover"))
+    space = _vanishing(mp.dim, degree, _threshold_rows(mp, degree, caps))
     return PipelineResult(space, "cover", mp.eta, "cover-automaton")
 
 
@@ -730,10 +725,8 @@ def run_zero(
 ) -> PipelineResult:
     if not mp.eta_is_default:
         return run_saturation(mp, "zero", degree, caps)
-    accepted = _threshold_rows(mp, degree, caps, "bz")
-    for row in _gamma_condition_rows(mp, degree, caps):
-        accepted.insert(row)
-    return PipelineResult(_vanishing(mp.dim, degree, accepted), "zero", mp.eta, "bz+flat")
+    space = _vanishing(mp.dim, degree, _gamma_condition_rows(mp, degree, caps))
+    return PipelineResult(space, "zero", mp.eta, "bz+flat")
 
 
 def _reach_default_cost(mp: MorphismPair, degree: int) -> str:

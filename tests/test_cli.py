@@ -18,13 +18,16 @@ from zclosure.closure import Caps, finite_vanishing_space
 from zclosure.errors import SchemaError
 from zclosure.polys import space_to_generators
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "src", "zclosure", "corpus")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+CORPUS = os.path.join(SRC, "zclosure", "corpus")
 
 
 def _run_cli(*args, env_extra=None):
+    # the child imports this checkout's package, whatever else is installed
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "zclosure.cli", *args],
         capture_output=True,
@@ -160,6 +163,22 @@ def test_cover_d2_default_eta_exits_infeasible(tmp_path):
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
     assert "budget" in err["message"] and "eta_override" in err["message"]
+
+
+def test_zero_d2_default_eta_exits_infeasible(tmp_path):
+    # 15^4 tensor coordinates exceed the Veronese cap at the default
+    # threshold; the refusal still points at eta_override
+    path = tmp_path / "zero_default.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "alphabet": ["a", "b"],
+        "phi": {"a": [["1", "1"], ["0", "1"]], "b": [["1", "0"], ["1", "1"]]},
+        "omega": {"a": 1, "b": -1}, "mode": "zero", "degree": 2,
+    }))
+    proc = _run_cli("run", str(path))
+    assert proc.returncode == 3
+    err = json.loads(proc.stderr)
+    assert err["error"] == "infeasible"
+    assert "eta_override" in err["message"]
 
 
 def test_truncated_oracle_exits_disagreement(tmp_path):
