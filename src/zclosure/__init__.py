@@ -1,5 +1,10 @@
 """Degree-bounded vanishing ideals of matrix-morphism images of one-counter
-coverability, reachability and zero-weight languages."""
+coverability, reachability and zero-weight languages.
+
+`closure` is imported first.  The block reduction, the factorization trees
+and the exterior algebra, which no cover, reach, zero or regular pipeline
+uses, are imported on first access to their names (`_DEFERRED`)."""
+from importlib import import_module as _import_module
 
 from .closure import (
     Caps,
@@ -24,14 +29,6 @@ from .errors import (
     ZClosureError,
 )
 from .exactlin import Matrix, Subspace, is_stable, rank, rank_decomp, stable_identity
-from .exterior import ExtVector, greedy_basis, iota, trivially_intersects, wedge
-from .facttree import (
-    FactTree,
-    build_rank_tree,
-    build_tree,
-    extract_stable_factor,
-    validate_tree,
-)
 from .lang import MorphismPair, WordClass, classify_word, default_eta
 from .automata import (
     Nfa,
@@ -44,6 +41,28 @@ from .automata import (
     flatten,
 )
 from .polys import IdealGens, PolySpace, ideal_slice, space_to_generators
-from .reduction import BlockMorphism, Vass, blockify_regular, extract_block_closure, run_vass
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# module -> the names the package takes from it on first access
+_DEFERRED = {
+    "exterior": ("ExtVector", "greedy_basis", "iota", "trivially_intersects", "wedge"),
+    "facttree": (
+        "FactTree", "build_rank_tree", "build_tree", "extract_stable_factor", "validate_tree",
+    ),
+    "reduction": (
+        "BlockMorphism", "Vass", "blockify_regular", "extract_block_closure", "run_vass",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name == module or name in names:
+            loaded = _import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")}
+    | {name for module, names in _DEFERRED.items() for name in (module, *names)}
+)

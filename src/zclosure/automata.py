@@ -32,7 +32,6 @@ from .errors import (
     InternalInvariantError,
     PreconditionError,
 )
-from .facttree import extract_stable_factor
 from .lang import MorphismPair, Word, classify_word
 
 INF = "inf"
@@ -323,6 +322,10 @@ def construct_zero_witness(
     """Witness pair (W, U) with W U^k accepted by the zero automaton for all
     k and flat(W U^k) a pumped version of w.  Input must be a zero-weight
     word that is not bounded-zero."""
+    # imported here: a pipeline run never builds a witness, so it never
+    # loads the factorization trees and the exterior algebra
+    from .facttree import extract_stable_factor
+
     w = mp.check_word(w)
     cls = classify_word(w, mp)
     if not (cls.in_LZ and not cls.in_LBZ):

@@ -12,6 +12,11 @@ Instances are JSON; matrices are row-major arrays of "p/q" strings so no
 value ever passes through floating point.  Errors leave as structured JSON on
 stderr with distinct exit codes: 2 schema, 3 infeasible, 4 oracle
 disagreement, 5 internal invariant violation.
+
+`closure run` on a cover, reach, zero or regular instance loads neither the
+block reduction (`reduction`, imported where a 1-VASS instance is read or
+run and by the corpus's block check) nor the factorization trees and the
+exterior algebra (`facttree` and `exterior`, imported by `closure tree`).
 """
 from __future__ import annotations
 
@@ -46,10 +51,8 @@ from .closure import (
 )
 from .errors import SchemaError, ZClosureError
 from .exactlin import Matrix
-from .facttree import build_tree
 from .lang import MorphismPair
 from .polys import gens_from_strings, ideal_slice, space_to_generators
-from .reduction import Vass, blockify_regular, extract_block_closure, run_vass, vass_to_constrained
 
 _CAP_ENV = {f.name: f"CLOSURE_CAP_{f.name.upper()}" for f in fields(Caps)}
 
@@ -203,6 +206,8 @@ class Instance:
             raise SchemaError(f"{path}: bad nfa: {exc}") from exc
 
     def _parse_vass(self, doc, path) -> Vass:
+        from .reduction import Vass
+
         _check_object(doc, path, "vass", _AUTOMATON_KEYS)
         if not isinstance(doc["transitions"], list):
             raise SchemaError(f"{path}: vass transitions must be a list")
@@ -272,10 +277,16 @@ _RUNNERS = {
     "regular": lambda i: PipelineResult(
         regular_closure(i.nfa, i.mp, i.degree, i.caps), "regular", i.mp.eta, "fixpoint"
     ),
-    "vass-cover": lambda i: run_vass(i.vass, i.mp, "cover", i.degree, i.caps),
-    "vass-reach": lambda i: run_vass(i.vass, i.mp, "reach", i.degree, i.caps),
+    "vass-cover": lambda i: _run_vass(i, "cover"),
+    "vass-reach": lambda i: _run_vass(i, "reach"),
 }
 MODES = tuple(_RUNNERS)
+
+
+def _run_vass(instance: Instance, mode: str) -> PipelineResult:
+    from .reduction import run_vass
+
+    return run_vass(instance.vass, instance.mp, mode, instance.degree, instance.caps)
 
 
 def _language(instance: Instance) -> tuple:
@@ -283,6 +294,8 @@ def _language(instance: Instance) -> tuple:
     predicate name, DFA or None), a 1-VASS's through `vass_to_constrained`
     and a regular NFA's as "all" under `determinize`, capped by caps.states."""
     if instance.vass is not None:
+        from .reduction import vass_to_constrained
+
         mp, dfa = vass_to_constrained(instance.vass, instance.mp)
         return mp, instance.mode.removeprefix("vass-"), dfa
     if instance.nfa is not None:
@@ -379,6 +392,8 @@ def _verify_builtin_chain() -> dict:
 
 
 def _verify_builtin_blocks() -> dict:
+    from .reduction import blockify_regular, extract_block_closure
+
     phi1 = MorphismPair(
         ("a", "b"), 2,
         {"a": Matrix([[2, 0], [0, 4]]), "b": Matrix([[1, 0], [1, 1]])},
@@ -481,6 +496,8 @@ def _split_word(text: str) -> tuple[str, ...]:
 
 
 def _cmd_tree(args) -> int:
+    from .facttree import build_tree
+
     instance = load_instance(args.file)
     word = instance.mp.check_word(_split_word(args.word))
     tree = build_tree([instance.mp.phi[a] for a in word])

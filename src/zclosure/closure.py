@@ -204,7 +204,14 @@ def _vanishing(dim: int, degree: int, span: Span) -> PolySpace:
     return PolySpace(dim, degree, Subspace(span.n, tuple(kernel_basis(span))))
 
 
-def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
+def _check_budget(
+    states: int, vdim: int, caps: Caps, what: str, default_eta: bool = False
+) -> None:
+    """Refuse a stage past a cap, naming the stage and the cap.  Only a
+    default-threshold stage (`default_eta`) also points at eta_override: the
+    saturation windows, the oracle and the regular closure do not depend on
+    the threshold."""
+    remedy = "set eta_override (result is then oracle-checked) or " if default_eta else ""
     for over, cap, excess in (
         (vdim > caps.veronese, "veronese",
          f"Veronese dimension {vdim} exceeds the cap {caps.veronese}"),
@@ -214,8 +221,7 @@ def _check_budget(states: int, vdim: int, caps: Caps, what: str) -> None:
     ):
         if over:
             raise InfeasibleError(
-                f"{what}: {excess}; set eta_override (result is then oracle-checked) "
-                f"or raise the {cap} cap"
+                f"{what}: {excess}; {remedy}raise the {cap} cap"
             )
 
 
@@ -277,12 +283,12 @@ def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Mov
 
 
 def _stage(
-    mp: MorphismPair, degree: int, caps: Caps, states: int, what: str
+    mp: MorphismPair, degree: int, caps: Caps, states: int, what: str, default_eta: bool = False
 ) -> tuple[Span, dict[str, Callable], list[int]]:
     """After a stage's budget check: its empty accepted span, each letter's
     step (`apply_map` with its integer map) and the seed nu_D(I)."""
     n = comb(mp.dim * mp.dim + degree, degree)
-    _check_budget(states, n, caps, what)
+    _check_budget(states, n, caps, what, default_eta)
     steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
     return Span(n), steps, _cleared(veronese(Matrix.identity(mp.dim), degree))
 
@@ -318,7 +324,7 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     (`_gamma_condition_rows`)."""
     eta = mp.eta
     accepted, steps, seed = _stage(
-        mp, degree, caps, eta + 1, "cover pipeline (cover-automaton stage)")
+        mp, degree, caps, eta + 1, "cover pipeline (cover-automaton stage)", default_eta=True)
     sigma = Nfa.universal(mp.alphabet)
     parked: dict = {}
     _fixpoint(deque([(("*", 0), seed)]), _moves(sigma, steps, mp.omega), sigma.accepting,
@@ -424,14 +430,18 @@ class OracleResult:
 # The words of one length n with their images phi(w) = N / s: each word as
 # its code, the sum of i_j * |Sigma|^(n - 1 - j) over its letter indices i_j;
 # N the d x d integer matrix flattened row-major, s > 0 one common denominator.
+# A frontier yields one for each n <= its max_len, all of them, and then
+# ends; the prefixes it never makes complete only past max_len.
 Length = list[tuple[int, list[int], int]]
 
 
-def word_frontier(mp: MorphismPair, predicate: str, nfa: Nfa | None = None) -> Iterator[Length]:
-    """For n = 0, 1, 2, ...: the words of length n in the language, in
-    letter-index order, each as its code (`Length`) with its image.
+def word_frontier(
+    mp: MorphismPair, predicate: str, nfa: Nfa | None, max_len: int
+) -> Iterator[Length]:
+    """For n = 0, 1, ..., max_len: the words of length n in the language,
+    in letter-index order, each as its code (`Length`) with its image.
 
-    The language is the paths of `nfa` (default: every word; it must be
+    The language is the paths of `nfa` (None: every word; it must be
     deterministic and may be partial) whose prefix weights stay in the
     predicate's window (`lang.bounds`).  A node is a prefix as its code and
     length, with its automaton state, its counter and its parent's image: six
@@ -443,18 +453,29 @@ def word_frontier(mp: MorphismPair, predicate: str, nfa: Nfa | None = None) -> I
     asked for.  A node's image is one integer product of its parent's
     image with the letter's denominator-cleared matrix, made when the node
     is expanded.  States from which no accepting state is reachable are
-    never entered.  The predicate and the automaton are checked when the
-    frontier is made, before any length is asked for.
+    never entered.
+
+    A child whose earliest completion lies past max_len is never made, and
+    the frontier ends after length max_len.  That is exact: every word
+    through a node is at least as long as the node's earliest completion,
+    so such a child leads to no word the caller reads, and the lengths up
+    to max_len are those of a frontier with a larger bound.  Reading past
+    max_len is the end of the iterator, never an empty length.  The
+    predicate, the automaton and max_len are checked when the frontier is
+    made, before any length is asked for.
     """
     bounds(predicate, mp.eta)  # refuses an unknown predicate
+    if max_len < 0:
+        raise PreconditionError(f"the oracle's max_len must be >= 0, got {max_len}")
     nfa = nfa or Nfa.universal(mp.alphabet)
     if not nfa.is_deterministic():
         raise PreconditionError("the oracle's automaton must be deterministic")
-    return _frontier(mp, predicate, nfa)
+    return _frontier(mp, predicate, nfa, max_len)
 
 
-def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa) -> Iterator[Length]:
-    """`word_frontier`'s generator, over a checked predicate and automaton."""
+def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator[Length]:
+    """`word_frontier`'s generator, over a checked predicate, automaton and
+    last length."""
     lo, hi, exact = bounds(predicate, mp.eta)
     d = mp.dim
     letters = []  # per letter: the columns of its cleared matrix, the divisor
@@ -480,7 +501,7 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa) -> Iterator[Length]:
     identity = [int(i == j) for i in range(d) for j in range(d)]
     (initial,) = nfa.initial
     buckets = {0: [(0, 0, initial, 0, identity, 1)]}
-    for ln in itertools.count():
+    for ln in range(last + 1):
         found = []
         bucket = buckets.setdefault(ln, [])
         while bucket:  # nodes that can still complete at ln join it
@@ -500,7 +521,9 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa) -> Iterator[Length]:
             for i, w, q2 in moves[q]:
                 if lo <= c + w <= hi:
                     e = depth + 1 + (abs(c + w) if exact else 0)
-                    buckets.setdefault(e, []).append((code * k + i, depth + 1, q2, c + w, n, s))
+                    if e <= last:
+                        buckets.setdefault(e, []).append(
+                            (code * k + i, depth + 1, q2, c + w, n, s))
         del buckets[ln]
         found.sort()  # by code: equal-length codes differ and sort as letter indices
         yield found
@@ -510,16 +533,16 @@ def _oracle_over_words(
     mp_dim: int,
     degree: int,
     lengths: Iterator[Length],
-    max_len: int,
+    min_len: int,
     caps: Caps,
-    extend_to: int | None = None,
     raise_on_cap: bool = True,
 ) -> OracleResult:
-    """Enumerate to max_len; when extend_to is set, keep going past max_len
-    until the stabilization window is met (sparse languages can skip several
-    lengths between words).  Without raise_on_cap, hitting the word budget
-    stops gracefully at the achieved length.  A word's point is its integer
-    Veronese vector N^mono * s^(D - |mono|), s^D times nu_D(N / s)."""
+    """Enumerate `lengths` (bounded by the caller, `word_frontier`'s
+    max_len) to min_len, then on until the stabilization window is met
+    (sparse languages can skip several lengths between words) or `lengths`
+    ends.  Without raise_on_cap, hitting the word budget stops gracefully at
+    the achieved length.  A word's point is its integer Veronese vector
+    N^mono * s^(D - |mono|), s^D times nu_D(N / s)."""
     n = comb(mp_dim * mp_dim + degree, degree)
     _check_budget(0, n, caps, "oracle")  # no states: only the Veronese cap applies
     evaluate = _monomial_evaluator(mp_dim * mp_dim, degree)
@@ -528,8 +551,7 @@ def _oracle_over_words(
     # empty lengths carry no information (sparse languages skip lengths)
     history: list[int] = []
     used = 0
-    for ln in range(max(max_len, extend_to or 0) + 1):
-        words = next(lengths)
+    for ln, words in enumerate(lengths):
         capped = used + len(words) > caps.oracle_words
         if capped:
             if raise_on_cap:
@@ -543,7 +565,7 @@ def _oracle_over_words(
         if words:
             history.append(span.dim)
         stable = span.dim == n or _stable(history, caps.window)
-        if capped or (ln >= max_len and (extend_to is None or stable)):
+        if capped or (ln >= min_len and stable):
             break
     space = _vanishing(mp_dim, degree, span)
     return OracleResult(space, stable and not capped, ln, used)
@@ -559,10 +581,10 @@ def oracle_closure(
 ) -> OracleResult:
     """finite_vanishing_space over the words of the language named by the
     predicate and read by the deterministic `nfa` (default: every word),
-    `word_frontier(mp, predicate, nfa)`, up to max_len; reports whether the
-    space was identical over the last `window` length increments."""
+    `word_frontier(mp, predicate, nfa, max_len)`; reports whether the space
+    was identical over the last `window` length increments."""
     return _oracle_over_words(
-        mp.dim, degree, word_frontier(mp, predicate, nfa), max_len, caps
+        mp.dim, degree, word_frontier(mp, predicate, nfa, max_len), max_len, caps
     )
 
 
@@ -641,7 +663,8 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     d = mp.dim
     n = comb(d * d + degree, degree)
     eta = mp.eta
-    _check_budget(4 * eta + 1, n ** 4, caps, "zero pipeline (product-alphabet stage)")
+    _check_budget(
+        4 * eta + 1, n ** 4, caps, "zero pipeline (product-alphabet stage)", default_eta=True)
     maps = _integer_maps(mp, degree)
     moves = {"*": [(partial(_tensor_apply, maps[a], f, n=n), mp.omega[a], "*")
                    for a in mp.alphabet for f in range(4)]}
@@ -682,19 +705,15 @@ def run_saturation(
     mode_name: str | None = None,
 ) -> PipelineResult:
     """`counter_saturation`, cross-checked against the brute-force oracle
-    over the same language (`word_frontier(mp, mode, nfa)`); on disagreement
-    the result is withheld.  The frontier is made first, so an automaton
-    the oracle cannot read is refused before the saturation runs."""
-    lengths = word_frontier(mp, mode, nfa)
+    over the same language (`word_frontier`, to length caps.oracle_len and
+    on to caps.oracle_extend until it stabilizes); on
+    disagreement the result is withheld.  The frontier is made first, so an
+    automaton the oracle cannot read is refused before the saturation
+    runs."""
+    lengths = word_frontier(mp, mode, nfa, max(caps.oracle_len, caps.oracle_extend))
     space, bound = counter_saturation(mp, degree, mode, nfa, caps)
     oracle = _oracle_over_words(
-        mp.dim,
-        degree,
-        lengths,
-        caps.oracle_len,
-        caps,
-        extend_to=caps.oracle_extend,
-        raise_on_cap=False,
+        mp.dim, degree, lengths, caps.oracle_len, caps, raise_on_cap=False
     )
     name = mode_name or mode
     if oracle.space != space:

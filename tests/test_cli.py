@@ -181,6 +181,35 @@ def test_zero_d2_default_eta_exits_infeasible(tmp_path):
     assert "eta_override" in err["message"]
 
 
+@pytest.mark.parametrize("command, mode, cap, stage", [
+    ("oracle", "reach", "veronese", "oracle"),
+    ("run", "cover", "budget", "cover saturation"),
+    ("run", "regular", "budget", "regular closure"),
+])
+def test_refusal_off_the_default_threshold_names_only_its_cap(
+    tmp_path, capsys, command, mode, cap, stage
+):
+    # eta_override cannot help the oracle, the saturation windows or the
+    # regular closure, so their refusals name only the cap
+    doc = {
+        "dimension": 2, "alphabet": ["a", "b"],
+        "phi": {"a": [["1", "1"], ["0", "1"]], "b": [["1", "0"], ["1", "1"]]},
+        "omega": {"a": 1, "b": -1}, "mode": mode, "degree": 2,
+        "eta_override": 2, "caps": {cap: 1},
+    }
+    if mode == "regular":
+        doc["nfa"] = {"states": [0], "initial": [0], "accepting": [0],
+                      "transitions": [[0, "a", 0], [0, "b", 0]]}
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "infeasible"
+    assert err["message"].startswith(stage)
+    assert err["message"].endswith(f"; raise the {cap} cap")
+    assert "eta_override" not in err["message"]
+
+
 def test_truncated_oracle_exits_disagreement(tmp_path):
     path = tmp_path / "tight.json"
     path.write_text(json.dumps({

@@ -108,7 +108,7 @@ def _assert_lengths_match(mp, frontier, brute_by_len):
 def test_frontier_matches_brute_force_in_order(mp, language):
     predicate, dfa = _language(mp, language)
     _assert_lengths_match(
-        mp, word_frontier(mp, predicate, dfa), lambda ln: _brute(mp, predicate, dfa, ln)
+        mp, word_frontier(mp, predicate, dfa, MAX_LEN), lambda ln: _brute(mp, predicate, dfa, ln)
     )
 
 
@@ -119,7 +119,7 @@ def test_vass_frontier_matches_brute_force_in_order(data, mode):
     vass = data.draw(_vasses(mp.alphabet))
     mp_t, dfa = vass_to_constrained(vass, mp)
     _assert_lengths_match(
-        mp_t, word_frontier(mp_t, mode, dfa), lambda ln: _vass_brute(vass, mode, ln)
+        mp_t, word_frontier(mp_t, mode, dfa, MAX_LEN), lambda ln: _vass_brute(vass, mode, ln)
     )
 
 
@@ -141,9 +141,20 @@ def test_partial_dfa_frontier_matches_brute_force_in_order(data, language):
     partial = data.draw(_partial_dfas(mp.alphabet))
     predicate, dfa = _language(mp, language)
     _assert_lengths_match(
-        mp, word_frontier(mp, predicate, partial if dfa is None else product(partial, dfa)),
+        mp, word_frontier(
+            mp, predicate, partial if dfa is None else product(partial, dfa), MAX_LEN),
         lambda ln: [w for w in _brute(mp, predicate, dfa, ln) if partial.accepts(w)],
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_morphism_pairs(), st.sampled_from(LANGUAGES), st.integers(0, MAX_LEN))
+def test_bounded_frontier_is_a_prefix_of_a_longer_one(mp, language, last):
+    predicate, dfa = _language(mp, language)
+    longer = list(word_frontier(mp, predicate, dfa, MAX_LEN + 1))
+    assert list(word_frontier(mp, predicate, dfa, last)) == longer[:last + 1]
+    with pytest.raises(PreconditionError, match="max_len"):
+        word_frontier(mp, predicate, dfa, -1)
 
 
 def test_frontier_refuses_a_nondeterministic_automaton():
@@ -153,10 +164,10 @@ def test_frontier_refuses_a_nondeterministic_automaton():
     two_initial = Nfa((0, 1), ("a",), frozenset({0, 1}), frozenset({1}), frozenset())
     for nfa in (two_targets, two_initial):
         with pytest.raises(PreconditionError, match="deterministic"):
-            word_frontier(mp, "reach", nfa)  # refused when made, not when advanced
+            word_frontier(mp, "reach", nfa, 0)  # refused when made, not when advanced
     for predicate in ("sideways", lambda w: True):  # a language is a name, not a callable
         with pytest.raises(PreconditionError, match="unknown predicate"):
-            word_frontier(mp, predicate)
+            word_frontier(mp, predicate, None, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +179,7 @@ def test_word_cap_keeps_the_first_words(mp, language, k, degree):
     predicate, dfa = _language(mp, language)
     words = [w for ln in range(MAX_LEN + 1) for w in _brute(mp, predicate, dfa, ln)]
     o = _oracle_over_words(
-        mp.dim, degree, word_frontier(mp, predicate, dfa), MAX_LEN,
+        mp.dim, degree, word_frontier(mp, predicate, dfa, MAX_LEN), MAX_LEN,
         Caps(oracle_words=k), raise_on_cap=False,
     )
     want = finite_vanishing_space([mp.image(w) for w in words[:k]], degree, mp.dim)
@@ -191,18 +202,22 @@ def test_long_words_do_not_recurse():
 
 
 def test_frontier_nodes_do_not_copy_their_words():
-    # rvsc2_phi1_reach to length 22: the frontier holds tens of thousands of
+    # rvsc2_phi1_reach: to length 22 the frontier holds tens of thousands of
     # nodes, so a node that copied its word (O(depth) each) peaked at about
-    # 1.5 MB under tracemalloc, and one of fixed size peaks near 0.7 MB
+    # 1.5 MB under tracemalloc and one of fixed size near 0.7 MB.  To length
+    # 26, a frontier that also made the 7,752 nodes completing only past 26,
+    # each holding its parent's image, peaked near 3.4 MB.  The frontier
+    # makes no such node: it peaks near 0.3 MB at 22 and 1.25 MB at 26
     instance = load_instance(os.path.join(
         os.path.dirname(__file__), "..", "src", "zclosure", "corpus", "rvsc2_phi1_reach.json"
     ))
     mp, dfa = vass_to_constrained(instance.vass, instance.mp)
-    tracemalloc.start()
-    try:
-        o = oracle_closure(mp, "reach", 2, 22, nfa=dfa)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (o.words_used, o.max_len) == (911, 22)
-    assert peak < 1_000_000, f"oracle peak {peak} bytes"
+    for max_len, words, bound in ((22, 911, 1_000_000), (26, 4787, 2_000_000)):
+        tracemalloc.start()
+        try:
+            o = oracle_closure(mp, "reach", 2, max_len, nfa=dfa)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (o.words_used, o.max_len) == (words, max_len)
+        assert peak < bound, f"oracle peak {peak} bytes at length {max_len}"

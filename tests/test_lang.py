@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +64,7 @@ def test_membership_matches_the_reference_definitions(data, k, eta):
 def _words(mp, predicate, max_len):
     """The language's words of length <= max_len, by length, then in
     alphabet order."""
-    lengths = islice(word_frontier(mp, predicate), max_len + 1)
+    lengths = word_frontier(mp, predicate, None, max_len)
     return [
         word_of_code(code, ln, mp.alphabet)
         for ln, length in enumerate(lengths) for code, _, _ in length

@@ -235,7 +235,7 @@ def test_vass_word_enumeration_matches_brute_force():
         (("s", "a", 1, "s"), ("s", "b", -1, "t"), ("t", "b", -1, "t")),
     )
     mp_t, dfa = vass_to_constrained(vass, unipotent_morphism())
-    source = word_frontier(mp_t, "reach", dfa)
+    source = word_frontier(mp_t, "reach", dfa, 6)
     by_source = {}
     trans = [("t0", "s", 1, "s"), ("t1", "s", -1, "t"), ("t2", "t", -1, "t")]
     for name, src, w, dst in trans:
