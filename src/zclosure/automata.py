@@ -31,6 +31,7 @@ from .errors import (
     InfeasibleError,
     InternalInvariantError,
     PreconditionError,
+    figure,
 )
 from .lang import MorphismPair, Word, classify_word
 
@@ -73,13 +74,6 @@ class Nfa:
             if not current:
                 return False
         return bool(current & self.accepting)
-
-    def successors(self, q):
-        out: dict = {}
-        for (p, a, p2) in self.transitions:
-            if p == q:
-                out.setdefault(a, set()).add(p2)
-        return out
 
     def is_deterministic(self) -> bool:
         return len(self.initial) == 1 and len(self.delta()) == len(self.transitions)
@@ -152,30 +146,10 @@ def determinize(nfa: Nfa, max_states: int = 10**6) -> Nfa:
     )
 
 
-def product(a: Nfa, b: Nfa) -> Nfa:
-    """Synchronous product on the common alphabet (language intersection)."""
-    if set(a.alphabet) != set(b.alphabet):
-        raise PreconditionError("product requires identical alphabets")
-    states = tuple(itertools.product(a.states, b.states))
-    transitions = set()
-    b_succ = {q: b.successors(q) for q in b.states}
-    for (p, letter, p2) in a.transitions:
-        for q in b.states:
-            for q2 in b_succ[q].get(letter, ()):
-                transitions.add(((p, q), letter, (p2, q2)))
-    return Nfa(
-        states=states,
-        alphabet=a.alphabet,
-        initial=frozenset(itertools.product(a.initial, b.initial)),
-        accepting=frozenset(itertools.product(a.accepting, b.accepting)),
-        transitions=frozenset(transitions),
-    )
-
-
 def _check_state_cap(n: int, max_states: int, what: str) -> None:
     if n > max_states:
         raise InfeasibleError(
-            f"{what} needs {n} states, over the cap {max_states}; "
+            f"{what} needs {figure(n)} states, over the cap {max_states}; "
             "set eta_override to a small value (guarantees then rest on the "
             "oracle cross-check) or raise the cap"
         )

@@ -7,11 +7,13 @@ so a worklist fixpoint over a finite automaton computes the exact span of the
 accepted language; the vanishing space is its orthogonal complement.
 
 One worklist, `_fixpoint`, runs every such fixpoint over configurations
-(state, counter).  A stage gives it seeds and moves, `_moves` of an automaton
-with a weight per letter: the regular fixpoint (`_nfa_span_rows`: an NFA,
-weight 0), the default-threshold cover stage (`_threshold_rows`: the
-universal automaton on fixed counters) and the saturation window
-(`_window_rows`: on growing counters).  The zero pipeline's product-alphabet
+(state, counter) on a stage's one `Run`; each call first replays the pushes
+that earlier calls parked outside their counter range and its own admits.
+An automaton stage gets its run, seeded with nu_D(I), from `_stage` and its
+moves from `_moves`, with a weight per letter: the regular fixpoint
+(`_nfa_span_rows`: an NFA, weight 0), the default-threshold cover stage
+(`_threshold_rows`: fixed counters) and the saturation windows
+(`_window_rows`: growing counters).  The zero pipeline's product-alphabet
 stage (`_gamma_condition_rows`) pushes the tensor steps of Gamma's
 single-track letters on one state; their commuting maps compose to every
 Gamma letter's.
@@ -69,7 +71,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, lgamma, log, log10
 from operator import mul
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -79,6 +81,7 @@ from .errors import (
     InfeasibleError,
     OracleDisagreementError,
     PreconditionError,
+    figure,
 )
 from .exactlin import (
     Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, span_of, vec,
@@ -177,14 +180,11 @@ def apply_map(cols: Columns, row: Row) -> list[int]:
 
 
 def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, Columns]:
-    """Each letter map times the lcm of all its denominators: the image of
-    every vector is scaled by one nonzero constant, so no span changes.
-
-    The map is built from the integer letter den * a, den the lcm of a's
-    denominators.  T maps each degree to itself, so column s of that map is
-    den^|s| times column s of a's map, whose denominators divide den^|s|
-    over the gcd of den^|s| and the column; clearing their lcm m gives each
-    entry c as c * m / den^|s|, without a `Fraction`."""
+    """Each letter's map on s^D * nu_D(N / s), the coordinates of the
+    oracle's points: the map of the integer letter den * a, den the lcm of
+    a's denominators, with row t times den^(D - |t|).  That is den^D times
+    a's map, so every image is scaled by one nonzero constant and no span
+    changes."""
     basis = monomial_basis(mp.dim * mp.dim, degree)
     out = {}
     for a in mp.alphabet:
@@ -193,9 +193,8 @@ def _integer_maps(mp: MorphismPair, degree: int) -> dict[str, Columns]:
         cols = letter_map(
             [[x.numerator * (den // x.denominator) for x in row] for row in rows], degree
         )
-        scales = [den ** sum(mono) for mono in basis]
-        m = lcm(*(g // gcd(g, *cs) for g, (_, cs) in zip(scales, cols)))
-        out[a] = [(ts, tuple(c * m // g for c in cs)) for g, (ts, cs) in zip(scales, cols)]
+        scales = [den ** (degree - sum(mono)) for mono in basis]
+        out[a] = [(ts, tuple(c * scales[t] for t, c in zip(ts, cs))) for ts, cs in cols]
     return out
 
 
@@ -207,22 +206,21 @@ def _vanishing(dim: int, degree: int, span: Span) -> PolySpace:
 def _check_budget(
     states: int, vdim: int, caps: Caps, what: str, default_eta: bool = False
 ) -> None:
-    """Refuse a stage past a cap, naming the stage and the cap.  Only a
-    default-threshold stage (`default_eta`) also points at eta_override: the
-    saturation windows, the oracle and the regular closure do not depend on
-    the threshold."""
+    """Refuse a stage past a cap, naming the stage and the first cap it
+    exceeds.  Only a default-threshold stage (`default_eta`) also points at
+    eta_override: the saturation windows, the oracle and the regular closure
+    do not depend on the threshold."""
+    if vdim > caps.veronese:
+        cap, excess = "veronese", f"Veronese dimension {figure(vdim)} exceeds the cap"
+    elif states > caps.states:
+        cap, excess = "states", f"{figure(states)} states exceed the cap"
+    elif states * vdim > caps.budget:
+        excess = f"states x Veronese = {figure(states)}x{figure(vdim)} exceeds the budget"
+        cap = "budget"
+    else:
+        return
     remedy = "set eta_override (result is then oracle-checked) or " if default_eta else ""
-    for over, cap, excess in (
-        (vdim > caps.veronese, "veronese",
-         f"Veronese dimension {vdim} exceeds the cap {caps.veronese}"),
-        (states > caps.states, "states", f"{states} states exceed the cap {caps.states}"),
-        (states * vdim > caps.budget, "budget",
-         f"states x Veronese = {states}x{vdim} exceeds the budget {caps.budget}"),
-    ):
-        if over:
-            raise InfeasibleError(
-                f"{what}: {excess}; {remedy}raise the {cap} cap"
-            )
+    raise InfeasibleError(f"{what}: {excess} {getattr(caps, cap)}; {remedy}raise the {cap} cap")
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +231,23 @@ def _check_budget(
 # dense image.
 Moves = dict[object, list[tuple[Callable, int, object]]]
 
+# A stage's run (`_fixpoint`): spans, accepted span, worklist, parked pushes.
+Run = tuple[dict, Span, deque, dict]
+
 
 def _fixpoint(
-    queue: deque, moves: Moves, accepting: Collection, exact: bool, lo: int, hi: int,
-    state: tuple[dict, Span | None, dict | None],
+    run: Run, moves: Moves, accepting: Collection, exact: bool, lo: int, hi: int
 ) -> None:
-    """Grow `state` (span per configuration (q, c), accepted span, refused
-    pushes by target counter) to the least fixpoint of the pushes ((q, c), v)
-    in `queue`, dense vectors popped first in, first out.  When v grows its
-    configuration's span, the row the span stored goes into the accepted
-    span when q is accepting (and c is 0 if `exact`), and is pushed along
-    each move of q whose counter stays in [lo, hi]; a push that leaves the
-    range is parked, unmapped, in `refused` (if kept) when a wider range can
-    admit it: ranges grow upwards, and downwards too when they reach below
-    0.  Budgets are the callers' to check.
+    """Grow `run` (span per configuration (q, c), accepted span, worklist of
+    pushes ((q, c), dense v), parked pushes (q, row, step) by target counter)
+    to the least fixpoint on the counters [lo, hi]: first the parked pushes
+    in [lo, hi] are mapped and queued, then the worklist is popped first in,
+    first out.  When v grows its configuration's span, the row the span
+    stored goes into the accepted span when q is accepting (and c is 0 if
+    `exact`), and is pushed along each move of q whose counter stays in
+    [lo, hi]; a push that leaves the range is parked, unmapped, when a wider
+    range can admit it: ranges grow upwards, and downwards too when they
+    reach below 0.  Budgets are the callers' to check.
 
     The row is v's primitive residual against the configuration's earlier
     rows: a multiple of v minus a multiple of it lies in their span, and
@@ -254,7 +255,9 @@ def _fixpoint(
     and parked on every refused one.  So pushing the row instead of v leaves
     every span as it was, and the row is zero at the earlier rows' pivots,
     so the maps visit fewer coordinates."""
-    spans, accepted, refused = state
+    spans, accepted, queue, parked = run
+    for c in [c for c in parked if lo <= c <= hi]:
+        queue.extend(((q, c), step(row)) for q, row, step in parked.pop(c))
     while queue:
         (q, c), v = queue.popleft()
         span = spans.get((q, c))
@@ -269,8 +272,8 @@ def _fixpoint(
             c2 = c + w
             if lo <= c2 <= hi:
                 queue.append(((q2, c2), step(row)))
-            elif refused is not None and (c2 > hi or lo < 0):
-                refused.setdefault(c2, []).append((q2, row, step))
+            elif c2 > hi or lo < 0:
+                parked.setdefault(c2, []).append((q2, row, step))
 
 
 def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Moves:
@@ -283,14 +286,16 @@ def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Mov
 
 
 def _stage(
-    mp: MorphismPair, degree: int, caps: Caps, states: int, what: str, default_eta: bool = False
-) -> tuple[Span, dict[str, Callable], list[int]]:
-    """After a stage's budget check: its empty accepted span, each letter's
-    step (`apply_map` with its integer map) and the seed nu_D(I)."""
+    mp: MorphismPair, degree: int, caps: Caps, nfa: Nfa, states: int, what: str,
+    default_eta: bool = False,
+) -> tuple[dict[str, Callable], Run]:
+    """After a stage's budget check: each letter's step (`apply_map` with its
+    integer map) and its run, seeded with nu_D(I) at `nfa`'s initial states."""
     n = comb(mp.dim * mp.dim + degree, degree)
     _check_budget(states, n, caps, what, default_eta)
     steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
-    return Span(n), steps, _cleared(veronese(Matrix.identity(mp.dim), degree))
+    seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
+    return steps, ({}, Span(n), deque(((q, 0), seed) for q in nfa.states if q in nfa.initial), {})
 
 
 def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> Span:
@@ -298,11 +303,9 @@ def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> Span:
     over the automaton's states, every move of weight 0."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError("regular closure: automaton and morphism alphabets differ")
-    accepted, steps, seed = _stage(mp, degree, caps, len(nfa.states), "regular closure")
-    queue = deque(((q, 0), seed) for q in nfa.states if q in nfa.initial)
-    moves = _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0))
-    _fixpoint(queue, moves, nfa.accepting, False, 0, 0, ({}, accepted, None))
-    return accepted
+    steps, run = _stage(mp, degree, caps, nfa, len(nfa.states), "regular closure")
+    _fixpoint(run, _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0)), nfa.accepting, False, 0, 0)
+    return run[1]
 
 
 def regular_closure(
@@ -315,24 +318,22 @@ def regular_closure(
 def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     """The span of the evaluations over the cover language at mp.eta: the
     universal automaton on the counters [0, eta - 1], whose pushes past
-    eta - 1 are parked and then seed one absorbing top configuration (the
-    cover automaton's inf) where every letter has weight 0.
+    eta - 1 are parked; a second `_fixpoint` call on the same run replays
+    them into one absorbing top configuration (the cover automaton's inf)
+    on [eta, eta], where every letter has weight 0.
 
     The zero pipeline needs no such stage for its bounded-zero words: each
     is a one-track word of the product-alphabet stage, whose counter window
     [-2 eta, 2 eta] contains the bounded-zero window [-eta, eta]
     (`_gamma_condition_rows`)."""
     eta = mp.eta
-    accepted, steps, seed = _stage(
-        mp, degree, caps, eta + 1, "cover pipeline (cover-automaton stage)", default_eta=True)
     sigma = Nfa.universal(mp.alphabet)
-    parked: dict = {}
-    _fixpoint(deque([(("*", 0), seed)]), _moves(sigma, steps, mp.omega), sigma.accepting,
-              False, 0, eta - 1, ({}, accepted, parked))
-    top = deque((("*", eta), step(row)) for _, row, step in parked.get(eta, ()))
-    _fixpoint(top, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
-              False, eta, eta, ({}, accepted, None))
-    return accepted
+    steps, run = _stage(mp, degree, caps, sigma, eta + 1,
+                        "cover pipeline (cover-automaton stage)", default_eta=True)
+    _fixpoint(run, _moves(sigma, steps, mp.omega), sigma.accepting, False, 0, eta - 1)
+    _fixpoint(run, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
+              False, eta, eta)
+    return run[1]
 
 
 def finite_vanishing_space(
@@ -359,24 +360,18 @@ def finite_vanishing_space(
 
 
 def _window_rows(
-    mode: str, nfa: Nfa, moves: Moves, bound: int, caps: Caps,
-    window: tuple[dict, Span, deque, dict],
+    mode: str, nfa: Nfa, moves: Moves, bound: int, caps: Caps, window: Run
 ) -> int:
-    """Grow `window` (span per (state, counter), accepted span, worklist,
-    refused pushes by target counter) to the least fixpoint over the words of
-    the mode's window (`lang.bounds`) cut to [-bound, bound].  Windows nest,
-    and each accepted vector was pushed along every admitted move and parked,
-    unmapped, on every refused one; so replaying the parked pushes now
-    admitted gives the fixpoint a cold start builds.  Returns the accepted
-    dimension."""
-    spans, accepted, queue, refused = window
+    """Grow the run `window` to the least fixpoint over the words of the
+    mode's window (`lang.bounds`) cut to [-bound, bound]; windows nest, so
+    `_fixpoint` replays the pushes the narrower windows parked and ends where
+    a cold start does.  Returns the accepted dimension."""
     lo, _, exact = bounds(mode, bound)
     lo = max(lo, -bound)
+    accepted = window[1]
     nstates = len(nfa.states) * (bound - lo + 1)
     _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
-    for c in [c for c in refused if lo <= c <= bound]:
-        queue.extend(((q, c), step(row)) for q, row, step in refused.pop(c))
-    _fixpoint(queue, moves, nfa.accepting, exact, lo, bound, (spans, accepted, refused))
+    _fixpoint(window, moves, nfa.accepting, exact, lo, bound)
     return accepted.dim
 
 
@@ -401,14 +396,13 @@ def counter_saturation(
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
     nfa = nfa or Nfa.universal(mp.alphabet)
-    accepted, steps, seed = _stage(mp, degree, caps, len(nfa.states), f"{mode} saturation")
+    steps, window = _stage(mp, degree, caps, nfa, len(nfa.states), f"{mode} saturation")
     moves = _moves(nfa, steps, mp.omega)
-    window = ({}, accepted, deque(((q, 0), seed) for q in nfa.states if q in nfa.initial), {})
     history: list[int] = []
     for bound in range(2, caps.counter + 1):
         history.append(_window_rows(mode, nfa, moves, bound, caps, window))
         if _stable(history, caps.window):
-            return _vanishing(mp.dim, degree, accepted), bound
+            return _vanishing(mp.dim, degree, window[1]), bound
     raise InfeasibleError(
         f"{mode} saturation did not stabilize within counter bound "
         f"{caps.counter}; raise the counter cap"
@@ -652,8 +646,8 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     track, the one away from the nearer bound first, keeps the counter in
     range.  So the 4|Sigma| single-track letters reach the same span at
     every counter as all of Gamma, and `_fixpoint`, on one state, pushes
-    only along them; the span at counter 0, pulled back along the product
-    of the four blocks, is the answer.
+    only along them; its accepted span, the span at counter 0 (`exact`),
+    pulled back along the product of the four blocks, is the answer.
 
     The bounded-zero words (weight 0, prefix weights in [-eta, eta]) need
     no stage of their own: read on the first track with the other three
@@ -671,11 +665,11 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     seed_v = _cleared(veronese(Matrix.identity(d), degree))
     # the tensor coordinates in `_tensor_index` order
     seed = [a * b * c * e for a, b, c, e in itertools.product(seed_v, repeat=4)]
-    spans: dict = {}
-    _fixpoint(deque([(("*", 0), seed)]), moves, (), True, -2 * eta, 2 * eta, (spans, None, None))
+    run = ({}, Span(n ** 4), deque([(("*", 0), seed)]), {})
+    _fixpoint(run, moves, {"*"}, True, -2 * eta, 2 * eta)
     mu_rows = _mu_pullback_rows(d, degree)
     accepted = Span(len(mu_rows))
-    for s in (dense(r, n ** 4) for r in spans[("*", 0)].rows):
+    for s in (dense(r, n ** 4) for r in run[1].rows):
         accepted.insert([sum(c * s[idx] for idx, c in row.items()) for row in mu_rows])
     return accepted
 
@@ -748,17 +742,29 @@ def run_zero(
     return PipelineResult(space, "zero", mp.eta, "bz+flat")
 
 
+def _log10_comb(n: int, k: int) -> float:
+    """log10 comb(n, k), without computing comb(n, k).  Past float range
+    each factor n - i of comb(n, k) * k! is n to within a factor 1 - k / n."""
+    k = min(k, n - k)
+    if n < 2 ** 1000:
+        return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10)
+    return k * log10(n) - lgamma(k + 1) / log(10)
+
+
 def _reach_default_cost(mp: MorphismPair, degree: int) -> str:
     # determinized reach automaton is O(eta) states; blockified dimension and
     # the flat-stage tensor dimension follow
     eta = mp.eta
     k = 2 * eta + 3
     lifted = k * (mp.dim + 1)
-    tensor = comb(lifted * lifted + degree, degree) ** 4
+    n = lifted * lifted + degree
+    exponent = 4 * _log10_comb(n, degree)
+    if exponent < 4000:  # then the tensor dimension prints: count its digits
+        exponent = len(str(comb(n, degree) ** 4)) - 1
     return (
-        f"reach at default eta={eta} blockifies a ~{k}-state automaton into "
-        f"dimension {lifted}; the zero-closure flat stage then needs ~10^"
-        f"{len(str(tensor)) - 1} Veronese coordinates"
+        f"reach at default eta={figure(eta)} blockifies a {figure(k, about=True)}-state "
+        f"automaton into dimension {figure(lifted)}; the zero-closure flat stage then "
+        f"needs ~10^{int(exponent)} Veronese coordinates"
     )
 
 

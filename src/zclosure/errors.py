@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
 Each class maps to one CLI exit code, so library callers and the command line
-agree on what went wrong.
+agree on what went wrong.  `figure` writes the numbers of their messages.
 """
 from __future__ import annotations
 
@@ -49,3 +49,13 @@ class InternalInvariantError(ZClosureError):
 
     kind = "internal-invariant"
     exit_code = 5
+
+
+def figure(n: int, about: bool = False) -> str:
+    """n in decimal (after "~" if `about`), or ~2^k where Python converts no
+    integer that long to a string (`sys.get_int_max_str_digits`), so writing
+    a message never fails."""
+    try:
+        return ("~" if about else "") + str(n)
+    except ValueError:
+        return f"~2^{n.bit_length() - 1}"

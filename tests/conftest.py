@@ -92,12 +92,14 @@ def sparse(v: Sequence) -> tuple[tuple[int, ...], tuple]:
     return support, tuple(v[k] for k in support)
 
 
-def raw_fixpoint(queue, moves, accepting, exact, lo, hi, state) -> None:
-    """`closure._fixpoint` as it pushes, accepts and parks each vector v
-    that grows its configuration's span, rather than the row the span
-    stored; its moves' steps map dense vectors (`dense_apply_map`,
-    `dense_tensor_apply`)."""
-    spans, accepted, refused = state
+def raw_fixpoint(run, moves, accepting, exact, lo, hi) -> None:
+    """`closure._fixpoint` as it replays the parked pushes in [lo, hi], then
+    pushes, accepts and parks each vector v that grows its configuration's
+    span, rather than the row the span stored; its moves' steps map dense
+    vectors (`dense_apply_map`, `dense_tensor_apply`)."""
+    spans, accepted, queue, parked = run
+    for c in [c for c in parked if lo <= c <= hi]:
+        queue.extend(((q, c), step(v)) for q, v, step in parked.pop(c))
     while queue:
         (q, c), v = queue.popleft()
         span = spans.get((q, c))
@@ -111,8 +113,8 @@ def raw_fixpoint(queue, moves, accepting, exact, lo, hi, state) -> None:
             c2 = c + w
             if lo <= c2 <= hi:
                 queue.append(((q2, c2), step(v)))
-            elif refused is not None and (c2 > hi or lo < 0):
-                refused.setdefault(c2, []).append((q2, v, step))
+            elif c2 > hi or lo < 0:
+                parked.setdefault(c2, []).append((q2, v, step))
 
 
 def in_reference_language(w: Sequence[str], mp: MorphismPair, predicate: str) -> bool:

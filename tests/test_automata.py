@@ -14,7 +14,6 @@ from zclosure.automata import (
     determinize,
     flatten,
     gamma_alphabet,
-    product,
 )
 from zclosure.errors import InfeasibleError, PreconditionError
 from zclosure.exactlin import is_stable
@@ -167,17 +166,6 @@ def test_determinize_preserves_acceptance():
         for _ in range(1000):
             w = tuple(rng.choice("ab") for _ in range(rng.randint(0, 6)))
             assert nfa.accepts(w) == det.accepts(w)
-
-
-def test_product_is_intersection():
-    rng = random.Random(21)
-    mp = powers_morphism(eta=2)
-    a = build_cover_automaton(mp)
-    b = build_bz_automaton(mp)
-    p = product(a, b)
-    for _ in range(300):
-        w = tuple(rng.choice("ab") for _ in range(rng.randint(0, 6)))
-        assert p.accepts(w) == (a.accepts(w) and b.accepts(w))
 
 
 def test_state_cap_is_enforced():

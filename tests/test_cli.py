@@ -181,6 +181,40 @@ def test_zero_d2_default_eta_exits_infeasible(tmp_path):
     assert "eta_override" in err["message"]
 
 
+@pytest.mark.parametrize("args, mode, d, degree, message", [
+    # d = 119: eta = 2^14518 + 1, past the 4,300 digits Python converts to a
+    # string; the refusal writes only the numbers it names
+    (("run",), "cover", 119, 1, r".*: Veronese dimension 14162 exceeds the cap 10000; .*"),
+    (("run",), "reach", 119, 1, r"reach at default eta=~2\^14518 blockifies a ~2\^14519-state "
+                                r"automaton into dimension ~2\^14525; .* needs ~10\^34981 .*"),
+    (("automaton", "--which", "cover"), "cover", 119, 1,
+     r"cover automaton needs ~2\^14518 states, over the cap 1000000; .*"),
+    (("automaton", "--which", "zero"), "cover", 119, 1,
+     r"zero automaton needs ~2\^14520 states, over the cap 1000000; .*"),
+    # d = 2 reach at the default eta: the flat stage's size is a count of
+    # digits, made without printing (3,000) or computing (300,000) it
+    (("run",), "reach", 2, 3000, r"reach at default eta=1025 .* needs ~10\^54425 .*"),
+    (("run",), "reach", 2, 300_000, r"reach at default eta=1025 .* needs ~10\^\d{7} .*"),
+], ids=["cover-veronese", "reach-eta", "automaton-cover", "automaton-zero", "reach-degree-3000",
+        "reach-degree-300000"])
+def test_refusal_with_unprintable_numbers_exits_infeasible(
+    tmp_path, capsys, args, mode, d, degree, message
+):
+    if d == 2:
+        phi = {"a": [["1", "1"], ["0", "1"]], "b": [["1", "0"], ["1", "1"]]}
+        omega = {"a": 1, "b": -1}
+    else:
+        phi = {"a": [[str(int(i == j)) for j in range(d)] for i in range(d)]}
+        omega = {"a": 1}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": d, "alphabet": sorted(phi), "phi": phi,
+                                "omega": omega, "mode": mode, "degree": degree}))
+    assert main([args[0], str(path), *args[1:]]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "infeasible"
+    assert re.fullmatch(message, err["message"])
+
+
 @pytest.mark.parametrize("command, mode, cap, stage", [
     ("oracle", "reach", "veronese", "oracle"),
     ("run", "cover", "budget", "cover saturation"),

@@ -5,8 +5,10 @@ grew it: the vector's primitive residual against the configuration's earlier
 rows.  `conftest.raw_fixpoint` pushes the vector itself, with the dense
 reference maps for steps.  Each stage runs once on either; after every
 fixpoint call the span at every configuration (q, c), and the accepted span,
-must have the same canonical basis.
+must have the same canonical basis.  Both replay the parked pushes a call's
+counter range admits, and only those, which a hand-made run checks.
 """
+from collections import deque
 from contextlib import ExitStack
 from fractions import Fraction
 from unittest import mock
@@ -20,23 +22,42 @@ from zclosure import closure
 from zclosure.automata import Nfa
 from zclosure.closure import Caps
 from zclosure.errors import InfeasibleError
-from zclosure.exactlin import Matrix
+from zclosure.exactlin import Matrix, Span, dense
 from zclosure.lang import MorphismPair
 
 ENTRIES = st.sampled_from([Fraction(x) for x in (0, 1, -1, 2, 3)] + [Fraction(1, 2)])
 
 
+def test_a_call_replays_only_the_parked_pushes_in_its_range():
+    # a hand-made run on one state without moves: the range [0, 2] maps and
+    # queues the push parked at counter 1, and the one at 5 stays parked,
+    # unmapped
+    mapped = []
+
+    def step(row):
+        mapped.append(row)
+        return dense(row, 2)
+
+    inside, outside = ("q", ((0,), (1,)), step), ("q", ((1,), (1,)), step)
+    run = ({}, Span(2), deque(), {1: [inside], 5: [outside]})
+    closure._fixpoint(run, {"q": []}, {"q"}, False, 0, 2)
+    spans, accepted, queue, parked = run
+    assert mapped == [((0,), (1,))]
+    assert list(spans) == [("q", 1)] and accepted.basis() == spans[("q", 1)].basis()
+    assert accepted.dim == 1 and not queue
+    assert parked == {5: [outside]}
+
+
 def _snapshots(stage, residual: bool) -> list:
     """The bases after each fixpoint call of `stage()`: per configuration,
-    and of the accepted span (None where the stage keeps none)."""
+    and of the accepted span."""
     out = []
     engine = closure._fixpoint
 
-    def recording(queue, moves, accepting, exact, lo, hi, state):
-        (engine if residual else raw_fixpoint)(queue, moves, accepting, exact, lo, hi, state)
-        spans, accepted, _ = state
-        out.append(({key: span.basis() for key, span in spans.items()},
-                    None if accepted is None else accepted.basis()))
+    def recording(run, moves, accepting, exact, lo, hi):
+        (engine if residual else raw_fixpoint)(run, moves, accepting, exact, lo, hi)
+        spans, accepted, _, _ = run
+        out.append(({key: span.basis() for key, span in spans.items()}, accepted.basis()))
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch("zclosure.closure._fixpoint", recording))
