@@ -3,7 +3,12 @@ coverability, reachability and zero-weight languages.
 
 `closure` is imported first.  The block reduction, the factorization trees
 and the exterior algebra, which no cover, reach, zero or regular pipeline
-uses, are imported on first access to their names (`_DEFERRED`)."""
+uses, are imported on first access to their names (`_DEFERRED`).
+
+A `closure run` process loads only what it runs.  Records are
+`typing.NamedTuple`s, never `dataclasses` (whose import pulls in `inspect`,
+`ast` and `dis`), and what only the corpus needs (`importlib.resources`,
+`pathlib`) is imported inside the function that lists the corpus."""
 from importlib import import_module as _import_module
 
 from .closure import (

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InfeasibleError,
@@ -41,15 +41,19 @@ EPS = ""
 GammaLetter = tuple[str, str, str, str]
 
 
-@dataclass(frozen=True)
-class Nfa:
+class _NfaFields(NamedTuple):
     states: tuple
     alphabet: tuple
     initial: frozenset
     accepting: frozenset
     transitions: frozenset  # (state, letter, state)
 
-    def __post_init__(self):
+
+class Nfa(_NfaFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         states = set(self.states)
         letters = set(self.alphabet)
         for q, a, q2 in self.transitions:
@@ -57,6 +61,7 @@ class Nfa:
                 raise PreconditionError("transition references unknown state/letter")
         if not (self.initial <= states and self.accepting <= states):
             raise PreconditionError("initial/accepting references unknown state")
+        return self
 
     @staticmethod
     def universal(alphabet) -> "Nfa":
@@ -151,7 +156,7 @@ def _check_state_cap(n: int, max_states: int, what: str) -> None:
         raise InfeasibleError(
             f"{what} needs {figure(n)} states, over the cap {max_states}; "
             "set eta_override to a small value (guarantees then rest on the "
-            "oracle cross-check) or raise the cap"
+            "oracle cross-check) or raise the states cap with CLOSURE_CAP_STATES"
         )
 
 

@@ -16,7 +16,9 @@ disagreement, 5 internal invariant violation.
 `closure run` on a cover, reach, zero or regular instance loads neither the
 block reduction (`reduction`, imported where a 1-VASS instance is read or
 run and by the corpus's block check) nor the factorization trees and the
-exterior algebra (`facttree` and `exterior`, imported by `closure tree`).
+exterior algebra (`facttree` and `exterior`, imported by `closure tree`),
+nor the corpus's file access (`importlib.resources` and `pathlib`, imported
+by `_iter_corpus_files`).
 """
 from __future__ import annotations
 
@@ -25,10 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from .automata import (
     Nfa,
@@ -54,7 +53,7 @@ from .exactlin import Matrix
 from .lang import MorphismPair
 from .polys import gens_from_strings, ideal_slice, space_to_generators
 
-_CAP_ENV = {f.name: f"CLOSURE_CAP_{f.name.upper()}" for f in fields(Caps)}
+_CAP_ENV = {name: f"CLOSURE_CAP_{name.upper()}" for name in Caps._fields}
 
 
 def _is_int(x) -> bool:
@@ -236,7 +235,7 @@ class Instance:
 
     def _parse_caps(self, doc, path) -> Caps:
         _check_object(doc, path, "caps")
-        bad = set(doc) - {f.name for f in fields(Caps)}
+        bad = set(doc) - set(Caps._fields)
         if bad:
             raise SchemaError(f"{path}: unknown caps {sorted(bad)}")
         overrides = dict(doc)
@@ -253,7 +252,7 @@ class Instance:
                 raise SchemaError(
                     f"{path}: cap {key!r} = {value!r} must be a non-negative integer"
                 )
-        return replace(DEFAULT_CAPS, **overrides)
+        return DEFAULT_CAPS._replace(**overrides)
 
 def _read_json(source, name: str):
     """The JSON document in `source`, a file path or a corpus entry; one that
@@ -329,6 +328,9 @@ def run_pipeline(instance: Instance) -> dict:
 def _iter_corpus_files(corpus_dir=None):
     """(file name, file) of each `.json` file of the corpus directory, the
     bundled one by default, in name order; a missing directory has none."""
+    from importlib import resources
+    from pathlib import Path
+
     root = resources.files("zclosure") / "corpus" if corpus_dir is None else Path(corpus_dir)
     if not root.is_dir():
         return
@@ -413,7 +415,7 @@ def _verify_builtin_blocks() -> dict:
     bm2 = blockify_regular(phi2, label_dfa)
     ok = bm1.dim == 6 and bm2.dim == 8
     lifted = regular_closure(
-        Nfa.universal(("a", "b")), bm1.morphism_pair, 2, replace(DEFAULT_CAPS, budget=10 ** 6)
+        Nfa.universal(("a", "b")), bm1.morphism_pair, 2, DEFAULT_CAPS._replace(budget=10 ** 6)
     )
     ext = extract_block_closure(lifted, bm1, 2)
     want = ideal_slice(gens_from_strings(2, 2, ["x12", "x11^2 - x22"]), 2)

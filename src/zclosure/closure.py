@@ -68,12 +68,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, lcm, lgamma, log, log10
 from operator import mul
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .automata import Nfa
 from .errors import (
@@ -90,8 +89,7 @@ from .lang import MorphismPair, bounds
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Configurable feasibility limits; exceeding one is a structured error,
     never silent truncation."""
 
@@ -413,8 +411,7 @@ def counter_saturation(
 # Brute-force oracle
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     space: PolySpace
     stabilized: bool
     max_len: int
@@ -678,8 +675,7 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
 # Pipelines
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     space: PolySpace
     mode: str
     eta_used: int

@@ -33,12 +33,11 @@ basis to [image basis | kernel basis] and conjugating diag(I_r, 0) back.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionError, PreconditionError
 
@@ -289,8 +288,7 @@ def span_of(n: int, vectors: Iterable[Sequence]) -> Span:
     return span
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of Q^n held as its canonical RREF basis (no zero rows)."""
 
     ambient_dim: int

@@ -8,8 +8,8 @@ decomposables, trivial-intersection tests and the left-to-right greedy basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionError, PreconditionError
 from .exactlin import Span, Subspace, _cleared, span_of, vec
@@ -27,31 +27,27 @@ def _merge_sign(a: Key, b: Key) -> tuple[Key, int]:
     return tuple(sorted(a + b)), -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True)
-class ExtVector:
+class _ExtVectorFields(NamedTuple):
+    dim: int
+    coords: dict[Key, Fraction]
+
+
+class ExtVector(_ExtVectorFields):
     """Element of Λ(Q^dim); zero coefficients are never stored."""
 
-    dim: int
-    coords: dict[Key, Fraction] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim: int, coords: dict[Key, Fraction] | None = None):
         clean = {}
-        for k, v in self.coords.items():
+        for k, v in (coords or {}).items():
             v = Fraction(v)
             if v:
                 clean[tuple(k)] = v
-        object.__setattr__(self, "coords", clean)
+        return super().__new__(cls, dim, clean)
 
     @property
     def is_zero(self) -> bool:
         return not self.coords
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtVector)
-            and self.dim == other.dim
-            and self.coords == other.coords
-        )
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.coords.items()))))

@@ -21,10 +21,10 @@ the s <= C(d,r) <= 2^(d-1) bound absorbs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import mul
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError
 from .exactlin import Matrix, Subspace, is_stable, rank, rank_decomp
@@ -32,8 +32,7 @@ from .exterior import ExtVector, combination, greedy_basis, iota, wedge
 from .lang import MorphismPair
 
 
-@dataclass(frozen=True)
-class FactTree:
+class FactTree(NamedTuple):
     label: Matrix
     span: tuple[int, int]  # half-open interval into the input sequence
     children: tuple["FactTree", ...] = ()

@@ -17,12 +17,11 @@ letters over a fresh intermediate alphabet.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from math import inf
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemaError
 from .exactlin import Matrix
@@ -36,21 +35,25 @@ def default_eta(d: int) -> int:
     return 2 ** (d * (d + 3)) + 1
 
 
-@dataclass(frozen=True)
-class MorphismPair:
-    """Alphabet with per-letter matrix and normalized weight, plus the
-    threshold eta (defaults to the guaranteed value for the dimension;
-    overriding it is allowed but voids the theorem-level guarantees)."""
-
+class _MorphismPairFields(NamedTuple):
     alphabet: tuple[str, ...]
     dim: int
     phi: dict[str, Matrix]
     omega: dict[str, int]
     eta: int = 0
 
-    def __post_init__(self):
+
+class MorphismPair(_MorphismPairFields):
+    """Alphabet with per-letter matrix and normalized weight, plus the
+    threshold eta (defaults to the guaranteed value for the dimension;
+    overriding it is allowed but voids the theorem-level guarantees)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.eta == 0:
-            object.__setattr__(self, "eta", default_eta(self.dim))
+            self = self._replace(eta=default_eta(self.dim))
         if self.eta < 1:
             raise SchemaError("eta must be >= 1")
         if len(set(self.alphabet)) != len(self.alphabet) or not all(self.alphabet):
@@ -66,6 +69,7 @@ class MorphismPair:
                     f"omega({a!r}) = {self.omega[a]} is not in {{-1,0,1}}; general "
                     "weights must be normalized first (see split_weights)"
                 )
+        return self
 
     @property
     def eta_is_default(self) -> bool:
@@ -92,8 +96,7 @@ class MorphismPair:
         return w
 
 
-@dataclass(frozen=True)
-class WordClass:
+class WordClass(NamedTuple):
     weight: int
     min_prefix_weight: int
     max_prefix_weight: int

@@ -11,12 +11,11 @@ identity on canonical forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionError, PreconditionError, SchemaError
 from .exactlin import Subspace, Vector
@@ -29,7 +28,12 @@ def _grevlex_key(alpha: Exponent) -> tuple:
     return (sum(alpha),) + tuple(-e for e in reversed(alpha))
 
 
-@lru_cache(maxsize=None)
+# Distinct (nvars, degree) keys the two caches below keep: a `closure run`
+# uses one, a perfbench pass two, and `closure verify-corpus` ten in all.
+BASIS_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def monomial_basis(nvars: int, degree: int) -> tuple[Exponent, ...]:
     """All exponent tuples of total degree <= degree, grevlex-descending.
     Each is a multiset of `degree` variables, variable `nvars` standing for
@@ -44,7 +48,7 @@ def monomial_basis(nvars: int, degree: int) -> tuple[Exponent, ...]:
     return tuple(monos)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def basis_index(nvars: int, degree: int) -> dict[Exponent, int]:
     return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
 
@@ -211,19 +215,24 @@ def parse_poly(text: str, d: int) -> Poly:
     return out
 
 
-@dataclass(frozen=True)
-class PolySpace:
-    """A subspace of the degree-<=D coefficient space for d x d entries,
-    held canonically (RREF); pipeline outputs use it for vanishing spaces."""
-
+class _PolySpaceFields(NamedTuple):
     dim: int
     degree: int
     vanishing_basis: Subspace
 
-    def __post_init__(self):
+
+class PolySpace(_PolySpaceFields):
+    """A subspace of the degree-<=D coefficient space for d x d entries,
+    held canonically (RREF); pipeline outputs use it for vanishing spaces."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         expected = len(monomial_basis(self.dim * self.dim, self.degree))
         if self.vanishing_basis.ambient_dim != expected:
             raise DimensionError("coefficient vectors do not match the basis")
+        return self
 
     @property
     def space_dim(self) -> int:
@@ -252,8 +261,7 @@ class PolySpace:
         return PolySpace(dim, degree, Subspace.full(n))
 
 
-@dataclass(frozen=True)
-class IdealGens:
+class IdealGens(NamedTuple):
     """Deterministic generator listing; round-trips through parsing."""
 
     dim: int

@@ -15,8 +15,8 @@ the state-filtered language.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .automata import Nfa
 from .closure import Caps, DEFAULT_CAPS, PipelineResult, _vanishing, run_saturation
@@ -28,8 +28,7 @@ from .polys import PolySpace, poly_to_vector, substitution_rows
 DEAD = "_dead"
 
 
-@dataclass(frozen=True)
-class BlockMorphism:
+class BlockMorphism(NamedTuple):
     base: MorphismPair
     dfa: Nfa
     state_order: tuple  # initial state first
@@ -127,14 +126,18 @@ def extract_block_closure(
 # 1-VASS instances
 
 
-@dataclass(frozen=True)
-class Vass:
+class _VassFields(NamedTuple):
     states: tuple[str, ...]
     initial: str
     accepting: tuple[str, ...]
     transitions: tuple[tuple[str, str, int, str], ...]  # (from, letter, weight, to)
 
-    def __post_init__(self):
+
+class Vass(_VassFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         states = set(self.states)
         if self.initial not in states or not set(self.accepting) <= states:
             raise SchemaError("vass initial/accepting must be declared states")
@@ -147,6 +150,7 @@ class Vass:
                     "zero tests and general weights are out of scope (decompose "
                     "runs at zero tests upstream, or normalize weights)"
                 )
+        return self
 
 
 def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Nfa]:

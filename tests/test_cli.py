@@ -6,7 +6,6 @@ import pathlib
 import re
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -509,13 +508,22 @@ def test_non_integer_env_cap_is_schema_error(tmp_path):
     assert "CLOSURE_CAP_BUDGET" in _assert_schema_exit(proc)
 
 
+def test_automaton_state_cap_refusal_names_the_cap_and_its_variable():
+    proc = _run_cli("automaton", _corpus_path("cover_powers_d1.json"), "--which", "cover",
+                    env_extra={"CLOSURE_CAP_STATES": "10"})
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "infeasible"
+    assert "states cap" in err["message"] and "CLOSURE_CAP_STATES" in err["message"]
+
+
 def test_non_integer_env_window_cap_is_schema_error(tmp_path):
     proc = _run_doc(tmp_path, _regular_doc(), env_extra={"CLOSURE_CAP_WINDOW": "abc"})
     assert "CLOSURE_CAP_WINDOW" in _assert_schema_exit(proc)
 
 
 def test_every_cap_can_be_set_from_the_environment(monkeypatch):
-    names = [f.name for f in fields(Caps)]
+    names = list(Caps._fields)
     for i, name in enumerate(names):
         monkeypatch.setenv(f"CLOSURE_CAP_{name.upper()}", str(100 + i))
     caps = Instance(_regular_doc()).caps

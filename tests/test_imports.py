@@ -1,7 +1,9 @@
 """The package's import graph, each check in a fresh interpreter: every
 module imports on its own, a pipeline run loads neither the block reduction
-nor the factorization trees and the exterior algebra, and the package's
-names are the defining modules' objects."""
+nor the factorization trees and the exterior algebra, nor `dataclasses` and
+the corpus's file access, and the package's names are the defining modules'
+objects."""
+import ast
 import json
 import os
 import pathlib
@@ -14,14 +16,19 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CORPUS = SRC / "zclosure" / "corpus"
 MODULES = sorted(p.stem for p in (SRC / "zclosure").glob("*.py") if p.stem != "__init__")
 DEFERRED = ("zclosure.exterior", "zclosure.facttree", "zclosure.reduction")
+# what the records and the corpus listing would load; a run needs none of it
+NOT_ON_THE_RUN_PATH = ("dataclasses", "inspect", "importlib.resources", "pathlib")
 
 
-def _fresh(code: str):
-    """The JSON document that `code`, run in a new interpreter importing this
-    checkout's package, prints as its last line of standard output."""
+def _fresh(code: str, *flags: str):
+    """The JSON document that `code`, run in a new interpreter (with the
+    interpreter `flags`) importing this checkout's package, prints as its
+    last line of standard output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -31,19 +38,49 @@ def test_each_module_imports_on_its_own(module):
     assert _fresh(f"import json, zclosure.{module}; print(json.dumps(True))")
 
 
-def _loaded_after(argv: list[str]) -> dict:
+def _loaded_after(argv: list[str], watched=DEFERRED, *flags: str) -> dict:
+    """[exit code, the `watched` modules loaded] of `cli.main(argv)`."""
     return _fresh(
         "import contextlib, io, json, sys\n"
         "from zclosure import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        f"print(json.dumps([code, [m for m in {DEFERRED!r} if m in sys.modules]]))"
+        f"print(json.dumps([code, [m for m in {tuple(watched)!r} if m in sys.modules]]))",
+        *flags,
     )
 
 
 @pytest.mark.parametrize("name", ["cover_powers_d1.json", "zero_balanced_d1.json"])
 def test_run_loads_no_deferred_module(name):
     assert _loaded_after(["run", str(CORPUS / name)]) == [0, []]
+
+
+@pytest.mark.parametrize(
+    "name", ["cover_powers_d1.json", "zero_balanced_d1.json", "anbndyck_reach.json", "regular"]
+)
+def test_run_loads_neither_dataclasses_nor_the_corpus_file_access(tmp_path, name):
+    # -S: no site hook may load these modules before the package does
+    path = CORPUS / name
+    if name == "regular":
+        path = tmp_path / "regular.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "alphabet": ["a", "b"], "phi": {"a": [["2"]], "b": [["1/2"]]},
+            "omega": {"a": 1, "b": -1}, "mode": "regular", "degree": 2,
+            "nfa": {"states": ["p", "q"], "initial": ["p"], "accepting": ["q"],
+                    "transitions": [["p", "a", "q"], ["q", "b", "p"]]},
+        }))
+    assert _loaded_after(["run", str(path)], NOT_ON_THE_RUN_PATH, "-S") == [0, []]
+
+
+def test_no_module_imports_dataclasses():
+    importers = []
+    for path in sorted((SRC / "zclosure").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else \
+                [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "dataclasses" in names:
+                importers.append(path.name)
+    assert importers == []
 
 
 def test_tree_loads_the_factorization_trees():

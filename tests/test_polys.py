@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from conftest import contains_poly
 from zclosure.errors import PreconditionError
 from zclosure.polys import (
+    BASIS_CACHE_SIZE,
     _grevlex_key,
     IdealGens,
     PolySpace,
+    basis_index,
     gens_from_strings,
     ideal_slice,
     monomial_basis,
@@ -50,6 +52,17 @@ def test_monomial_basis_of_many_variables():
     basis = monomial_basis.__wrapped__(1100, 1)
     assert len(basis) == 1101
     assert basis[0] == (1,) + (0,) * 1099 and basis[-1] == (0,) * 1100
+
+
+def test_basis_caches_stay_bounded_and_exact():
+    keys = [(nvars, degree) for nvars in range(1, 10) for degree in range(5)]
+    assert len(keys) > BASIS_CACHE_SIZE
+    for nvars, degree in keys + keys[:3]:  # the first keys again, evicted by now
+        basis = monomial_basis(nvars, degree)
+        assert basis == monomial_basis.__wrapped__(nvars, degree)
+        assert basis_index(nvars, degree) == {m: i for i, m in enumerate(basis)}
+    for cached in (monomial_basis, basis_index):
+        assert 0 < cached.cache_info().currsize <= BASIS_CACHE_SIZE
 
 
 def test_var_name_conventions():

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,7 @@ from zclosure.reduction import (
     vass_to_constrained,
 )
 
-BIG = replace(DEFAULT_CAPS, budget=10 ** 6, veronese=10 ** 5)
+BIG = DEFAULT_CAPS._replace(budget=10 ** 6, veronese=10 ** 5)
 
 
 def _phi1():
