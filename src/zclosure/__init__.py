@@ -19,10 +19,8 @@ from .closure import (
     counter_saturation,
     finite_vanishing_space,
     oracle_closure,
+    pipeline,
     regular_closure,
-    run_cover,
-    run_reach,
-    run_zero,
 )
 from .errors import (
     DimensionError,
@@ -54,7 +52,8 @@ _DEFERRED = {
         "FactTree", "build_rank_tree", "build_tree", "extract_stable_factor", "validate_tree",
     ),
     "reduction": (
-        "BlockMorphism", "Vass", "blockify_regular", "extract_block_closure", "run_vass",
+        "BlockMorphism", "Vass", "blockify_regular", "extract_block_closure",
+        "vass_to_constrained",
     ),
 }
 

@@ -40,13 +40,11 @@ from .automata import (
 from .closure import (
     Caps,
     DEFAULT_CAPS,
-    PipelineResult,
+    MODES,
     oracle_closure,
+    pipeline,
     recurrence_chain,
     regular_closure,
-    run_cover,
-    run_reach,
-    run_zero,
 )
 from .errors import SchemaError, ZClosureError
 from .exactlin import Matrix
@@ -268,43 +266,21 @@ def load_instance(path: str) -> Instance:
     return Instance(_read_json(path, path), path)
 
 
-# mode -> the pipeline that runs an instance of it
-_RUNNERS = {
-    "cover": lambda i: run_cover(i.mp, i.degree, i.caps),
-    "reach": lambda i: run_reach(i.mp, i.degree, i.caps),
-    "zero": lambda i: run_zero(i.mp, i.degree, i.caps),
-    "regular": lambda i: PipelineResult(
-        regular_closure(i.nfa, i.mp, i.degree, i.caps), "regular", i.mp.eta, "fixpoint"
-    ),
-    "vass-cover": lambda i: _run_vass(i, "cover"),
-    "vass-reach": lambda i: _run_vass(i, "reach"),
-}
-MODES = tuple(_RUNNERS)
-
-
-def _run_vass(instance: Instance, mode: str) -> PipelineResult:
-    from .reduction import run_vass
-
-    return run_vass(instance.vass, instance.mp, mode, instance.degree, instance.caps)
-
-
 def _language(instance: Instance) -> tuple:
-    """The instance's language as `oracle_closure` takes it: (morphism,
-    predicate name, DFA or None), a 1-VASS's through `vass_to_constrained`
-    and a regular NFA's as "all" under `determinize`, capped by caps.states."""
+    """The instance's language as `pipeline` takes it, for `closure run` and
+    `closure oracle`: (morphism, automaton or None), a 1-VASS's through
+    `vass_to_constrained`."""
     if instance.vass is not None:
         from .reduction import vass_to_constrained
 
-        mp, dfa = vass_to_constrained(instance.vass, instance.mp)
-        return mp, instance.mode.removeprefix("vass-"), dfa
-    if instance.nfa is not None:
-        return instance.mp, "all", determinize(instance.nfa, instance.caps.states)
-    return instance.mp, instance.mode, None
+        return vass_to_constrained(instance.vass, instance.mp)
+    return instance.mp, instance.nfa
 
 
 def run_pipeline(instance: Instance) -> dict:
     t0 = time.monotonic()
-    result = _RUNNERS[instance.mode](instance)
+    mp, nfa = _language(instance)
+    result = pipeline(mp, instance.mode, instance.degree, instance.caps, nfa)
     gens = space_to_generators(result.space)
     return {
         "mode": result.mode,
@@ -530,10 +506,11 @@ def _cmd_oracle(args) -> int:
     if args.max_len < 0:
         raise SchemaError("--max-len must be >= 0")
     instance = load_instance(args.file)
-    mp, predicate, dfa = _language(instance)
-    result = oracle_closure(
-        mp, predicate, instance.degree, args.max_len, instance.caps, dfa
-    )
+    mp, nfa = _language(instance)
+    predicate = instance.mode.removeprefix("vass-")
+    if instance.mode == "regular":  # every word of the NFA, read deterministically
+        predicate, nfa = "all", determinize(nfa, instance.caps.states)
+    result = oracle_closure(mp, predicate, instance.degree, args.max_len, instance.caps, nfa)
     json.dump(
         {
             "mode": instance.mode,

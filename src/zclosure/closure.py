@@ -42,23 +42,25 @@ an integer matrix N over one denominator s, one direct product with its
 parent's.  A word's point is N^mono * s^(D - |mono|); letter names are never
 built.
 
-Pipeline policy.  At the default threshold eta the constructions carry the
-theorem-level guarantee: cover runs the cover-automaton reduction and zero
-the product-alphabet stage, on counters.  The paper's zero closure is the
-bounded-zero words together with the flattened product-alphabet language;
-the second contains the first, so one stage gives both.  `automata` builds
-these automata only for `closure automaton` and the tests.  Reach needs the
-lifted reduction, whose flat stage is astronomically large at the default
-threshold, and so does a 1-VASS at its lifted threshold; both refuse.  Every
-eta-overridden pipeline (cover, zero, reach, and 1-VASS cover/reach under the
-DFA of its transitions) runs `run_saturation`: bounded-counter saturation -
-the space over words whose prefix weights stay in a window is monotone in the
-window and its limit is the exact target - stopping when the space is
-unchanged for `window` consecutive bounds, then the brute-force oracle over
-the same language, and no answer on disagreement.  The windows nest, so one
-fixpoint is warm-started from bound to bound: the worklist parks each push
-that leaves the window, a bound replays only the parked pushes it newly
-admits, and the space is unchanged when its dimension is.
+Pipeline policy, coded once in `pipeline` for every mode of `MODES`.  A
+regular instance runs its NFA's fixpoint.  At the default threshold eta the
+constructions carry the theorem-level guarantee: cover runs the
+cover-automaton reduction and zero the product-alphabet stage, on counters.
+The paper's zero closure is the bounded-zero words together with the
+flattened product-alphabet language; the second contains the first, so one
+stage gives both.  `automata` builds these automata only for `closure
+automaton` and the tests.  Reach needs the lifted reduction, whose flat
+stage is astronomically large at the default threshold, and so does a 1-VASS
+at its lifted threshold; both refuse.  Every eta-overridden pipeline (cover,
+zero, reach, and 1-VASS cover/reach under the DFA of its transitions) runs
+`run_saturation`: bounded-counter saturation - the space over words whose
+prefix weights stay in a window is monotone in the window and its limit is
+the exact target - stopping when the space is unchanged for `window`
+consecutive bounds, then the brute-force oracle over the same language, and
+no answer on disagreement.  The windows nest, so one fixpoint is
+warm-started from bound to bound: the worklist parks each push that leaves
+the window, a bound replays only the parked pushes it newly admits, and the
+space is unchanged when its dimension is.
 
 Each substitution map - a letter's action on nu_D, the product pullback of
 the gamma stage, the block reduction's pullback - is the monomial basis
@@ -687,55 +689,33 @@ class PipelineResult(NamedTuple):
 
 
 def run_saturation(
-    mp: MorphismPair,
-    mode: str,
-    degree: int,
-    caps: Caps,
-    nfa: Nfa | None = None,
-    mode_name: str | None = None,
+    mp: MorphismPair, mode: str, degree: int, caps: Caps, nfa: Nfa | None = None
 ) -> PipelineResult:
-    """`counter_saturation`, cross-checked against the brute-force oracle
-    over the same language (`word_frontier`, to length caps.oracle_len and
-    on to caps.oracle_extend until it stabilizes); on
+    """`counter_saturation` for the mode's predicate (a 1-VASS mode
+    `vass-X` reads X over the paths of `nfa`), cross-checked against the
+    brute-force oracle over the same language (`word_frontier`, to length
+    caps.oracle_len and on to caps.oracle_extend until it stabilizes); on
     disagreement the result is withheld.  The frontier is made first, so an
     automaton the oracle cannot read is refused before the saturation
     runs."""
-    lengths = word_frontier(mp, mode, nfa, max(caps.oracle_len, caps.oracle_extend))
-    space, bound = counter_saturation(mp, degree, mode, nfa, caps)
+    predicate = mode.removeprefix("vass-")
+    lengths = word_frontier(mp, predicate, nfa, max(caps.oracle_len, caps.oracle_extend))
+    space, bound = counter_saturation(mp, degree, predicate, nfa, caps)
     oracle = _oracle_over_words(
         mp.dim, degree, lengths, caps.oracle_len, caps, raise_on_cap=False
     )
-    name = mode_name or mode
     if oracle.space != space:
         raise OracleDisagreementError(
-            f"{name} pipeline at eta={mp.eta} disagrees with "
+            f"{mode} pipeline at eta={mp.eta} disagrees with "
             f"the oracle at enumeration length {oracle.max_len} "
             f"(oracle {'stabilized' if oracle.stabilized else 'NOT stabilized'}); "
             "result withheld"
         )
     return PipelineResult(
-        space, name, mp.eta, "saturation+oracle", oracle_checked=True,
+        space, mode, mp.eta, "saturation+oracle", oracle_checked=True,
         oracle_max_len=oracle.max_len, oracle_stabilized=oracle.stabilized,
         counter_bound=bound,
     )
-
-
-def run_cover(
-    mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
-) -> PipelineResult:
-    if not mp.eta_is_default:
-        return run_saturation(mp, "cover", degree, caps)
-    space = _vanishing(mp.dim, degree, _threshold_rows(mp, degree, caps))
-    return PipelineResult(space, "cover", mp.eta, "cover-automaton")
-
-
-def run_zero(
-    mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
-) -> PipelineResult:
-    if not mp.eta_is_default:
-        return run_saturation(mp, "zero", degree, caps)
-    space = _vanishing(mp.dim, degree, _gamma_condition_rows(mp, degree, caps))
-    return PipelineResult(space, "zero", mp.eta, "bz+flat")
 
 
 def _log10_comb(n: int, k: int) -> float:
@@ -764,16 +744,43 @@ def _reach_default_cost(mp: MorphismPair, degree: int) -> str:
     )
 
 
-def run_reach(
-    mp: MorphismPair, degree: int, caps: Caps = DEFAULT_CAPS
+# The modes of an instance; `regular` and `vass-*` read an automaton: an NFA,
+# or the DFA over a 1-VASS's transition letters (`reduction.vass_to_constrained`).
+MODES = ("cover", "reach", "zero", "regular", "vass-cover", "vass-reach")
+
+_REMEDY = "set eta_override (the result is then cross-checked against the brute-force oracle)"
+
+
+def pipeline(
+    mp: MorphismPair, mode: str, degree: int, caps: Caps = DEFAULT_CAPS, nfa: Nfa | None = None
 ) -> PipelineResult:
-    if mp.eta_is_default:
-        raise InfeasibleError(
-            _reach_default_cost(mp, degree)
-            + "; not desk-feasible, set eta_override (the result is then "
-            "cross-checked against the brute-force oracle)"
-        )
-    return run_saturation(mp, "reach", degree, caps)
+    """The mode's closure under the pipeline policy (module docstring): the
+    regular fixpoint over `nfa`; with eta overridden, `run_saturation`; at
+    the default eta, cover's and zero's guaranteed stages, and a refusal for
+    reach and 1-VASS modes."""
+    if mode not in MODES:
+        raise PreconditionError(f"unknown mode {mode!r}; the modes are {MODES}")
+    if (nfa is None) != (mode in ("cover", "reach", "zero")):
+        raise PreconditionError(
+            f"mode {mode!r} " + ("needs an automaton" if nfa is None else "takes no automaton"))
+    if mode == "regular":
+        return PipelineResult(regular_closure(nfa, mp, degree, caps), mode, mp.eta, "fixpoint")
+    if not mp.eta_is_default:
+        return run_saturation(mp, mode, degree, caps, nfa)
+    if mode == "cover":
+        space = _vanishing(mp.dim, degree, _threshold_rows(mp, degree, caps))
+        return PipelineResult(space, mode, mp.eta, "cover-automaton")
+    if mode == "zero":
+        space = _vanishing(mp.dim, degree, _gamma_condition_rows(mp, degree, caps))
+        return PipelineResult(space, mode, mp.eta, "bz+flat")
+    if mode == "reach":
+        raise InfeasibleError(f"{_reach_default_cost(mp, degree)}; not desk-feasible, {_REMEDY}")
+    lifted = len(nfa.states) * (mp.dim + 1)
+    raise InfeasibleError(
+        f"constrained {mode.removeprefix('vass-')} at default eta: the block reduction lifts "
+        f"to dimension {lifted} whose own threshold is eta({lifted}) = "
+        f"2^{lifted * (lifted + 3)}+1; {_REMEDY}"
+    )
 
 
 # ---------------------------------------------------------------------------

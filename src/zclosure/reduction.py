@@ -19,13 +19,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .automata import Nfa
-from .closure import Caps, DEFAULT_CAPS, PipelineResult, _vanishing, run_saturation
-from .errors import InfeasibleError, PreconditionError, SchemaError
+from .closure import _vanishing
+from .errors import PreconditionError, SchemaError
 from .exactlin import Matrix, Vector, kernel_basis, span_of
 from .lang import MorphismPair
 from .polys import PolySpace, poly_to_vector, substitution_rows
-
-DEAD = "_dead"
 
 
 class BlockMorphism(NamedTuple):
@@ -156,7 +154,8 @@ class Vass(_VassFields):
 def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Nfa]:
     """The state-elimination recipe: transitions become letters carrying their
     weights, the path language becomes a complete DFA constraint, and the
-    matrices come from the original letters."""
+    matrices come from the original letters.  The DFA's sink is `_dead`,
+    with underscores added until it names no VASS state."""
     letters = tuple(f"t{i}" for i in range(len(vass.transitions)))
     phi = {}
     omega = {}
@@ -166,36 +165,14 @@ def vass_to_constrained(vass: Vass, mp: MorphismPair) -> tuple[MorphismPair, Nfa
         phi[name] = mp.phi[letter]
         omega[name] = weight
     mp_t = MorphismPair(letters, mp.dim, phi, omega, mp.eta)
-    states = vass.states + (DEAD,)
+    dead = "_dead"
+    while dead in vass.states:
+        dead += "_"
+    states = vass.states + (dead,)
     transitions = frozenset(
-        (q, name, dst if q == src else DEAD)
+        (q, name, dst if q == src else dead)
         for q in states
         for name, (src, _, _, dst) in zip(letters, vass.transitions)
     )
     return mp_t, Nfa(states, letters, frozenset({vass.initial}), frozenset(vass.accepting),
                       transitions)
-
-
-def run_vass(
-    vass: Vass,
-    mp: MorphismPair,
-    mode: str,
-    degree: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> PipelineResult:
-    """Cover/reach of the VASS's accepted transition words, by saturation
-    under the DFA constraint of `vass_to_constrained` (the collapsed form of
-    the block-matrix reduction).  Requires an eta override; the lifted
-    default threshold is eta(k(d+1)) and never desk-feasible."""
-    if mode not in ("cover", "reach"):
-        raise PreconditionError(f"unknown vass mode {mode!r}")
-    mp_t, dfa = vass_to_constrained(vass, mp)
-    if mp.eta_is_default:
-        lifted = len(dfa.states) * (mp.dim + 1)
-        raise InfeasibleError(
-            f"constrained {mode} at default eta: the block reduction lifts to "
-            f"dimension {lifted} whose own threshold is eta({lifted}) = "
-            f"2^{lifted * (lifted + 3)}+1; set eta_override (the result is "
-            "then cross-checked against the brute-force oracle)"
-        )
-    return run_saturation(mp_t, mode, degree, caps, dfa, f"vass-{mode}")

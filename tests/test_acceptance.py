@@ -11,17 +11,16 @@ from conftest import powers_morphism, random_matrix, random_rank_sequence, unipo
 from zclosure.closure import (
     Caps,
     oracle_closure,
+    pipeline,
     recurrence_chain,
     regular_closure,
-    run_reach,
-    run_zero,
 )
 from zclosure.errors import InfeasibleError
 from zclosure.exactlin import Matrix, is_stable
 from zclosure.facttree import build_rank_tree, build_tree, extract_stable_factor, validate_tree
 from zclosure.lang import MorphismPair
 from zclosure.polys import gens_from_strings, ideal_slice
-from zclosure.reduction import Vass, run_vass
+from zclosure.reduction import Vass, vass_to_constrained
 from zclosure.automata import Nfa, determinize
 
 
@@ -45,16 +44,21 @@ def _rvsc2_vass() -> Vass:
     )
 
 
+def _vass_pipeline(vass: Vass, mp: MorphismPair, mode: str, degree: int):
+    mp_t, dfa = vass_to_constrained(vass, mp)
+    return pipeline(mp_t, mode, degree, nfa=dfa)
+
+
 def test_criterion_1_anbn_reach_and_cover():
     mp = unipotent_morphism().with_eta(3)
     t0 = time.monotonic()
-    reach = run_vass(_anbn_vass(), mp, "reach", 2)
+    reach = _vass_pipeline(_anbn_vass(), mp, "vass-reach", 2)
     t_reach = time.monotonic() - t0
     want_r = ideal_slice(
         gens_from_strings(2, 2, ["x11 - x12*x21 - 1", "x12 - x21", "x22 - 1"]), 2
     )
     t0 = time.monotonic()
-    cover = run_vass(_anbn_vass(), mp, "cover", 2)
+    cover = _vass_pipeline(_anbn_vass(), mp, "vass-cover", 2)
     t_cover = time.monotonic() - t0
     want_c = ideal_slice(gens_from_strings(2, 2, ["x11 - x12*x21 - 1", "x22 - 1"]), 2)
     _report(
@@ -68,7 +72,7 @@ def test_criterion_1_anbn_reach_and_cover():
 
 def test_criterion_2_singleton_reach():
     t0 = time.monotonic()
-    res = run_reach(powers_morphism(eta=2), 1)
+    res = pipeline(powers_morphism(eta=2), "reach", 1)
     elapsed = time.monotonic() - t0
     want = ideal_slice(gens_from_strings(1, 1, ["x11 - 1"]), 1)
     _report(
@@ -84,7 +88,7 @@ def test_criterion_3_dyck():
     oracle = oracle_closure(mp, "reach", 2, 14)
     det = gens_from_strings(2, 2, ["x11*x22 - x12*x21 - 1"])
     want = ideal_slice(det, 2)
-    pipeline = run_reach(mp.with_eta(2), 2)
+    reach = pipeline(mp.with_eta(2), "reach", 2)
     elapsed = time.monotonic() - t0
     _report(
         "Dyck: oracle at length 14 stabilizes to the determinant relation and "
@@ -92,7 +96,7 @@ def test_criterion_3_dyck():
         oracle.stabilized
         and oracle.space.space_dim == 1
         and oracle.space == want
-        and pipeline.space == want
+        and reach.space == want
         and elapsed < 120,
         f"{elapsed:.1f}s",
     )
@@ -106,8 +110,8 @@ def test_criterion_4_rvsc2():
         {"a": 1, "b": -1},
     ).with_eta(2)
     want = ideal_slice(gens_from_strings(2, 2, ["x12", "x11^2 - x22"]), 2)
-    cover = run_vass(_rvsc2_vass(), phi1, "cover", 2)
-    reach = run_vass(_rvsc2_vass(), phi1, "reach", 2)
+    cover = _vass_pipeline(_rvsc2_vass(), phi1, "vass-cover", 2)
+    reach = _vass_pipeline(_rvsc2_vass(), phi1, "vass-reach", 2)
 
     # the 3x3 companion is resolved by the oracle and annotated as the
     # documented discrepancy in the corpus
@@ -131,7 +135,7 @@ def test_criterion_4_rvsc2():
 def test_criterion_5_zero_desk_scale():
     mp = powers_morphism()  # default eta = 17
     t0 = time.monotonic()
-    res = run_zero(mp, 1)
+    res = pipeline(mp, "zero", 1)
     oracle = oracle_closure(mp, "zero", 1, 12)
     elapsed = time.monotonic() - t0
     want = ideal_slice(gens_from_strings(1, 1, ["x11 - 1"]), 1)
@@ -280,7 +284,7 @@ def test_criterion_10_default_threshold_reach_refuses():
     mp = unipotent_morphism()  # default eta(2) = 1025
     refused = False
     try:
-        run_reach(mp, 2)
+        pipeline(mp, "reach", 2)
     except InfeasibleError as exc:
         refused = exc.exit_code == 3 and "eta_override" in str(exc)
     _report(

@@ -601,3 +601,30 @@ def test_mutated_corpus_instances_parse_or_raise_schema_error(data):
         Instance(json.loads(json.dumps(doc)), "mutated.json")
     except SchemaError:
         pass
+
+
+def _sink_named_doc(accepting):
+    """d = 1, a = 1 of weight +1, b = 2 of weight -1: s -a-> s, s -b-> X with
+    X = `accepting`, the name that may clash with the DFA's sink."""
+    return {
+        "dimension": 1, "alphabet": ["a", "b"], "phi": {"a": [["1"]], "b": [["2"]]},
+        "omega": {"a": 1, "b": -1}, "mode": "vass-cover", "degree": 2, "eta_override": 2,
+        "vass": {"states": ["s", accepting], "initial": "s", "accepting": [accepting],
+                 "transitions": [["s", "a", 1, "s"], ["s", "b", -1, accepting]]},
+    }
+
+
+def test_a_vass_state_named_like_the_sink_keeps_its_language(tmp_path, capsys):
+    # the sink of `vass_to_constrained` once merged with a state of its name
+    outputs = []
+    for accepting in ("t", "_dead"):
+        path = tmp_path / f"{accepting}.json"
+        path.write_text(json.dumps(_sink_named_doc(accepting)))
+        assert main(["run", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timings")
+        assert main(["oracle", str(path), "--max-len", "8"]) == 0
+        outputs.append((report, json.loads(capsys.readouterr().out)))
+    assert outputs[0][0]["generators"] == ["x11^2 - 4", "x11 - 2"]
+    assert outputs[0][1]["words_used"] == 7
+    assert outputs[1] == outputs[0]

@@ -45,14 +45,12 @@ from zclosure.closure import (
     finite_vanishing_space,
     letter_map,
     oracle_closure,
+    pipeline,
     recurrence_chain,
     regular_closure,
-    run_cover,
-    run_reach,
-    run_zero,
     veronese,
 )
-from zclosure.errors import InfeasibleError, OracleDisagreementError
+from zclosure.errors import InfeasibleError, OracleDisagreementError, PreconditionError
 from zclosure.exactlin import Matrix, Subspace, dense, kernel_basis, rank, span_of
 from zclosure.lang import MorphismPair
 from zclosure.polys import (
@@ -439,14 +437,14 @@ def test_regular_closure_d3_degree3_equals_oracle():
 
 def test_cover_default_eta_examples():
     mp = powers_morphism()
-    assert run_cover(mp, 2).space.space_dim == 0  # dense in the line
+    assert pipeline(mp, "cover", 2).space.space_dim == 0  # dense in the line
 
     mp0 = MorphismPair(
         ("a", "b"), 1, {"a": Matrix([[2]]), "b": Matrix([[3]])}, {"a": 0, "b": 0}
     )
     full_lang = regular_closure(Nfa.universal("ab"), mp0, 2)
-    assert run_cover(mp0, 2).space == full_lang
-    assert run_zero(mp0, 2).space == full_lang
+    assert pipeline(mp0, "cover", 2).space == full_lang
+    assert pipeline(mp0, "zero", 2).space == full_lang
 
 
 def test_cover_matches_oracle_at_default_eta_desk_scale():
@@ -458,7 +456,7 @@ def test_cover_matches_oracle_at_default_eta_desk_scale():
             {"a": Matrix([[2]]), "b": Matrix([[phi_b]])},
             {"a": 1, "b": w_b},
         )
-        engine = run_cover(mp, 2).space
+        engine = pipeline(mp, "cover", 2).space
         orc = oracle_closure(mp, "cover", 2, 14)
         assert orc.stabilized
         assert engine == orc.space
@@ -474,8 +472,8 @@ def test_cover_d2_default_eta_equals_overridden_saturation(a, b):
     # coordinates, so above the default budget) and the eta = 3
     # saturation, cross-checked by the oracle, are independent routes
     mp = MorphismPair(("a", "b"), 2, {"a": Matrix(a), "b": Matrix(b)}, {"a": 1, "b": -1})
-    guaranteed = run_cover(mp, 2, Caps(budget=20000))
-    overridden = run_cover(mp.with_eta(3), 2)
+    guaranteed = pipeline(mp, "cover", 2, Caps(budget=20000))
+    overridden = pipeline(mp.with_eta(3), "cover", 2)
     assert guaranteed.method == "cover-automaton" and guaranteed.eta_used == 1025
     assert overridden.oracle_checked
     assert guaranteed.space == overridden.space
@@ -483,7 +481,7 @@ def test_cover_d2_default_eta_equals_overridden_saturation(a, b):
 
 def test_cover_d2_default_eta_trips_budget():
     with pytest.raises(InfeasibleError) as err:
-        run_cover(unipotent_morphism(), 2)
+        pipeline(unipotent_morphism(), "cover", 2)
     assert "budget" in str(err.value)
 
 
@@ -494,11 +492,11 @@ def test_cover_d2_default_eta_trips_budget():
 @pytest.mark.parametrize("run, budget, stage", [
     (lambda mp, caps: regular_closure(Nfa.universal(mp.alphabet), mp, 1, caps), 1,
      r"regular closure: states x Veronese = 1x2 "),
-    (lambda mp, caps: run_cover(mp, 1, caps), 30,
+    (lambda mp, caps: pipeline(mp, "cover", 1, caps), 30,
      r"cover pipeline \(cover-automaton stage\): states x Veronese = 18x2 "),
-    (lambda mp, caps: run_zero(mp, 1, caps), 100,
+    (lambda mp, caps: pipeline(mp, "zero", 1, caps), 100,
      r"zero pipeline \(product-alphabet stage\): states x Veronese = 69x16 "),
-    (lambda mp, caps: run_reach(mp.with_eta(2), 1, caps), 5,
+    (lambda mp, caps: pipeline(mp.with_eta(2), "reach", 1, caps), 5,
      r"reach saturation at counter bound 2: states x Veronese = 3x2 "),
 ])
 def test_budget_refusal_names_its_stage(run, budget, stage):
@@ -530,15 +528,32 @@ def test_threshold_stages_equal_their_automata(data):
 
 def test_reach_default_eta_refuses():
     with pytest.raises(InfeasibleError) as err:
-        run_reach(unipotent_morphism(), 2)
+        pipeline(unipotent_morphism(), "reach", 2)
     assert "eta_override" in str(err.value)
     with pytest.raises(InfeasibleError):
-        run_reach(powers_morphism(), 1)
+        pipeline(powers_morphism(), "reach", 1)
+
+
+@pytest.mark.parametrize("mode, automaton", [
+    ("bz", False),  # a predicate, not a mode
+    ("vass-zero", True),
+    ("regular", False),
+    ("vass-cover", False),
+    ("vass-reach", False),
+    ("cover", True),
+    ("reach", True),
+    ("zero", True),
+])
+def test_pipeline_refuses_a_mode_and_automaton_that_do_not_fit(mode, automaton):
+    mp = powers_morphism(eta=2)
+    nfa = Nfa.universal(mp.alphabet) if automaton else None
+    with pytest.raises(PreconditionError, match=repr(mode)):
+        pipeline(mp, mode, 1, nfa=nfa)
 
 
 def test_zero_single_weightless_letter():
     mp = MorphismPair(("s",), 1, {"s": Matrix([[3]])}, {"s": 0})
-    res = run_zero(mp, 2)
+    res = pipeline(mp, "zero", 2)
     assert res.method == "bz+flat"
     assert res.space.space_dim == 0
 
@@ -579,8 +594,8 @@ def test_oracle_anbn_stabilizes_to_reach_ideal():
 
 def test_degree_monotonicity():
     mp = unipotent_morphism().with_eta(2)
-    lo = run_reach(mp, 1).space
-    hi = run_reach(mp, 2).space
+    lo = pipeline(mp, "reach", 1).space
+    hi = pipeline(mp, "reach", 2).space
     for p in lo.polynomials():
         assert contains_poly(hi, p)
 
@@ -589,7 +604,7 @@ def test_truncated_oracle_refuses():
     # an over-tight oracle budget must withhold the result, not bend it
     mp = unipotent_morphism().with_eta(2)
     with pytest.raises(OracleDisagreementError):
-        run_reach(mp, 2, Caps(oracle_len=2, oracle_extend=2))
+        pipeline(mp, "reach", 2, Caps(oracle_len=2, oracle_extend=2))
 
 
 def test_chain_recurrence_sets():
@@ -612,7 +627,6 @@ def test_saturation_pipelines_survive_random_cross_validation():
     # mixed random sample is the property being tested
     rng = random.Random(777)
     caps = Caps(oracle_words=200_000, oracle_len=12, oracle_extend=24)
-    runners = {"cover": run_cover, "reach": run_reach, "zero": run_zero}
     done = 0
     while done < 15:
         d = rng.choice([1, 1, 2])
@@ -629,15 +643,15 @@ def test_saturation_pipelines_survive_random_cross_validation():
             eta=rng.choice([1, 2, 3]),
         )
         mode = rng.choice(("cover", "reach", "zero"))
-        res = runners[mode](mp, degree, caps)
+        res = pipeline(mp, mode, degree, caps)
         assert res.oracle_checked
         done += 1
 
 
 def test_generators_render_stable_across_runs():
     mp = unipotent_morphism().with_eta(2)
-    g1 = space_to_generators(run_reach(mp, 2).space)
-    g2 = space_to_generators(run_reach(mp, 2).space)
+    g1 = space_to_generators(pipeline(mp, "reach", 2).space)
+    g2 = space_to_generators(pipeline(mp, "reach", 2).space)
     assert g1 == g2
 
 

@@ -35,7 +35,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
+import pytest
+
+from conftest import unipotent_morphism
 from zclosure.cli import main
+from zclosure.closure import pipeline
+from zclosure.errors import InfeasibleError
+from zclosure.reduction import Vass, vass_to_constrained
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "verify_corpus.json"
 CLI_MODES = pathlib.Path(__file__).parent / "golden" / "cli_modes.json"
@@ -132,6 +138,17 @@ def test_cli_modes_match_golden(tmp_path, monkeypatch):
     assert list(got) == list(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_library_vass_refusal_matches_the_cli_golden():
+    # `anbndyck_reach` without eta_override, through `pipeline` directly
+    vass = Vass(("s", "t"), "s", ("t",),
+                (("s", "a", 1, "s"), ("s", "b", -1, "t"), ("t", "b", -1, "t")))
+    mp, dfa = vass_to_constrained(vass, unipotent_morphism())
+    with pytest.raises(InfeasibleError) as err:
+        pipeline(mp, "vass-reach", 2, nfa=dfa)
+    golden = json.loads(CLI_MODES.read_text())["run anbndyck_reach without eta_override"]
+    assert str(err.value) == json.loads(golden["stderr"])["message"]
 
 
 def test_automaton_and_tree_match_golden(monkeypatch):

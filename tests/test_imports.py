@@ -1,8 +1,9 @@
 """The package's import graph, each check in a fresh interpreter: every
-module imports on its own, a pipeline run loads neither the block reduction
-nor the factorization trees and the exterior algebra, nor `dataclasses` and
-the corpus's file access, and the package's names are the defining modules'
-objects."""
+module imports on its own, a cover, reach, zero or regular run loads neither
+the block reduction nor the factorization trees and the exterior algebra, a
+1-VASS run loads the block reduction only, no run loads `dataclasses` or the
+corpus's file access, and the package's names (pinned by name) are the
+defining modules' objects."""
 import ast
 import json
 import os
@@ -50,9 +51,31 @@ def _loaded_after(argv: list[str], watched=DEFERRED, *flags: str) -> dict:
     )
 
 
-@pytest.mark.parametrize("name", ["cover_powers_d1.json", "zero_balanced_d1.json"])
-def test_run_loads_no_deferred_module(name):
-    assert _loaded_after(["run", str(CORPUS / name)]) == [0, []]
+def _instance(tmp_path, name: str) -> pathlib.Path:
+    """The corpus entry `name`, or for "regular" an inline regular instance
+    written to `tmp_path`."""
+    if name != "regular":
+        return CORPUS / name
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "alphabet": ["a", "b"], "phi": {"a": [["2"]], "b": [["1/2"]]},
+        "omega": {"a": 1, "b": -1}, "mode": "regular", "degree": 2,
+        "nfa": {"states": ["p", "q"], "initial": ["p"], "accepting": ["q"],
+                "transitions": [["p", "a", "q"], ["q", "b", "p"]]},
+    }))
+    return path
+
+
+@pytest.mark.parametrize(
+    "name", ["cover_powers_d1.json", "zero_balanced_d1.json", "dyck_reach.json", "regular"]
+)
+def test_run_loads_no_deferred_module(tmp_path, name):
+    assert _loaded_after(["run", str(_instance(tmp_path, name))]) == [0, []]
+
+
+def test_vass_run_loads_the_block_reduction_only():
+    path = CORPUS / "anbndyck_reach.json"
+    assert _loaded_after(["run", str(path)]) == [0, ["zclosure.reduction"]]
 
 
 @pytest.mark.parametrize(
@@ -60,15 +83,7 @@ def test_run_loads_no_deferred_module(name):
 )
 def test_run_loads_neither_dataclasses_nor_the_corpus_file_access(tmp_path, name):
     # -S: no site hook may load these modules before the package does
-    path = CORPUS / name
-    if name == "regular":
-        path = tmp_path / "regular.json"
-        path.write_text(json.dumps({
-            "dimension": 1, "alphabet": ["a", "b"], "phi": {"a": [["2"]], "b": [["1/2"]]},
-            "omega": {"a": 1, "b": -1}, "mode": "regular", "degree": 2,
-            "nfa": {"states": ["p", "q"], "initial": ["p"], "accepting": ["q"],
-                    "transitions": [["p", "a", "q"], ["q", "b", "p"]]},
-        }))
+    path = _instance(tmp_path, name)
     assert _loaded_after(["run", str(path)], NOT_ON_THE_RUN_PATH, "-S") == [0, []]
 
 
@@ -88,6 +103,23 @@ def test_tree_loads_the_factorization_trees():
     assert code == 0 and "zclosure.facttree" in loaded
 
 
+# zclosure.__all__, sorted: an API change shows here by name
+PACKAGE_NAMES = [
+    "BlockMorphism", "Caps", "DEFAULT_CAPS", "DimensionError", "ExtVector", "FactTree",
+    "IdealGens", "InfeasibleError", "InternalInvariantError", "Matrix", "MorphismPair", "Nfa",
+    "OracleDisagreementError", "OracleResult", "PipelineResult", "PolySpace",
+    "PreconditionError", "SchemaError", "Subspace", "Vass", "WordClass", "ZClosureError",
+    "automata", "blockify_regular", "build_bz_automaton", "build_cover_automaton",
+    "build_rank_tree", "build_reach_automaton", "build_tree", "build_zero_automaton",
+    "classify_word", "closure", "construct_zero_witness", "counter_saturation", "default_eta",
+    "determinize", "errors", "exactlin", "exterior", "extract_block_closure",
+    "extract_stable_factor", "facttree", "finite_vanishing_space", "flatten", "greedy_basis",
+    "ideal_slice", "iota", "is_stable", "lang", "oracle_closure", "pipeline", "polys", "rank",
+    "rank_decomp", "reduction", "regular_closure", "space_to_generators", "stable_identity",
+    "trivially_intersects", "validate_tree", "vass_to_constrained", "wedge",
+]
+
+
 def test_package_names_are_the_defining_modules_objects():
     # in a fresh interpreter, so the deferred names are first resolved here
     wrong = _fresh(
@@ -101,6 +133,6 @@ def test_package_names_are_the_defining_modules_objects():
         "        ok = getattr(importlib.import_module(value.__module__), name) is value\n"
         "    if not ok:\n"
         "        wrong.append(name)\n"
-        "print(json.dumps([len(zclosure.__all__), wrong]))"
+        "print(json.dumps([zclosure.__all__, wrong]))"
     )
-    assert wrong == [64, []]
+    assert wrong == [PACKAGE_NAMES, []]
