@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import (
@@ -55,6 +56,9 @@ class Nfa(_NfaFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         states = set(self.states)
+        if len(states) < len(self.states):
+            twice = Counter(self.states).most_common(1)[0][0]
+            raise PreconditionError(f"state {twice!r} is listed twice")
         letters = set(self.alphabet)
         for q, a, q2 in self.transitions:
             if q not in states or q2 not in states or a not in letters:

@@ -9,9 +9,11 @@ Subcommands:
     closure oracle <file>         brute-force enumeration oracle
 
 Instances are JSON; matrices are row-major arrays of "p/q" strings so no
-value ever passes through floating point.  Errors leave as structured JSON on
-stderr with distinct exit codes: 2 schema, 3 infeasible, 4 oracle
-disagreement, 5 internal invariant violation.
+value ever passes through floating point.  The records an instance builds
+(`MorphismPair`, `Nfa`, `Vass`) check what it means, and `Instance` only what
+its JSON looks like.  Errors leave as structured JSON on stderr with distinct
+exit codes: 2 schema (the message starts with the instance file's path),
+3 infeasible, 4 oracle disagreement, 5 internal invariant violation.
 
 `closure run` on a cover, reach, zero or regular instance loads neither the
 block reduction (`reduction`, imported where a 1-VASS instance is read or
@@ -70,29 +72,26 @@ def _parse_rational(text) -> Fraction:
     raise SchemaError(f"rationals must be strings like \"-3/2\", got {text!r}")
 
 
-def _check_object(doc, path: str, what: str, keys=(), missing: str = "{} lacks {!r}") -> None:
-    """`doc` must be a JSON object with every one of `keys`; `missing`
-    formats the error for an absent key from `what` and the key."""
+def _check_object(doc, what: str, keys=()) -> None:
+    """`doc` must be a JSON object with every one of `keys`."""
     if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: {what} must be a JSON object")
+        raise SchemaError(f"{what} must be a JSON object")
     for key in keys:
         if key not in doc:
-            raise SchemaError(f"{path}: " + missing.format(what, key))
+            raise SchemaError(f"{what} lacks {key!r}")
 
 
 _AUTOMATON_KEYS = ("states", "initial", "accepting", "transitions")
 
 
-def _check_states(states, path: str, where: str) -> list:
+def _check_states(states, where: str) -> list:
     """A JSON list of automaton states; each must be hashable (not an array
     or an object)."""
     if not isinstance(states, list):
-        raise SchemaError(f"{path}: {where} must be a list")
+        raise SchemaError(f"{where} must be a list")
     for q in states:
         if isinstance(q, (list, dict)):
-            raise SchemaError(
-                f"{path}: {where}: state {q!r} must be a string or a number"
-            )
+            raise SchemaError(f"{where}: state {q!r} must be a string or a number")
     return states
 
 
@@ -107,150 +106,126 @@ def _parse_matrix(rows, dim: int, where: str) -> Matrix:
 
 
 class Instance:
-    """Validated instance file."""
+    """An instance file's records, `mp` and the `nfa` or `vass` its mode
+    needs (else None), with its `mode`, `degree` and `caps`.  The records
+    check what the instance means; `Instance` checks only what its JSON looks
+    like (JSON types, where an int is never a bool; hashable states; d x d
+    arrays of rationals; the ranges of dimension, degree and eta_override;
+    the mode and its block) and what no record sees (VASS letters in the
+    alphabet, the caps).  Every error leaves as a `SchemaError` whose message
+    starts with `path`."""
 
     def __init__(self, doc: dict, path: str = "<instance>"):
+        try:
+            self._read(doc)
+        except ZClosureError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+    def _read(self, doc) -> None:
         if isinstance(doc, dict) and "instance" in doc:  # corpus wrapper
             doc = doc["instance"]
-        _check_object(
-            doc, path, "instance", ("dimension", "alphabet", "phi", "omega", "mode", "degree"),
-            "missing required field {1!r}",
-        )
-        self.dimension = doc["dimension"]
-        if not _is_int(self.dimension) or self.dimension < 1:
-            raise SchemaError(f"{path}: dimension must be a positive integer")
+        _check_object(doc, "instance", ("dimension", "alphabet", "phi", "omega", "mode", "degree"))
+        dim = doc["dimension"]
+        if not _is_int(dim) or dim < 1:
+            raise SchemaError("dimension must be a positive integer")
         alphabet = doc["alphabet"]
-        if not isinstance(alphabet, list) or not all(
-            isinstance(a, str) and a for a in alphabet
-        ):
-            raise SchemaError(f"{path}: alphabet must be nonempty strings")
-        self.alphabet = tuple(alphabet)
+        if not isinstance(alphabet, list) or not all(isinstance(a, str) for a in alphabet):
+            raise SchemaError("alphabet must be a list of strings")
         self.mode = doc["mode"]
         if self.mode not in MODES:
-            raise SchemaError(f"{path}: mode must be one of {MODES}")
+            raise SchemaError(f"mode must be one of {MODES}")
         self.degree = doc["degree"]
         if not _is_int(self.degree) or self.degree < 1:
-            raise SchemaError(f"{path}: degree must be a positive integer")
+            raise SchemaError("degree must be a positive integer")
         for key in ("phi", "omega"):
             if not isinstance(doc[key], dict):
-                raise SchemaError(f"{path}: {key} must be an object keyed by letter")
-            for a in doc[key]:
-                if a not in self.alphabet:
-                    raise SchemaError(f"{path}: {key} letter {a!r} not in alphabet")
-        phi = {}
-        for a in self.alphabet:
-            if a not in doc["phi"]:
-                raise SchemaError(f"{path}: phi lacks letter {a!r}")
-            phi[a] = _parse_matrix(doc["phi"][a], self.dimension, f"phi[{a!r}]")
-        omega = {}
-        for a in self.alphabet:
-            if a not in doc["omega"]:
-                raise SchemaError(f"{path}: omega lacks letter {a!r}")
-            w = doc["omega"][a]
-            if not _is_int(w) or w not in (-1, 0, 1):
-                raise SchemaError(
-                    f"{path}: omega[{a!r}] = {w!r}; only weights in {{-1,0,1}} are "
-                    "supported (normalize general weights first, e.g. with "
-                    "zclosure.lang.split_weights)"
-                )
-            omega[a] = w
-        self.eta_override = doc.get("eta_override", 0)
-        if not _is_int(self.eta_override) or self.eta_override < 0:
+                raise SchemaError(f"{key} must be an object keyed by letter")
+        for a, w in doc["omega"].items():
+            if not _is_int(w):
+                raise SchemaError(f"omega[{a!r}] = {w!r} must be an integer")
+        eta = doc.get("eta_override", 0)
+        if not _is_int(eta) or eta < 0:
             raise SchemaError(
-                f"{path}: eta_override must be a positive integer (0 or absent: "
-                "the default threshold)"
+                "eta_override must be a positive integer (0 or absent: the default threshold)"
             )
-        self.mp = MorphismPair(
-            self.alphabet, self.dimension, phi, omega, self.eta_override
-        )
-        self.nfa = None
+        phi = {a: _parse_matrix(rows, dim, f"phi[{a!r}]") for a, rows in doc["phi"].items()}
+        self.mp = MorphismPair(tuple(alphabet), dim, phi, doc["omega"], eta)
+        self.nfa = self.vass = None
         if self.mode == "regular":
             if "nfa" not in doc:
-                raise SchemaError(f"{path}: mode 'regular' needs an 'nfa' field")
-            self.nfa = self._parse_nfa(doc["nfa"], path)
-        self.vass = None
+                raise SchemaError("mode 'regular' needs an 'nfa' field")
+            self.nfa = _parse_nfa(doc["nfa"], self.mp.alphabet)
         if self.mode.startswith("vass-"):
             if "vass" not in doc:
-                raise SchemaError(f"{path}: mode {self.mode!r} needs a 'vass' field")
-            self.vass = self._parse_vass(doc["vass"], path)
-        self.caps = self._parse_caps(doc.get("caps", {}), path)
-        self.doc = doc
+                raise SchemaError(f"mode {self.mode!r} needs a 'vass' field")
+            self.vass = _parse_vass(doc["vass"], self.mp.alphabet)
+        self.caps = _parse_caps(doc.get("caps", {}))
 
-    def _parse_nfa(self, doc, path) -> Nfa:
-        _check_object(doc, path, "nfa", _AUTOMATON_KEYS)
-        transitions = doc["transitions"]
-        if not isinstance(transitions, list) or not all(
-            isinstance(t, list) and len(t) == 3 for t in transitions
-        ):
-            raise SchemaError(f"{path}: nfa transitions are [from, letter, to]")
-        for src, letter, dst in transitions:
-            _check_states([src, dst], path, "nfa transition")
-            if not isinstance(letter, str):
-                raise SchemaError(
-                    f"{path}: nfa transition letter {letter!r} is not a string"
-                )
-        try:
-            return Nfa(
-                states=tuple(_check_states(doc["states"], path, "nfa states")),
-                alphabet=self.alphabet,
-                initial=frozenset(_check_states(doc["initial"], path, "nfa initial")),
-                accepting=frozenset(
-                    _check_states(doc["accepting"], path, "nfa accepting")
-                ),
-                transitions=frozenset(tuple(t) for t in transitions),
+
+def _parse_nfa(doc, alphabet: tuple) -> Nfa:
+    _check_object(doc, "nfa", _AUTOMATON_KEYS)
+    transitions = doc["transitions"]
+    if not isinstance(transitions, list) or not all(
+        isinstance(t, list) and len(t) == 3 for t in transitions
+    ):
+        raise SchemaError("nfa transitions are [from, letter, to]")
+    for src, letter, dst in transitions:
+        _check_states([src, dst], "nfa transition")
+        if not isinstance(letter, str):
+            raise SchemaError(f"nfa transition letter {letter!r} is not a string")
+    return Nfa(
+        states=tuple(_check_states(doc["states"], "nfa states")),
+        alphabet=alphabet,
+        initial=frozenset(_check_states(doc["initial"], "nfa initial")),
+        accepting=frozenset(_check_states(doc["accepting"], "nfa accepting")),
+        transitions=frozenset(tuple(t) for t in transitions),
+    )
+
+
+def _parse_vass(doc, alphabet: tuple) -> Vass:
+    from .reduction import Vass
+
+    _check_object(doc, "vass", _AUTOMATON_KEYS)
+    if not isinstance(doc["transitions"], list):
+        raise SchemaError("vass transitions must be a list")
+    transitions = []
+    for t in doc["transitions"]:
+        if not (isinstance(t, list) and len(t) == 4):
+            raise SchemaError("vass transitions are [from, letter, weight, to]")
+        src, letter, weight, dst = t
+        _check_states([src, dst], "vass transition")
+        if letter not in alphabet:
+            raise SchemaError(f"vass letter {letter!r} not in alphabet")
+        if not _is_int(weight):
+            raise SchemaError(
+                f"vass transition weight {weight!r} must be an integer "
+                "in {-1,0,1}; zero-test transitions are out of scope"
             )
-        except ZClosureError as exc:
-            raise SchemaError(f"{path}: bad nfa: {exc}") from exc
+        transitions.append(tuple(t))
+    return Vass(
+        states=tuple(_check_states(doc["states"], "vass states")),
+        initial=_check_states([doc["initial"]], "vass initial")[0],
+        accepting=tuple(_check_states(doc["accepting"], "vass accepting")),
+        transitions=tuple(transitions),
+    )
 
-    def _parse_vass(self, doc, path) -> Vass:
-        from .reduction import Vass
 
-        _check_object(doc, path, "vass", _AUTOMATON_KEYS)
-        if not isinstance(doc["transitions"], list):
-            raise SchemaError(f"{path}: vass transitions must be a list")
-        transitions = []
-        for t in doc["transitions"]:
-            if not (isinstance(t, list) and len(t) == 4):
-                raise SchemaError(
-                    f"{path}: vass transitions are [from, letter, weight, to]"
-                )
-            src, letter, weight, dst = t
-            _check_states([src, dst], path, "vass transition")
-            if not isinstance(letter, str) or letter not in self.mp.phi:
-                raise SchemaError(f"{path}: vass letter {letter!r} not in alphabet")
-            if not _is_int(weight):
-                raise SchemaError(
-                    f"{path}: vass transition weight {weight!r} must be an integer "
-                    "in {-1,0,1}; zero-test transitions are out of scope"
-                )
-            transitions.append((src, letter, weight, dst))
-        return Vass(
-            states=tuple(_check_states(doc["states"], path, "vass states")),
-            initial=_check_states([doc["initial"]], path, "vass initial")[0],
-            accepting=tuple(_check_states(doc["accepting"], path, "vass accepting")),
-            transitions=tuple(transitions),
-        )
-
-    def _parse_caps(self, doc, path) -> Caps:
-        _check_object(doc, path, "caps")
-        bad = set(doc) - set(Caps._fields)
-        if bad:
-            raise SchemaError(f"{path}: unknown caps {sorted(bad)}")
-        overrides = dict(doc)
-        for key, env in _CAP_ENV.items():
-            if env in os.environ:
-                try:
-                    overrides[key] = int(os.environ[env])
-                except ValueError:
-                    raise SchemaError(
-                        f"{env}={os.environ[env]!r} is not an integer"
-                    ) from None
-        for key, value in overrides.items():
-            if not _is_int(value) or value < 0:
-                raise SchemaError(
-                    f"{path}: cap {key!r} = {value!r} must be a non-negative integer"
-                )
-        return DEFAULT_CAPS._replace(**overrides)
+def _parse_caps(doc) -> Caps:
+    _check_object(doc, "caps")
+    bad = set(doc) - set(Caps._fields)
+    if bad:
+        raise SchemaError(f"unknown caps {sorted(bad)}")
+    overrides = dict(doc)
+    for key, env in _CAP_ENV.items():
+        if env in os.environ:
+            try:
+                overrides[key] = int(os.environ[env])
+            except ValueError:
+                raise SchemaError(f"{env}={os.environ[env]!r} is not an integer") from None
+    for key, value in overrides.items():
+        if not _is_int(value) or value < 0:
+            raise SchemaError(f"cap {key!r} = {value!r} must be a non-negative integer")
+    return DEFAULT_CAPS._replace(**overrides)
 
 def _read_json(source, name: str):
     """The JSON document in `source`, a file path or a corpus entry; one that
@@ -334,12 +309,10 @@ def _verify_entry(name: str, entry) -> dict:
         entry["status"] = "PASS"
         return entry
     want = ideal_slice(
-        gens_from_strings(instance.dimension, instance.degree, expected),
+        gens_from_strings(instance.mp.dim, instance.degree, expected),
         instance.degree,
     )
-    got_gens = gens_from_strings(
-        instance.dimension, instance.degree, report["generators"]
-    )
+    got_gens = gens_from_strings(instance.mp.dim, instance.degree, report["generators"])
     ok = ideal_slice(got_gens, instance.degree) == want
     if not ok:
         entry["status"] = "FAIL"
@@ -431,7 +404,6 @@ def _cmd_run(args) -> int:
     instance = load_instance(args.file)
     if args.eta_override:
         instance.mp = instance.mp.with_eta(args.eta_override)
-        instance.eta_override = args.eta_override
     report = run_pipeline(instance)
     if args.text:
         print(f"mode {report['mode']}  degree {report['degree']}  "
@@ -484,7 +456,7 @@ def _cmd_tree(args) -> int:
         print()
     else:
         print(tree.render_text())
-        print(f"height {tree.height} (bound {instance.dimension * (instance.dimension + 3)})")
+        print(f"height {tree.height} (bound {instance.mp.dim * (instance.mp.dim + 3)})")
     return 0
 
 

@@ -58,9 +58,14 @@ class MorphismPair(_MorphismPairFields):
             raise SchemaError("eta must be >= 1")
         if len(set(self.alphabet)) != len(self.alphabet) or not all(self.alphabet):
             raise SchemaError("alphabet letters must be distinct nonempty strings")
+        for name, table in (("phi", self.phi), ("omega", self.omega)):
+            for a in table:
+                if a not in self.alphabet:
+                    raise SchemaError(f"{name} letter {a!r} not in alphabet")
+            for a in self.alphabet:
+                if a not in table:
+                    raise SchemaError(f"{name} lacks letter {a!r}")
         for a in self.alphabet:
-            if a not in self.phi or a not in self.omega:
-                raise SchemaError(f"letter {a!r} lacks a matrix or a weight")
             m = self.phi[a]
             if not (m.is_square and m.rows == self.dim):
                 raise DimensionError(f"phi({a!r}) is not {self.dim}x{self.dim}")

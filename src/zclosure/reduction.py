@@ -15,6 +15,7 @@ the state-filtered language.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -137,6 +138,9 @@ class Vass(_VassFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         states = set(self.states)
+        if len(states) < len(self.states):
+            twice = Counter(self.states).most_common(1)[0][0]
+            raise SchemaError(f"vass state {twice!r} is listed twice")
         if self.initial not in states or not set(self.accepting) <= states:
             raise SchemaError("vass initial/accepting must be declared states")
         for (src, _letter, weight, dst) in self.transitions:

@@ -77,6 +77,12 @@ def test_nfa_validates_its_parts():
         Nfa((0,), ("a",), frozenset({1}), frozenset({0}), frozenset())
 
 
+def test_nfa_refuses_a_repeated_state():
+    with pytest.raises(PreconditionError, match=r"^state 'q' is listed twice$"):
+        Nfa(("p", "q", "q"), ("a",), frozenset({"p"}), frozenset({"q"}),
+            frozenset({("p", "a", "q")}))
+
+
 def test_reach_determinization_stays_linear_in_eta():
     for eta in range(1, 7):
         mp = powers_morphism(eta=eta)

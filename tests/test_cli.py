@@ -86,40 +86,43 @@ def test_run_text_matches_the_json_report(name, extra, generators):
         assert rest == ["  (zero space: no degree-bounded relations)"]
 
 
-def _to_doc(inst):
-    """The instance as a JSON document that `load_instance` reads back."""
+def _to_doc(inst, source):
+    """The instance as a JSON document that `load_instance` reads back; the
+    automaton and caps blocks are copied from `source`, the document it was
+    read from."""
+    mp = inst.mp
     out = {
-        "dimension": inst.dimension,
-        "alphabet": list(inst.alphabet),
+        "dimension": mp.dim,
+        "alphabet": list(mp.alphabet),
         "phi": {
-            a: [[str(x) for x in row] for row in inst.mp.phi[a].entries]
-            for a in inst.alphabet
+            a: [[str(x) for x in row] for row in mp.phi[a].entries]
+            for a in mp.alphabet
         },
-        "omega": {a: inst.mp.omega[a] for a in inst.alphabet},
+        "omega": {a: mp.omega[a] for a in mp.alphabet},
         "mode": inst.mode,
         "degree": inst.degree,
     }
-    if inst.eta_override:
-        out["eta_override"] = inst.eta_override
+    if not mp.eta_is_default:
+        out["eta_override"] = mp.eta
     if inst.nfa is not None:
-        out["nfa"] = inst.doc["nfa"]
+        out["nfa"] = source["nfa"]
     if inst.vass is not None:
-        out["vass"] = inst.doc["vass"]
-    if "caps" in inst.doc:
-        out["caps"] = inst.doc["caps"]
+        out["vass"] = source["vass"]
+    if "caps" in source:
+        out["caps"] = source["caps"]
     return out
 
 
 def test_instance_round_trip(tmp_path):
     inst = load_instance(_corpus_path("anbndyck_reach.json"))
-    doc = _to_doc(inst)
+    doc = _to_doc(inst, _vass_doc())
     path = tmp_path / "roundtrip.json"
     path.write_text(json.dumps(doc))
     again = load_instance(str(path))
     assert again.mp == inst.mp
     assert again.mode == inst.mode
     assert again.degree == inst.degree
-    assert _to_doc(again) == doc
+    assert _to_doc(again, doc) == doc
 
 
 def test_schema_rejection_cites_normalization(tmp_path):
@@ -556,6 +559,47 @@ def test_unhashable_vass_state_is_schema_error(tmp_path, mutate):
     _assert_schema_exit(_run_doc(tmp_path, doc))
 
 
+# one malformed document per fact the records own; (base document, change,
+# a part of the message)
+_RECORD_FACTS = {
+    "missing-phi-letter": (_regular_doc, lambda d: d["phi"].pop("a"), "phi lacks letter 'a'"),
+    "missing-omega-letter": (_regular_doc, lambda d: d["omega"].pop("a"),
+                             "omega lacks letter 'a'"),
+    "weight-2": (_regular_doc, lambda d: d["omega"].update(a=2), "omega('a') = 2"),
+    "duplicate-letter": (_regular_doc, lambda d: d["alphabet"].append("a"), "distinct"),
+    "empty-letter": (
+        _regular_doc,
+        lambda d: (d["alphabet"].append(""), d["phi"].update({"": [["1"]]}),
+                   d["omega"].update({"": 0})),
+        "nonempty",
+    ),
+    "nfa-undeclared-target": (_regular_doc, lambda d: d["nfa"]["transitions"].append(
+        ["q", "a", "r"]), "unknown state"),
+    "vass-undeclared-accepting": (_vass_doc, lambda d: d["vass"].update(accepting=["u"]),
+                                  "declared states"),
+    "vass-weight-2": (_vass_doc, lambda d: d["vass"]["transitions"][0].__setitem__(2, 2),
+                      "weight 2"),
+    "duplicate-nfa-state": (_regular_doc, lambda d: d["nfa"]["states"].append("q"),
+                            "state 'q' is listed twice"),
+    # without eta_override: the repeated state once made this a refusal that
+    # counted three states (exit 3)
+    "duplicate-vass-state": (
+        _vass_doc, lambda d: (d["vass"]["states"].append("t"), d.pop("eta_override")),
+        "vass state 't' is listed twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_RECORD_FACTS))
+def test_a_fact_the_records_own_exits_schema_with_the_file_path(tmp_path, case):
+    base, mutate, part = _RECORD_FACTS[case]
+    doc = base()
+    mutate(doc)
+    message = _assert_schema_exit(_run_doc(tmp_path, doc))
+    assert message.startswith(f"{tmp_path / 'instance.json'}: ")
+    assert part in message
+
+
 _CORPUS_DOCS = [
     json.loads(pathlib.Path(CORPUS, name).read_text())
     for name in sorted(os.listdir(CORPUS)) if name.endswith(".json")
@@ -581,7 +625,7 @@ def _paths(node, prefix=()):
 def test_mutated_corpus_instances_parse_or_raise_schema_error(data):
     # `load_instance` is `json.load` plus `Instance`; the document is parsed
     # from its JSON text, and not written to a file, to keep the test fast
-    doc = copy.deepcopy(data.draw(st.sampled_from(_CORPUS_DOCS)))
+    doc = copy.deepcopy(data.draw(st.sampled_from(_CORPUS_DOCS + [_regular_doc()])))
     for _ in range(data.draw(st.integers(1, 3))):
         paths = list(_paths(doc))
         if not paths:

@@ -121,6 +121,20 @@ def test_weights_outside_unit_range_rejected():
     assert "normalized" in str(err.value)
 
 
+@pytest.mark.parametrize("table", ["phi", "omega"])
+def test_phi_and_omega_name_each_letter_and_no_other(table):
+    def build(change):
+        fields = {"phi": {"a": Matrix([[2]])}, "omega": {"a": 1}}
+        change(fields[table])
+        return MorphismPair(("a",), 1, fields["phi"], fields["omega"])
+
+    extra = {"phi": Matrix([[3]]), "omega": -1}[table]
+    with pytest.raises(SchemaError, match=f"^{table} letter 'b' not in alphabet$"):
+        build(lambda t: t.update(b=extra))
+    with pytest.raises(SchemaError, match=f"^{table} lacks letter 'a'$"):
+        build(lambda t: t.pop("a"))
+
+
 def test_split_weights_helper():
     mp, expansion = split_weights(
         ["a", "b"], 1,

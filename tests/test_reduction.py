@@ -214,6 +214,11 @@ def test_vass_schema_rules():
         Vass(("s",), "s", ("missing",), ())
 
 
+def test_vass_refuses_a_repeated_state():
+    with pytest.raises(SchemaError, match=r"^vass state 't' is listed twice$"):
+        Vass(("s", "t", "t"), "s", ("t",), (("s", "a", 1, "t"),))
+
+
 def test_vass_to_constrained_shapes():
     vass = Vass(
         ("s", "t"), "s", ("t",),
