@@ -401,6 +401,9 @@ def _emit_error(exc: ZClosureError) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.eta_override < 0:
+        raise SchemaError(f"{args.file}: --eta-override must be >= 1 (0 keeps the "
+                          f"instance's eta), got {args.eta_override}")
     instance = load_instance(args.file)
     if args.eta_override:
         instance.mp = instance.mp.with_eta(args.eta_override)

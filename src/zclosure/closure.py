@@ -36,11 +36,12 @@ first keep the integers small.
 The oracle shares only `Span` with the fixpoints.  It reads a language as a
 predicate name (`lang.bounds`) plus a deterministic automaton.  Its words
 come from one lazy frontier over (automaton state, counter)
-(`word_frontier`).  A prefix is a node of constant size: its word is one
-integer code (the letter indices as base-|Sigma| digits), and its image is
-an integer matrix N over one denominator s, one direct product with its
-parent's.  A word's point is N^mono * s^(D - |mono|); letter names are never
-built.
+(`word_frontier`), which meets in the middle: a word is a prefix of half its
+length and a suffix from a table.  Its code is one integer (the letter
+indices as base-|Sigma| digits), and its image an integer matrix N over one
+denominator s, one direct product of the halves' images, each of which is
+one product of a letter with a shorter half.  A word's point is N^mono *
+s^(D - |mono|); letter names are never built.
 
 Pipeline policy, coded once in `pipeline` for every mode of `MODES`.  A
 regular instance runs its NFA's fixpoint.  At the default threshold eta the
@@ -436,26 +437,26 @@ def word_frontier(
 
     The language is the paths of `nfa` (None: every word; it must be
     deterministic and may be partial) whose prefix weights stay in the
-    predicate's window (`lang.bounds`).  A node is a prefix as its code and
-    length, with its automaton state, its counter and its parent's image: six
-    fields at any depth, never a copy of the word.  A child's code is
-    code * |Sigma| + i for letter i, so a node's last letter is
-    code % |Sigma|.  A node waits in the bucket of the earliest length at
-    which it can complete (depth + |counter| when the total weight must be
-    0, else its depth), and bucket n is expanded only when length n is
-    asked for.  A node's image is one integer product of its parent's
-    image with the letter's denominator-cleared matrix, made when the node
-    is expanded.  States from which no accepting state is reachable are
-    never entered.
+    predicate's window (`lang.bounds`).  A word of length n is one of a
+    layer of prefixes of n // 2 letters, (code, state, counter, image),
+    followed by one of the suffixes that a table lists for the prefix's
+    state and counter and the h = n - n // 2 letters left: its code is
+    pcode * |Sigma|^h + scode, its image one product of the halves' images,
+    reduced by their gcd (N / s with gcd(s, N) = 1 is unique).  The layer
+    and each entry are in code order, so a length comes out sorted.  A
+    suffix is a letter times a shorter suffix, one object in all the entries
+    made with it; counters whose window binds no suffix of a length
+    differently share an entry.  The table is filled a length at a time, so
+    no recursion grows with max_len, and states from which no accepting
+    state is reachable are never entered.
 
-    A child whose earliest completion lies past max_len is never made, and
-    the frontier ends after length max_len.  That is exact: every word
-    through a node is at least as long as the node's earliest completion,
-    so such a child leads to no word the caller reads, and the lengths up
-    to max_len are those of a frontier with a larger bound.  Reading past
-    max_len is the end of the iterator, never an empty length.  The
-    predicate, the automaton and max_len are checked when the frontier is
-    made, before any length is asked for.
+    A length is built only when it is asked for, so nothing is made past the
+    length a caller stops at.  A prefix that can complete only past max_len
+    (depth + |counter| when the total weight must be 0) is never made, and
+    the frontier ends after length max_len: reading past it is the end of the
+    iterator, never an empty length.  The predicate, the automaton and
+    max_len are checked when the frontier is made, before any length is asked
+    for.
     """
     bounds(predicate, mp.eta)  # refuses an unknown predicate
     if max_len < 0:
@@ -471,54 +472,90 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator
     last length."""
     lo, hi, exact = bounds(predicate, mp.eta)
     d = mp.dim
-    letters = []  # per letter: the columns of its cleared matrix, the divisor
-    for a in mp.alphabet:
-        flat = mp.phi[a].flat()
-        t = lcm(*(x.denominator for x in flat))
-        cleared = [x.numerator * (t // x.denominator) for x in flat]
-        letters.append(([cleared[j::d] for j in range(d)], t))
+    k = len(mp.alphabet)
+
+    def split(x):  # the rows of a flat d x d matrix
+        return [x[r:r + d] for r in range(0, d * d, d)]
+
+    def product(rows, cols, s):  # over s, reduced to gcd(s, entries) = 1
+        n = [sum(map(mul, row, col)) for row in rows for col in cols]
+        g = gcd(s, *n) if s != 1 else 1
+        return (n, s) if g == 1 else ([x // g for x in n], s // g)
+
     delta = nfa.delta()
     live = set(nfa.accepting)
     while grown := {q for (q, _), q2 in delta.items() if q2 in live} - live:
         live |= grown
-    moves = {
-        q: [
-            (i, mp.omega[a], delta[(q, a)])
-            for i, a in enumerate(mp.alphabet)
-            if delta.get((q, a)) in live
-        ]
-        for q in nfa.states
-    }
-    # a node: (word code, depth, state, counter, parent's N, parent's s)
-    k = len(mp.alphabet)
+    # per state: (letter, weight, target, the letter's cleared rows and columns, divisor)
+    moves = {q: [] for q in nfa.states}
+    sources: dict = {}  # state -> the states with a move into it
+    for i, a in enumerate(mp.alphabet):
+        flat = mp.phi[a].flat()
+        t = lcm(*(x.denominator for x in flat))
+        cleared = [x.numerator * (t // x.denominator) for x in flat]
+        letter = split(cleared), [cleared[j::d] for j in range(d)], t
+        for q in nfa.states:
+            if (q2 := delta.get((q, a))) in live:
+                moves[q].append((i, mp.omega[a], q2, *letter))
+                sources.setdefault(q2, set()).add(q)
+    ends = [set(nfa.accepting)]  # ends[ln]: the states with a path of ln letters to accept
     identity = [int(i == j) for i in range(d) for j in range(d)]
+
+    def key(q, c, ln):
+        """The table key of the suffixes of length ln from state q at counter c:
+        None where none can exist, one key for counters no suffix tells apart."""
+        while len(ends) <= ln:
+            ends.append({p for q2 in ends[-1] for p in sources.get(q2, ())})
+        if ln < 0 or q not in ends[ln] or not lo <= c <= hi or exact and abs(c) > ln:
+            return None
+        return q, ln, c if exact else None, max(lo - c, -ln), min(hi - c, ln)
+
+    # key -> its suffixes as (code, N^T, s) for the image N / s, in code order;
+    # a letter a before a suffix has the image a N, whose transpose is N^T a^T
+    table: dict = {None: []}
+
+    def fill(needed, ln):
+        """Make the entries of the (state, counter) pairs `needed` at length
+        ln, after those below that they are built from."""
+        levels = []
+        while needed:
+            level = {}
+            for q, c in needed:
+                if (kq := key(q, c, ln)) not in table:
+                    level[kq] = q, c
+            levels.append((ln, level))
+            needed = {(q2, c + w) for q, c in level.values() for _, w, q2, *_ in moves[q]}
+            ln -= 1
+        for ln, level in reversed(levels):
+            made = {}  # code -> that suffix, one object in the entries made here
+            for kq, (q, c) in level.items():
+                entry = table[kq] = [] if ln else [(0, identity, 1)]
+                for i, w, q2, rows, _, t in moves[q]:
+                    for code, x, s in table[key(q2, c + w, ln - 1)]:
+                        code += i * k ** (ln - 1)
+                        if code not in made:
+                            made[code] = code, *product(split(x), rows, s * t)
+                        entry.append(made[code])
+
     (initial,) = nfa.initial
-    buckets = {0: [(0, 0, initial, 0, identity, 1)]}
+    layer = [(0, initial, 0, identity, 1)]  # the prefixes of length ln // 2
     for ln in range(last + 1):
+        depth, half = ln // 2, ln - ln // 2
+        if depth and not ln % 2:
+            layer = [
+                (code * k + i, q2, c + w, *product(split(n), cols, s * t))
+                for code, q, c, n, s in layer
+                for i, w, q2, _, cols, t in moves[q]
+                if lo <= c + w <= hi and depth + (abs(c + w) if exact else 0) <= last
+            ]
+        fill({(q, c) for _, q, c, _, _ in layer}, half)
+        if ln == last:  # no longer length reads the table: keep what this one reads
+            table = {kq: table[kq] for kq in {key(q, c, half) for _, q, c, _, _ in layer}}
         found = []
-        bucket = buckets.setdefault(ln, [])
-        while bucket:  # nodes that can still complete at ln join it
-            code, depth, q, c, n, s = bucket.pop()
-            if depth:
-                cols, t = letters[code % k]
-                rows = [n[r:r + d] for r in range(0, d * d, d)]
-                n = [sum(map(mul, row, col)) for row in rows for col in cols]
-                s *= t
-                if s != 1:  # with s = 1 the gcd is 1
-                    g = gcd(s, *n)
-                    if g != 1:
-                        n = [x // g for x in n]
-                        s //= g
-            if depth == ln and q in nfa.accepting:  # counter 0 if exact
-                found.append((code, n, s))
-            for i, w, q2 in moves[q]:
-                if lo <= c + w <= hi:
-                    e = depth + 1 + (abs(c + w) if exact else 0)
-                    if e <= last:
-                        buckets.setdefault(e, []).append(
-                            (code * k + i, depth + 1, q2, c + w, n, s))
-        del buckets[ln]
-        found.sort()  # by code: equal-length codes differ and sort as letter indices
+        for code, q, c, n, s in layer:
+            rows, code = split(n), code * k ** half
+            found.extend((code + scode, *product(rows, split(x), s * t))
+                         for scode, x, t in table[key(q, c, half)])
         yield found
 
 

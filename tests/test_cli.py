@@ -281,6 +281,23 @@ def test_eta_override_flag(tmp_path):
     assert json.loads(proc.stdout)["eta_used"] == 2
 
 
+def test_run_refuses_a_negative_eta_override():
+    path = _corpus_path("simple_reach.json")
+    proc = _run_cli("run", path, "--eta-override", "-3")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "schema",
+        "message": f"{path}: --eta-override must be >= 1 (0 keeps the instance's eta), got -3",
+    }
+    # 0 is no override: the report is the one without the flag
+    reports = [json.loads(_run_cli("run", path, *flag).stdout)
+               for flag in ((), ("--eta-override", "0"))]
+    for report in reports:
+        del report["timings"]
+    assert reports[0] == reports[1]
+
+
 def test_tree_and_automaton_and_oracle_commands():
     proc = _run_cli("tree", _corpus_path("dyck_reach.json"), "--word", "aabb")
     assert proc.returncode == 0 and "height" in proc.stdout

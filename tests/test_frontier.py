@@ -1,6 +1,8 @@
 """The oracle's word frontier against brute-force enumeration."""
+import inspect
 import itertools
 import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -12,10 +14,12 @@ from conftest import in_reference_language, word_of_code
 from zclosure.automata import Nfa
 from zclosure.cli import load_instance
 from zclosure.closure import (
+    DEFAULT_CAPS,
     Caps,
     _oracle_over_words,
     finite_vanishing_space,
     oracle_closure,
+    pipeline,
     word_frontier,
 )
 from zclosure.errors import PreconditionError
@@ -24,6 +28,7 @@ from zclosure.lang import MorphismPair
 from zclosure.reduction import Vass, vass_to_constrained
 
 MAX_LEN = 5
+LONG = 8  # a word of 8 letters is a prefix of 4 and a suffix of 4
 
 _entries = st.sampled_from(
     [Fraction(x) for x in (-2, -1, 0, 1, 2)]
@@ -32,25 +37,25 @@ _entries = st.sampled_from(
 
 
 @st.composite
-def _morphism_pairs(draw):
+def _morphism_pairs(draw, letters=3, etas=st.integers(1, 3)):
     d = draw(st.integers(1, 2))
-    alphabet = tuple("abc"[: draw(st.integers(1, 3))])
+    alphabet = tuple("abc"[: draw(st.integers(1, letters))])
     return MorphismPair(
         alphabet, d,
         {a: Matrix([[draw(_entries) for _ in range(d)] for _ in range(d)])
          for a in alphabet},
         {a: draw(st.sampled_from((-1, 0, 1))) for a in alphabet},
-        draw(st.integers(1, 3)),
+        draw(etas),
     )
 
 
 @st.composite
-def _vasses(draw, alphabet):
+def _vasses(draw, alphabet, transitions=4):
     states = ("p", "q", "r")[: draw(st.integers(1, 3))]
     state = st.sampled_from(states)
     transitions = draw(st.lists(
         st.tuples(state, st.sampled_from(alphabet), st.sampled_from((-1, 0, 1)), state),
-        min_size=1, max_size=4,
+        min_size=1, max_size=transitions,
     ))
     accepting = draw(st.lists(state, min_size=1, max_size=len(states), unique=True))
     return Vass(states, states[0], tuple(accepting), tuple(transitions))
@@ -94,13 +99,19 @@ def _vass_brute(vass, mode, ln):
     return out
 
 
-def _assert_lengths_match(mp, frontier, brute_by_len):
-    for ln in range(MAX_LEN + 1):
+def _assert_lengths_match(mp, frontier, brute_by_len, last=MAX_LEN):
+    images = {(): Matrix.identity(mp.dim)}  # mp.image's products, each prefix's once
+
+    def image(w):
+        if w not in images:
+            images[w] = image(w[:-1]) * mp.phi[w[-1]]
+        return images[w]
+
+    for ln in range(last + 1):
         got = [(word_of_code(code, ln, mp.alphabet), n, s) for code, n, s in next(frontier)]
         assert [w for w, _, _ in got] == brute_by_len(ln)
         for w, n, s in got:
-            image = mp.image(w)
-            assert [Fraction(x, s) for x in n] == list(image.flat())
+            assert [Fraction(x, s) for x in n] == list(image(w).flat())
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,6 +180,27 @@ def test_bounded_frontier_is_a_prefix_of_a_longer_one(mp, language, last):
         word_frontier(mp, predicate, dfa, -1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(("bz", "partial", "cover", "reach")))
+def test_long_frontier_matches_brute_force_in_order(data, case):
+    # at LONG letters each half of a word is 4 letters long, so a window binds
+    # inside the suffix half: bz at eta 1 or 2, the VASS counter's 0 (cover and
+    # reach), any predicate under a partial DFA
+    mp = data.draw(_morphism_pairs(letters=2, etas=st.integers(1, 2)))
+    if case in ("cover", "reach"):
+        vass = data.draw(_vasses(mp.alphabet, transitions=3))
+        mp_t, dfa = vass_to_constrained(vass, mp)
+        _assert_lengths_match(
+            mp_t, word_frontier(mp_t, case, dfa, LONG), lambda ln: _vass_brute(vass, case, ln),
+            LONG)
+        return
+    dfa = data.draw(_partial_dfas(mp.alphabet)) if case == "partial" else None
+    predicate = data.draw(st.sampled_from(LANGUAGES[:5])) if dfa else "bz"
+    _assert_lengths_match(
+        mp, word_frontier(mp, predicate, dfa, LONG), lambda ln: _brute(mp, predicate, dfa, ln),
+        LONG)
+
+
 def test_frontier_refuses_a_nondeterministic_automaton():
     mp = MorphismPair(("a",), 1, {"a": Matrix([[2]])}, {"a": 1})
     two_targets = Nfa((0, 1), ("a",), frozenset({0}), frozenset({1}),
@@ -200,26 +232,35 @@ def test_word_cap_keeps_the_first_words(mp, language, k, degree):
 
 
 def test_long_words_do_not_recurse():
-    # a prefix's image is one product with its parent's, so the word length
-    # is not bounded by the recursion limit, also when no prefix of the word
-    # is itself in the language
+    # a prefix's image is one product with its parent's and the suffix table
+    # is filled a length at a time, so the word length is not bounded by the
+    # recursion limit, also when no prefix of the word is itself in the
+    # language.  The limit is lowered to 100 frames past this one, far below
+    # the 600 letters of either half of a 1,200-letter word
     mp = MorphismPair(("a",), 2, {"a": Matrix([[1, 1], [0, 1]])}, {"a": 0})
-    o = oracle_closure(mp, "all", 1, 1200)
-    assert o.words_used == 1201 and o.max_len == 1200
     chain = Nfa(tuple(range(1201)), ("a",), frozenset({0}), frozenset({1200}),
                 frozenset((i, "a", i + 1) for i in range(1200)))
-    o = oracle_closure(mp, "all", 1, 1200, nfa=chain)
-    assert o.words_used == 1
-    assert o.space == finite_vanishing_space([mp.image(("a",) * 1200)], 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        every = oracle_closure(mp, "all", 1, 1200)
+        one = oracle_closure(mp, "all", 1, 1200, nfa=chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert every.words_used == 1201 and every.max_len == 1200
+    assert one.words_used == 1
+    assert one.space == finite_vanishing_space([mp.image(("a",) * 1200)], 1)
 
 
 def test_frontier_nodes_do_not_copy_their_words():
-    # rvsc2_phi1_reach: to length 22 the frontier holds tens of thousands of
-    # nodes, so a node that copied its word (O(depth) each) peaked at about
-    # 1.5 MB under tracemalloc and one of fixed size near 0.7 MB.  To length
-    # 26, a frontier that also made the 7,752 nodes completing only past 26,
-    # each holding its parent's image, peaked near 3.4 MB.  The frontier
-    # makes no such node: it peaks near 0.3 MB at 22 and 1.25 MB at 26
+    # rvsc2_phi1_reach: to length 22 the oracle reads 911 words and to 26
+    # 4,787.  A frontier that held a node per prefix, each with its parent's
+    # image, peaked near 0.3 MB at 22 and 1.25 MB at 26 under tracemalloc
+    # (1.5 MB at 22 when a node copied its word, 3.4 MB at 26 when it also
+    # made the nodes completing only past 26).  Meeting in the middle holds
+    # one layer of half-length prefixes and a table of suffixes, of which the
+    # last length keeps only what it reads; it peaks near 0.25 MB at 22 and
+    # 1.25 MB at 26, mostly the last length's words
     instance = load_instance(os.path.join(
         os.path.dirname(__file__), "..", "src", "zclosure", "corpus", "rvsc2_phi1_reach.json"
     ))
@@ -233,3 +274,24 @@ def test_frontier_nodes_do_not_copy_their_words():
             tracemalloc.stop()
         assert (o.words_used, o.max_len) == (words, max_len)
         assert peak < bound, f"oracle peak {peak} bytes at length {max_len}"
+
+
+def test_a_stopped_oracle_builds_no_length_past_its_stop():
+    # the corpus rvsc2_phi1_reach under default caps stops stabilized at
+    # length 30, with the frontier bounded at 40.  A frontier that queued
+    # the children of length 30's prefixes (43,263 nodes for 31 ... 40)
+    # peaked at 20 MB under tracemalloc; building a length only when it is
+    # asked for peaks near 6.7 MB
+    instance = load_instance(os.path.join(
+        os.path.dirname(__file__), "..", "src", "zclosure", "corpus", "rvsc2_phi1_reach.json"
+    ))
+    mp, dfa = vass_to_constrained(instance.vass, instance.mp)
+    assert instance.caps == DEFAULT_CAPS and DEFAULT_CAPS.oracle_extend == 40
+    tracemalloc.start()
+    try:
+        result = pipeline(mp, instance.mode, instance.degree, instance.caps, dfa)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.oracle_max_len == 30 and result.oracle_stabilized
+    assert peak < 10_000_000, f"pipeline peak {peak} bytes"
