@@ -18,6 +18,16 @@ stage (`_gamma_condition_rows`) pushes the tensor steps of Gamma's
 single-track letters on one state; their commuting maps compose to every
 Gamma letter's.
 
+Two exact shortcuts end these stages early.  Every word's evaluation lies in
+U, the span over all words (`_all_words_dim`; its annihilator is the
+degree-<= D part of the ideal of the closure of the monoid phi(Sigma*)), so
+the regular and cover stages return once their accepted span reaches dim U,
+each after its budget check.  The saturation windows, the oracle and the
+gamma stage have no such exit.  The gamma stage runs on the diagonal degree
+blocks: letter maps keep each monomial degree and the product pullback
+reads only tensors whose four factors have one degree, so it starts from
+the seed's projection onto those blocks.
+
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
 letter and cleared of denominators once (scaling every path image by a
@@ -28,8 +38,8 @@ configuration's earlier rows, which is zero at their pivots.  The letter
 maps are kept by columns (`Columns`), so `apply_map` and `_tensor_apply`
 map a stored row by visiting only its support, into a dense image for the
 next insert.  Each stage hands its accepted span to `kernel_basis`, which
-takes the annihilator without eliminating the rows again; `Fraction`
-appears only in the final division by the pivots.  Worklists are first in,
+reads the annihilator off one elimination of the rows; `Fraction` appears
+only in that read-off's division by the pivots.  Worklists are first in,
 first out: the spans are least fixpoints in any order, but short words
 first keep the integers small.
 
@@ -81,6 +91,7 @@ from .automata import Nfa
 from .errors import (
     DimensionError,
     InfeasibleError,
+    InternalInvariantError,
     OracleDisagreementError,
     PreconditionError,
     figure,
@@ -237,7 +248,8 @@ Run = tuple[dict, Span, deque, dict]
 
 
 def _fixpoint(
-    run: Run, moves: Moves, accepting: Collection, exact: bool, lo: int, hi: int
+    run: Run, moves: Moves, accepting: Collection, exact: bool, lo: int, hi: int,
+    target: int | None = None,
 ) -> None:
     """Grow `run` (span per configuration (q, c), accepted span, worklist of
     pushes ((q, c), dense v), parked pushes (q, row, step) by target counter)
@@ -249,6 +261,11 @@ def _fixpoint(
     [lo, hi]; a push that leaves the range is parked, unmapped, when a wider
     range can admit it: ranges grow upwards, and downwards too when they
     reach below 0.  Budgets are the callers' to check.
+
+    With a `target`, the dimension of a span known to contain every accepted
+    span the run can reach (`_all_words_dim`), the call returns as soon as
+    the accepted span reaches it: the accepted span is then that span, and
+    the rest of the run is left as it stands.
 
     The row is v's primitive residual against the configuration's earlier
     rows: a multiple of v minus a multiple of it lies in their span, and
@@ -269,6 +286,8 @@ def _fixpoint(
         row = span.rows[-1]
         if q in accepting and not (exact and c):
             accepted.insert(dense(row, span.n))
+            if accepted.dim == target:
+                return
         for step, w, q2 in moves[q]:
             c2 = c + w
             if lo <= c2 <= hi:
@@ -288,24 +307,42 @@ def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Mov
 
 def _stage(
     mp: MorphismPair, degree: int, caps: Caps, nfa: Nfa, states: int, what: str,
-    default_eta: bool = False,
-) -> tuple[dict[str, Callable], Run]:
+    default_eta: bool = False, stop: bool = False,
+) -> tuple[dict[str, Callable], Run, int | None]:
     """After a stage's budget check: each letter's step (`apply_map` with its
-    integer map) and its run, seeded with nu_D(I) at `nfa`'s initial states."""
+    integer map), its run, seeded with nu_D(I) at `nfa`'s initial states,
+    and, if `stop`, the dimension of U in the same coordinates
+    (`_all_words_dim`; None otherwise)."""
     n = comb(mp.dim * mp.dim + degree, degree)
     _check_budget(states, n, caps, what, default_eta)
     steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    return steps, ({}, Span(n), deque(((q, 0), seed) for q in nfa.states if q in nfa.initial), {})
+    run = ({}, Span(n), deque(((q, 0), seed) for q in nfa.states if q in nfa.initial), {})
+    return steps, run, _all_words_dim(steps, seed) if stop else None
+
+
+def _all_words_dim(steps: dict[str, Callable], seed: list[int]) -> int:
+    """The dimension of U, the span of the evaluations over every word: the
+    accepted span of `Nfa.universal`, from `seed` under `steps`.  Every
+    language's span lies in U, and U's annihilator is the degree-<= D part
+    of the ideal of the closure of the monoid phi(Sigma*), so a stage whose
+    accepted span reaches dim U has its answer."""
+    sigma = Nfa.universal(steps)
+    run = ({}, Span(len(seed)), deque([(("*", 0), seed)]), {})
+    _fixpoint(run, _moves(sigma, steps, dict.fromkeys(steps, 0)), sigma.accepting, False, 0, 0)
+    return run[1].dim
 
 
 def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> Span:
     """The span of the evaluations over the accepted language: the fixpoint
-    over the automaton's states, every move of weight 0."""
+    over the automaton's states, every move of weight 0, which stops once
+    the accepted span reaches dim U (`_all_words_dim`)."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError("regular closure: automaton and morphism alphabets differ")
-    steps, run = _stage(mp, degree, caps, nfa, len(nfa.states), "regular closure")
-    _fixpoint(run, _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0)), nfa.accepting, False, 0, 0)
+    steps, run, target = _stage(
+        mp, degree, caps, nfa, len(nfa.states), "regular closure", stop=True)
+    _fixpoint(run, _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0)), nfa.accepting,
+              False, 0, 0, target)
     return run[1]
 
 
@@ -321,7 +358,9 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     universal automaton on the counters [0, eta - 1], whose pushes past
     eta - 1 are parked; a second `_fixpoint` call on the same run replays
     them into one absorbing top configuration (the cover automaton's inf)
-    on [eta, eta], where every letter has weight 0.
+    on [eta, eta], where every letter has weight 0.  Either call stops once
+    the accepted span reaches dim U (`_all_words_dim`), and the second is
+    skipped when the first did: the cover language's span is then U.
 
     The zero pipeline needs no such stage for its bounded-zero words: each
     is a one-track word of the product-alphabet stage, whose counter window
@@ -329,11 +368,13 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     (`_gamma_condition_rows`)."""
     eta = mp.eta
     sigma = Nfa.universal(mp.alphabet)
-    steps, run = _stage(mp, degree, caps, sigma, eta + 1,
-                        "cover pipeline (cover-automaton stage)", default_eta=True)
-    _fixpoint(run, _moves(sigma, steps, mp.omega), sigma.accepting, False, 0, eta - 1)
-    _fixpoint(run, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
-              False, eta, eta)
+    steps, run, target = _stage(mp, degree, caps, sigma, eta + 1,
+                                "cover pipeline (cover-automaton stage)", default_eta=True,
+                                stop=True)
+    _fixpoint(run, _moves(sigma, steps, mp.omega), sigma.accepting, False, 0, eta - 1, target)
+    if run[1].dim != target:
+        _fixpoint(run, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
+                  False, eta, eta, target)
     return run[1]
 
 
@@ -397,7 +438,7 @@ def counter_saturation(
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
     nfa = nfa or Nfa.universal(mp.alphabet)
-    steps, window = _stage(mp, degree, caps, nfa, len(nfa.states), f"{mode} saturation")
+    steps, window, _ = _stage(mp, degree, caps, nfa, len(nfa.states), f"{mode} saturation")
     moves = _moves(nfa, steps, mp.omega)
     history: list[int] = []
     for bound in range(2, caps.counter + 1):
@@ -483,12 +524,17 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator
         return (n, s) if g == 1 else ([x // g for x in n], s // g)
 
     delta = nfa.delta()
-    live = set(nfa.accepting)
-    while grown := {q for (q, _), q2 in delta.items() if q2 in live} - live:
+    sources: dict = {}  # state -> the states with a move into it
+    for (q, a), q2 in delta.items():
+        if a in mp.omega:
+            sources.setdefault(q2, set()).add(q)
+    live, todo = set(nfa.accepting), list(nfa.accepting)
+    while todo:  # one backward pass: the states with a path to an accepting one
+        grown = sources.get(todo.pop(), set()) - live
         live |= grown
+        todo.extend(grown)
     # per state: (letter, weight, target, the letter's cleared rows and columns, divisor)
     moves = {q: [] for q in nfa.states}
-    sources: dict = {}  # state -> the states with a move into it
     for i, a in enumerate(mp.alphabet):
         flat = mp.phi[a].flat()
         t = lcm(*(x.denominator for x in flat))
@@ -497,7 +543,6 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator
         for q in nfa.states:
             if (q2 := delta.get((q, a))) in live:
                 moves[q].append((i, mp.omega[a], q2, *letter))
-                sources.setdefault(q2, set()).add(q)
     ends = [set(nfa.accepting)]  # ends[ln]: the states with a path of ln letters to accept
     identity = [int(i == j) for i in range(d) for j in range(d)]
 
@@ -685,6 +730,15 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     only along them; its accepted span, the span at counter 0 (`exact`),
     pulled back along the product of the four blocks, is the answer.
 
+    The run starts from pi(seed), pi the projection onto the diagonal degree
+    blocks: the tensor coordinates whose four monomials have one degree.  A
+    letter map sends a degree-k monomial to a degree-k form, so each
+    single-track map keeps every block (k1, k2, k3, k4) and commutes with
+    pi, and the run from pi(seed) spans pi of each counter's span.  Each
+    entry of X1 X2 X3 X4 is linear in each factor, so the pullback reads
+    only the diagonal blocks, mu = mu o pi (checked here), and the answer
+    is unchanged.  The budget is still checked on all n^4 coordinates.
+
     The bounded-zero words (weight 0, prefix weights in [-eta, eta]) need
     no stage of their own: read on the first track with the other three
     empty, each is a word of this automaton, whose window [-2 eta, 2 eta]
@@ -698,12 +752,16 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     maps = _integer_maps(mp, degree)
     moves = {"*": [(partial(_tensor_apply, maps[a], f, n=n), mp.omega[a], "*")
                    for a in mp.alphabet for f in range(4)]}
+    deg = [sum(mono) for mono in monomial_basis(d * d, degree)]
+    mu_rows = _mu_pullback_rows(d, degree)
+    if any(len({deg[k // n ** (3 - f) % n] for f in range(4)}) > 1 for r in mu_rows for k in r):
+        raise InternalInvariantError("the product pullback reads an off-diagonal degree block")
     seed_v = _cleared(veronese(Matrix.identity(d), degree))
-    # the tensor coordinates in `_tensor_index` order
-    seed = [a * b * c * e for a, b, c, e in itertools.product(seed_v, repeat=4)]
+    # pi(seed), the tensor coordinates in `_tensor_index` order
+    seed = [a * b * c * e if deg[i] == deg[j] == deg[k] == deg[m] else 0
+            for (i, a), (j, b), (k, c), (m, e) in itertools.product(enumerate(seed_v), repeat=4)]
     run = ({}, Span(n ** 4), deque([(("*", 0), seed)]), {})
     _fixpoint(run, moves, {"*"}, True, -2 * eta, 2 * eta)
-    mu_rows = _mu_pullback_rows(d, degree)
     accepted = Span(len(mu_rows))
     for s in (dense(r, n ** 4) for r in run[1].rows):
         accepted.insert([sum(c * s[idx] for idx, c in row.items()) for row in mu_rows])

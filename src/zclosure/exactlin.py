@@ -10,22 +10,23 @@ the exterior greedy basis insert into it directly; the rest goes through
 `Subspace.from_vectors`, `contains` and `intersection`, `rank`,
 `rank_decomp`, `invert` (the RREF of [M | I]), the block extraction,
 `closure.finite_vanishing_space` and `exterior.combination`.  Every kernel
-is `kernel_basis` of a `Span`, the RREF of its annihilator, so the engine's
-stages hand over the spans they accepted and no span is eliminated twice.
-A span does not change when a vector is scaled, so it keeps primitive
-integer rows by fraction-free elimination; `Fraction` appears only where
+is `kernel_basis` of a `Span`, the RREF of its annihilator, read off the
+span's rows eliminated once over reversed columns, so the engine's stages
+hand over the spans they accepted and no kernel is eliminated again.  A
+span does not change when a vector is scaled, so it keeps primitive integer
+rows by fraction-free elimination; `Fraction` appears only where
 `Span.basis()` divides its integer Gauss-Jordan form by the pivots, which
-gives the canonical RREF.  The fixpoints' vectors are mostly zeros, so a
-row is stored only sparsely, as a pair of int tuples (support, values) with
-the pivot first and a positive pivot entry (`Row`): a row operation updates
-the vector only over the row's support, and scales all of it only when the
-pivot entry does not divide the vector's entry there.  A tuple of ints
-holds nothing the cyclic garbage collector must follow, so it untracks the
-rows; `basis()` densifies them on demand and `dense` one row.  A span that
-refuses a vector at dimension at least half its ambient dimension also
-keeps its annihilator, which `kernel_basis` then reads, and tests
-membership by dot products against it, which pays only where most inserts
-are refused (the oracle).
+gives the canonical RREF, and in `kernel_basis`'s read-off.  The
+fixpoints' vectors are mostly zeros, so a row is stored only sparsely, as a
+pair of int tuples (support, values) with the pivot first and a positive
+pivot entry (`Row`): a row operation updates the vector only over the
+row's support, and scales all of it only when the pivot entry does not
+divide the vector's entry there.  A tuple of ints holds nothing the cyclic
+garbage collector must follow, so it untracks the rows; `basis()` densifies
+them on demand and `dense` one row.  A span that refuses a vector at
+dimension at least half its ambient dimension also keeps its annihilator
+and tests membership by dot products against it, which pays only where
+most inserts are refused (the oracle).
 
 The one non-textbook operation is `stable_identity`: for a stable matrix M
 (rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
@@ -141,8 +142,8 @@ class Span:
     row list, not its rows.  `reduced()` eliminates each row at the pivots
     of the rows after it, the same step run backwards; `basis()` divides
     that integer Gauss-Jordan form by its pivots, the canonical `Fraction`
-    RREF, and `annihilator()` solves it for the annihilator's integer basis,
-    which `kernel_basis` puts in RREF.
+    RREF, and `annihilator()` solves it for the annihilator's integer basis
+    (`ann` below).
 
     Once an insert is refused at dimension at least n/2, the span also keeps
     `ann`, a primitive integer basis of the annihilator {k : k.r = 0 for
@@ -330,13 +331,34 @@ def rank(m: Matrix) -> int:
 
 
 def kernel_basis(span: Span) -> list[Vector]:
-    """The RREF basis of the span's annihilator.  A kept `ann` is copied,
-    not consumed, so the span stays usable."""
-    out = Span(span.n)
-    ann = span.annihilator() if span.ann is None else span.ann[:]
-    while ann:  # each computed vector is freed as `out` takes its row
-        out.insert(ann.pop())
-    return out.basis()
+    """The RREF basis of the span's annihilator, read off the span's rows
+    eliminated over reversed columns.  Their integer Gauss-Jordan form R has
+    each pivot p at its row's last nonzero column, so for each free column f
+    k_f = e_f - sum over the pivots p of (R_p[f] / R_p[p]) e_p is orthogonal
+    to every row; it is nonzero only at f and at pivots after f, so these
+    vectors are already the annihilator's RREF.  The span, and a kept
+    `ann`, are left as they were."""
+    n = span.n
+    back = Span(n)  # column k of the span at n - 1 - k
+    for row in span.rows:
+        back.rows.append(back._row(back._eliminate(dense(row, n)[::-1], back.rows)))
+    zero, one = Fraction(0), Fraction(1)
+    pivots = set()
+    solved: dict[int, list[tuple[int, Fraction]]] = {}  # f -> (pivot p, k_f[p])
+    for support, values in back.reduced():
+        p = n - 1 - support[0]
+        pivots.add(p)
+        for k, x in zip(support[1:], values[1:]):
+            solved.setdefault(n - 1 - k, []).append((p, Fraction(-x, values[0])))
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            k = [zero] * n
+            k[f] = one
+            for p, x in solved.get(f, ()):
+                k[p] = x
+            out.append(tuple(k))
+    return out
 
 
 def rank_decomp(m: Matrix) -> tuple[int, Subspace, Subspace]:

@@ -17,7 +17,7 @@ letters over a fresh intermediate alphabet.
 """
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import inf
 from operator import mul
@@ -29,10 +29,13 @@ from .exactlin import Matrix
 Word = tuple[str, ...]
 
 
+@lru_cache(maxsize=1)
 def default_eta(d: int) -> int:
     """Threshold 2^(d(d+3)) + 1 above which a word of that weight contains a
-    stable factor of matching sign."""
-    return 2 ** (d * (d + 3)) + 1
+    stable factor of matching sign.  Built by a shift, and kept for the last
+    d: a pair asks for it when it is made and again in `eta_is_default`, and
+    at a large d the integer has d(d+3) bits."""
+    return (1 << d * (d + 3)) + 1
 
 
 class _MorphismPairFields(NamedTuple):

@@ -2,14 +2,16 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate
+from functools import partial, reduce
+from itertools import accumulate, product
 from operator import mul
 from typing import Iterable, Sequence
 
+from zclosure.closure import _integer_maps, _mu_pullback_rows, veronese
 from zclosure.errors import DimensionError
-from zclosure.exactlin import Matrix, Span, Vector, span_of, vec
+from zclosure.exactlin import Matrix, Span, Vector, dense, span_of, vec
 from zclosure.lang import MorphismPair
 from zclosure.polys import Poly, PolySpace, poly_to_vector
 
@@ -92,11 +94,12 @@ def sparse(v: Sequence) -> tuple[tuple[int, ...], tuple]:
     return support, tuple(v[k] for k in support)
 
 
-def raw_fixpoint(run, moves, accepting, exact, lo, hi) -> None:
+def raw_fixpoint(run, moves, accepting, exact, lo, hi, target=None) -> None:
     """`closure._fixpoint` as it replays the parked pushes in [lo, hi], then
     pushes, accepts and parks each vector v that grows its configuration's
-    span, rather than the row the span stored; its moves' steps map dense
-    vectors (`dense_apply_map`, `dense_tensor_apply`)."""
+    span, rather than the row the span stored, and returns once the accepted
+    span has dimension `target`; its moves' steps map dense vectors
+    (`dense_apply_map`, `dense_tensor_apply`)."""
     spans, accepted, queue, parked = run
     for c in [c for c in parked if lo <= c <= hi]:
         queue.extend(((q, c), step(v)) for q, v, step in parked.pop(c))
@@ -109,12 +112,36 @@ def raw_fixpoint(run, moves, accepting, exact, lo, hi) -> None:
             continue
         if q in accepting and not (exact and c):
             accepted.insert(v)
+            if accepted.dim == target:
+                return
         for step, w, q2 in moves[q]:
             c2 = c + w
             if lo <= c2 <= hi:
                 queue.append(((q2, c2), step(v)))
             elif c2 > hi or lo < 0:
                 parked.setdefault(c2, []).append((q2, v, step))
+
+
+def unprojected_gamma_rows(mp: MorphismPair, degree: int) -> Span:
+    """The zero pipeline's product-alphabet stage run from the whole seed
+    nu_D(I) x nu_D(I) x nu_D(I) x nu_D(I), not from its projection onto the
+    diagonal degree blocks: the reference for
+    `closure._gamma_condition_rows`.  The single-track moves use
+    `dense_tensor_apply` and the pushes `raw_fixpoint`; the tensors accepted
+    at counter 0 are pulled back along the product of the four blocks."""
+    seed_v = [x.numerator for x in veronese(Matrix.identity(mp.dim), degree)]
+    n = len(seed_v)
+    maps = _integer_maps(mp, degree)
+    moves = {"*": [(partial(dense_tensor_apply, maps[a], f, n=n), mp.omega[a], "*")
+                   for a in mp.alphabet for f in range(4)]}
+    seed = [a * b * c * e for a, b, c, e in product(seed_v, repeat=4)]
+    run = ({}, Span(n ** 4), deque([(("*", 0), seed)]), {})
+    raw_fixpoint(run, moves, {"*"}, True, -2 * mp.eta, 2 * mp.eta)
+    mu_rows = _mu_pullback_rows(mp.dim, degree)
+    out = Span(len(mu_rows))
+    for s in (dense(r, n ** 4) for r in run[1].rows):
+        out.insert([sum(c * s[k] for k, c in row.items()) for row in mu_rows])
+    return out
 
 
 def in_reference_language(w: Sequence[str], mp: MorphismPair, predicate: str) -> bool:

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,25 @@ def test_reach_default_eta_exits_infeasible(tmp_path):
     err = json.loads(proc.stderr)
     assert err["error"] == "infeasible"
     assert "eta_override" in err["message"]
+
+
+def test_a_large_dimension_is_refused_without_building_its_threshold_twice(tmp_path):
+    # the default threshold 2^(d(d+3)) + 1 has 400,060,001 bits at d = 20,000;
+    # raised as a power, once for the pair and once more for eta_is_default,
+    # it took about 4.5 s and 244 MB before this refusal
+    doc = {"dimension": 20000, "alphabet": [], "phi": {}, "omega": {}, "mode": "cover",
+           "degree": 1}
+    t0 = time.monotonic()
+    proc = _run_doc(tmp_path, doc)
+    elapsed = time.monotonic() - t0
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr) == {
+        "error": "infeasible",
+        "message": "cover pipeline (cover-automaton stage): Veronese dimension 400000001 "
+                   "exceeds the cap 10000; set eta_override (result is then oracle-checked) "
+                   "or raise the veronese cap",
+    }
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 def test_cover_d2_default_eta_exits_infeasible(tmp_path):

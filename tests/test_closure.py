@@ -32,6 +32,7 @@ from zclosure.closure import (
     Caps,
     Span,
     _cleared,
+    _fixpoint,
     _gamma_condition_rows,
     _integer_maps,
     _mu_pullback_rows,
@@ -304,17 +305,11 @@ def _reference_kernel(rows, n):
 def test_kernel_basis_matches_fraction_reference(stream):
     n, vectors = stream
     want = _reference_kernel(vectors, n)
-    calls = []
-    annihilator = Span.annihilator
-
-    def counted(span):
-        calls.append(span)
-        return annihilator(span)
-
-    # one annihilator per kernel: the one a refused insert built, if any
-    with mock.patch.object(Span, "annihilator", counted):
-        assert kernel_basis(span_of(n, vectors)) == want
-    assert len(calls) == 1
+    span = span_of(n, vectors)
+    rows, ann = span.rows[:], span.ann and [k[:] for k in span.ann]
+    assert kernel_basis(span) == want
+    # read off, not eliminated again: the span and a kept annihilator are as they were
+    assert span.rows == rows and span.ann == ann
     assert kernel_basis(span_of(n, [_cleared(v) for v in vectors])) == want  # integer rows
     assert len(want) == n - len(rref(vectors))
 
@@ -730,13 +725,20 @@ def test_single_track_gamma_stage_matches_full_gamma(data, degree, k):
     want = _full_gamma_span(mp, degree)
     mu_rows = _mu_pullback_rows(1, degree)
     conditions = [[sum(c * s[i] for i, c in row.items()) for row in mu_rows] for s in want]
-    assert _gamma_condition_rows(mp, degree, Caps()).basis() == rref(conditions)
+    accepted = []
+
+    def recording(run, *args):
+        _fixpoint(run, *args)
+        accepted.append(run[1].basis())
+
+    with mock.patch("zclosure.closure._fixpoint", recording):
+        assert _gamma_condition_rows(mp, degree, Caps()).basis() == rref(conditions)
     # d = 1 images commute, so the pulled-back span alone would hide a lost
-    # track; with the identity for the pullback, the span is the accepted
-    # tensors' own
-    identity = [{i: 1} for i in range(len(want[0]))]
-    with mock.patch("zclosure.closure._mu_pullback_rows", lambda d, degree: identity):
-        assert _gamma_condition_rows(mp, degree, Caps()).basis() == rref(want)
+    # track; the accepted tensors themselves must span pi of the full-Gamma
+    # span, pi the projection onto the diagonal degree blocks (i1 = .. = i4
+    # at d = 1, where each degree has one monomial)
+    diagonal = [len(set(idx)) == 1 for idx in itertools.product(range(degree + 1), repeat=4)]
+    assert accepted == [rref([[x * keep for x, keep in zip(s, diagonal)] for s in want])]
 
 
 @settings(max_examples=150, deadline=None)
