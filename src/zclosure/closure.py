@@ -18,15 +18,16 @@ stage (`_gamma_condition_rows`) pushes the tensor steps of Gamma's
 single-track letters on one state; their commuting maps compose to every
 Gamma letter's.
 
-Two exact shortcuts end these stages early.  Every word's evaluation lies in
+Exact shortcuts end these stages early.  Every word's evaluation lies in
 U, the span over all words (`_all_words_dim`; its annihilator is the
 degree-<= D part of the ideal of the closure of the monoid phi(Sigma*)), so
 the regular and cover stages return once their accepted span reaches dim U,
-each after its budget check.  The saturation windows, the oracle and the
-gamma stage have no such exit.  The gamma stage runs on the diagonal degree
-blocks: letter maps keep each monomial degree and the product pullback
-reads only tensors whose four factors have one degree, so it starts from
-the seed's projection onto those blocks.
+each after its budget check, and once a saturation window reaches it every
+later window is U and runs no fixpoint (U is computed after the bound-2
+window's budget check).  The gamma stage has no such exit.  It runs on the
+diagonal degree blocks: letter maps keep each monomial degree and the
+product pullback reads only tensors whose four factors have one degree, so
+it starts from the seed's projection onto those blocks.
 
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
@@ -34,7 +35,10 @@ letter and cleared of denominators once (scaling every path image by a
 nonzero constant), and `Span` keeps primitive integer rows by fraction-free
 elimination, each only as its support and the values there.  The worklist
 pushes the row a span stored, the pushed vector's residual against the
-configuration's earlier rows, which is zero at their pivots.  The letter
+configuration's earlier rows, which is zero at their pivots, and maps a push
+only when it pops it, so a pending push holds that row and its step, not
+an image, and the pushes left when a stage stops at dim U are never
+mapped.  The letter
 maps are kept by columns (`Columns`), so `apply_map` and `_tensor_apply`
 map a stored row by visiting only its support, into a dense image for the
 next insert.  Each stage hands its accepted span to `kernel_basis`, which
@@ -51,7 +55,10 @@ length and a suffix from a table.  Its code is one integer (the letter
 indices as base-|Sigma| digits), and its image an integer matrix N over one
 denominator s, one direct product of the halves' images, each of which is
 one product of a letter with a shorter half.  A word's point is N^mono *
-s^(D - |mono|); letter names are never built.
+s^(D - |mono|); letter names are never built.  A monoid with relations maps
+many words to one matrix, and a span sees only the point, so the oracle
+inserts each distinct (s, N) of a length once; the words still count
+towards the word cap and `words_used`.
 
 Pipeline policy, coded once in `pipeline` for every mode of `MODES`.  A
 regular instance runs its NFA's fixpoint.  At the default threshold eta the
@@ -252,15 +259,19 @@ def _fixpoint(
     target: int | None = None,
 ) -> None:
     """Grow `run` (span per configuration (q, c), accepted span, worklist of
-    pushes ((q, c), dense v), parked pushes (q, row, step) by target counter)
-    to the least fixpoint on the counters [lo, hi]: first the parked pushes
-    in [lo, hi] are mapped and queued, then the worklist is popped first in,
-    first out.  When v grows its configuration's span, the row the span
-    stored goes into the accepted span when q is accepting (and c is 0 if
-    `exact`), and is pushed along each move of q whose counter stays in
-    [lo, hi]; a push that leaves the range is parked, unmapped, when a wider
-    range can admit it: ranges grow upwards, and downwards too when they
-    reach below 0.  Budgets are the callers' to check.
+    pushes ((q, c), step, row), parked pushes (q, row, step) by target
+    counter) to the least fixpoint on the counters [lo, hi]: first the parked
+    pushes in [lo, hi] are queued, then the worklist is popped first in,
+    first out.  A push is mapped only when it is popped, v = step(row) (a
+    seed is a dense row with the step `list`), so a pending push holds a
+    reference to a stored row, not a dense image, and the pushes still
+    queued when a call returns at its target are never mapped.  When v grows
+    its configuration's span, the row the span stored goes into the accepted
+    span when q is accepting (and c is 0 if `exact`), and is pushed along
+    each move of q whose counter stays in [lo, hi]; a push that leaves the
+    range is parked when a wider range can admit it: ranges grow upwards,
+    and downwards too when they reach below 0.  Budgets are the callers' to
+    check.
 
     With a `target`, the dimension of a span known to contain every accepted
     span the run can reach (`_all_words_dim`), the call returns as soon as
@@ -275,9 +286,10 @@ def _fixpoint(
     so the maps visit fewer coordinates."""
     spans, accepted, queue, parked = run
     for c in [c for c in parked if lo <= c <= hi]:
-        queue.extend(((q, c), step(row)) for q, row, step in parked.pop(c))
+        queue.extend(((q, c), step, row) for q, row, step in parked.pop(c))
     while queue:
-        (q, c), v = queue.popleft()
+        (q, c), step, row = queue.popleft()
+        v = step(row)
         span = spans.get((q, c))
         if span is None:
             span = spans[(q, c)] = Span(len(v))
@@ -291,7 +303,7 @@ def _fixpoint(
         for step, w, q2 in moves[q]:
             c2 = c + w
             if lo <= c2 <= hi:
-                queue.append(((q2, c2), step(row)))
+                queue.append(((q2, c2), step, row))
             elif c2 > hi or lo < 0:
                 parked.setdefault(c2, []).append((q2, row, step))
 
@@ -307,18 +319,18 @@ def _moves(nfa: Nfa, steps: dict[str, Callable], weights: dict[str, int]) -> Mov
 
 def _stage(
     mp: MorphismPair, degree: int, caps: Caps, nfa: Nfa, states: int, what: str,
-    default_eta: bool = False, stop: bool = False,
-) -> tuple[dict[str, Callable], Run, int | None]:
+    default_eta: bool = False,
+) -> tuple[dict[str, Callable], Run, Callable[[], int]]:
     """After a stage's budget check: each letter's step (`apply_map` with its
     integer map), its run, seeded with nu_D(I) at `nfa`'s initial states,
-    and, if `stop`, the dimension of U in the same coordinates
-    (`_all_words_dim`; None otherwise)."""
+    and a call that computes the dimension of U in the same coordinates
+    (`_all_words_dim`), for the stage to make once its own checks pass."""
     n = comb(mp.dim * mp.dim + degree, degree)
     _check_budget(states, n, caps, what, default_eta)
     steps = {a: partial(apply_map, cols) for a, cols in _integer_maps(mp, degree).items()}
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
-    run = ({}, Span(n), deque(((q, 0), seed) for q in nfa.states if q in nfa.initial), {})
-    return steps, run, _all_words_dim(steps, seed) if stop else None
+    run = ({}, Span(n), deque(((q, 0), list, seed) for q in nfa.states if q in nfa.initial), {})
+    return steps, run, partial(_all_words_dim, steps, seed)
 
 
 def _all_words_dim(steps: dict[str, Callable], seed: list[int]) -> int:
@@ -328,7 +340,7 @@ def _all_words_dim(steps: dict[str, Callable], seed: list[int]) -> int:
     of the ideal of the closure of the monoid phi(Sigma*), so a stage whose
     accepted span reaches dim U has its answer."""
     sigma = Nfa.universal(steps)
-    run = ({}, Span(len(seed)), deque([(("*", 0), seed)]), {})
+    run = ({}, Span(len(seed)), deque([(("*", 0), list, seed)]), {})
     _fixpoint(run, _moves(sigma, steps, dict.fromkeys(steps, 0)), sigma.accepting, False, 0, 0)
     return run[1].dim
 
@@ -339,10 +351,9 @@ def _nfa_span_rows(nfa: Nfa, mp: MorphismPair, degree: int, caps: Caps) -> Span:
     the accepted span reaches dim U (`_all_words_dim`)."""
     if set(nfa.alphabet) != set(mp.alphabet):
         raise PreconditionError("regular closure: automaton and morphism alphabets differ")
-    steps, run, target = _stage(
-        mp, degree, caps, nfa, len(nfa.states), "regular closure", stop=True)
+    steps, run, dim_u = _stage(mp, degree, caps, nfa, len(nfa.states), "regular closure")
     _fixpoint(run, _moves(nfa, steps, dict.fromkeys(mp.alphabet, 0)), nfa.accepting,
-              False, 0, 0, target)
+              False, 0, 0, dim_u())
     return run[1]
 
 
@@ -368,9 +379,9 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     (`_gamma_condition_rows`)."""
     eta = mp.eta
     sigma = Nfa.universal(mp.alphabet)
-    steps, run, target = _stage(mp, degree, caps, sigma, eta + 1,
-                                "cover pipeline (cover-automaton stage)", default_eta=True,
-                                stop=True)
+    steps, run, dim_u = _stage(mp, degree, caps, sigma, eta + 1,
+                               "cover pipeline (cover-automaton stage)", default_eta=True)
+    target = dim_u()
     _fixpoint(run, _moves(sigma, steps, mp.omega), sigma.accepting, False, 0, eta - 1, target)
     if run[1].dim != target:
         _fixpoint(run, _moves(sigma, steps, dict.fromkeys(mp.alphabet, 0)), sigma.accepting,
@@ -401,19 +412,34 @@ def finite_vanishing_space(
 # Bounded-counter saturation
 
 
+def _window_range(mode: str, nfa: Nfa, bound: int, caps: Caps, n: int) -> tuple[int, bool]:
+    """After the budget check of the window at `bound`, on `n` coordinates:
+    its lowest counter, the mode's (`lang.bounds`) cut to -bound, and
+    whether an accepted word must end at counter 0."""
+    lo, _, exact = bounds(mode, bound)
+    lo = max(lo, -bound)
+    _check_budget(len(nfa.states) * (bound - lo + 1), n, caps,
+                  f"{mode} saturation at counter bound {bound}")
+    return lo, exact
+
+
 def _window_rows(
-    mode: str, nfa: Nfa, moves: Moves, bound: int, caps: Caps, window: Run
+    mode: str, nfa: Nfa, moves: Moves, bound: int, caps: Caps, window: Run,
+    target: int | None = None,
 ) -> int:
     """Grow the run `window` to the least fixpoint over the words of the
     mode's window (`lang.bounds`) cut to [-bound, bound]; windows nest, so
     `_fixpoint` replays the pushes the narrower windows parked and ends where
-    a cold start does.  Returns the accepted dimension."""
-    lo, _, exact = bounds(mode, bound)
-    lo = max(lo, -bound)
+    a cold start does.  Returns the accepted dimension.
+
+    With a `target`, dim U (`_all_words_dim`), the fixpoint returns once the
+    accepted span reaches it, and a window whose accepted span already has
+    it runs none: every window's span lies in U, so from there on each one
+    is U.  The budget is checked either way."""
     accepted = window[1]
-    nstates = len(nfa.states) * (bound - lo + 1)
-    _check_budget(nstates, accepted.n, caps, f"{mode} saturation at counter bound {bound}")
-    _fixpoint(window, moves, nfa.accepting, exact, lo, bound)
+    lo, exact = _window_range(mode, nfa, bound, caps, accepted.n)
+    if accepted.dim != target:
+        _fixpoint(window, moves, nfa.accepting, exact, lo, bound, target)
     return accepted.dim
 
 
@@ -434,15 +460,25 @@ def counter_saturation(
     until the space is unchanged for caps.window consecutive bounds; returns
     (space, final bound).  The accepted spans nest, so unchanged means the
     same dimension; the RREF and the vanishing space are computed once, at
-    the returned bound."""
+    the returned bound.
+
+    Every window's span lies in U, so once one reaches dim U every later
+    window is U: each later bound still checks its budget and records dim U,
+    but runs no fixpoint, and the stop bound, the history and the answer are
+    what they would be without this exit.  U is computed once the bound-2
+    window has passed its budget check, so a refused saturation costs no
+    more than before."""
     if mode not in ("cover", "reach", "zero"):
         raise PreconditionError(f"unknown saturation mode {mode!r}")
     nfa = nfa or Nfa.universal(mp.alphabet)
-    steps, window, _ = _stage(mp, degree, caps, nfa, len(nfa.states), f"{mode} saturation")
+    steps, window, dim_u = _stage(mp, degree, caps, nfa, len(nfa.states), f"{mode} saturation")
     moves = _moves(nfa, steps, mp.omega)
     history: list[int] = []
     for bound in range(2, caps.counter + 1):
-        history.append(_window_rows(mode, nfa, moves, bound, caps, window))
+        if bound == 2:  # U once the first window has passed its budget check
+            _window_range(mode, nfa, bound, caps, window[1].n)
+            target = dim_u()
+        history.append(_window_rows(mode, nfa, moves, bound, caps, window, target))
         if _stable(history, caps.window):
             return _vanishing(mp.dim, degree, window[1]), bound
     raise InfeasibleError(
@@ -510,7 +546,9 @@ def word_frontier(
 
 def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator[Length]:
     """`word_frontier`'s generator, over a checked predicate, automaton and
-    last length."""
+    last length.  A suffix is kept with its image already split into rows,
+    so making a word splits only its prefix's image, once for all the
+    suffixes it is followed by."""
     lo, hi, exact = bounds(predicate, mp.eta)
     d = mp.dim
     k = len(mp.alphabet)
@@ -555,8 +593,9 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator
             return None
         return q, ln, c if exact else None, max(lo - c, -ln), min(hi - c, ln)
 
-    # key -> its suffixes as (code, N^T, s) for the image N / s, in code order;
-    # a letter a before a suffix has the image a N, whose transpose is N^T a^T
+    # key -> its suffixes as (code, the rows of N^T, s) for the image N / s, in
+    # code order; a letter a before a suffix has the image a N, whose transpose
+    # is N^T a^T
     table: dict = {None: []}
 
     def fill(needed, ln):
@@ -574,12 +613,13 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator
         for ln, level in reversed(levels):
             made = {}  # code -> that suffix, one object in the entries made here
             for kq, (q, c) in level.items():
-                entry = table[kq] = [] if ln else [(0, identity, 1)]
+                entry = table[kq] = [] if ln else [(0, split(identity), 1)]
                 for i, w, q2, rows, _, t in moves[q]:
                     for code, x, s in table[key(q2, c + w, ln - 1)]:
                         code += i * k ** (ln - 1)
                         if code not in made:
-                            made[code] = code, *product(split(x), rows, s * t)
+                            n, den = product(x, rows, s * t)
+                            made[code] = code, split(n), den
                         entry.append(made[code])
 
     (initial,) = nfa.initial
@@ -596,12 +636,11 @@ def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator
         fill({(q, c) for _, q, c, _, _ in layer}, half)
         if ln == last:  # no longer length reads the table: keep what this one reads
             table = {kq: table[kq] for kq in {key(q, c, half) for _, q, c, _, _ in layer}}
-        found = []
-        for code, q, c, n, s in layer:
-            rows, code = split(n), code * k ** half
-            found.extend((code + scode, *product(rows, split(x), s * t))
-                         for scode, x, t in table[key(q, c, half)])
-        yield found
+        shift = k ** half
+        # yielded unbound, so a length handed over is the reader's alone
+        yield [(code * shift + scode, *product(rows, x, s * t))
+               for code, q, c, n, s in layer for rows in (split(n),)
+               for scode, x, t in table[key(q, c, half)]]
 
 
 def _oracle_over_words(
@@ -617,7 +656,11 @@ def _oracle_over_words(
     (sparse languages can skip several lengths between words) or `lengths`
     ends.  Without raise_on_cap, hitting the word budget stops gracefully at
     the achieved length.  A word's point is its integer Veronese vector
-    N^mono * s^(D - |mono|), s^D times nu_D(N / s)."""
+    N^mono * s^(D - |mono|), s^D times nu_D(N / s).  Words of one length
+    that share (s, N) share the point, so each distinct one is evaluated and
+    inserted once, in first-seen order: the span, its history and the stop
+    are what inserting every word gives, and `words_used` still counts
+    words.  A length's words are let go as they are read into its points."""
     n = comb(mp_dim * mp_dim + degree, degree)
     _check_budget(0, n, caps, "oracle")  # no states: only the Veronese cap applies
     evaluate = _monomial_evaluator(mp_dim * mp_dim, degree)
@@ -635,9 +678,14 @@ def _oracle_over_words(
             used = caps.oracle_words + 1  # the word past the cap counts as used
         else:
             used += len(words)
-        for _, image, s in words:
+        points = {}  # the distinct (s, image) of this length, in first-seen order
+        words.reverse()
+        while words:
+            _, image, s = words.pop()
+            points[s, *image] = None
+        for s, *image in points:
             span.insert(evaluate(image, s))
-        if words:
+        if points:
             history.append(span.dim)
         stable = span.dim == n or _stable(history, caps.window)
         if capped or (ln >= min_len and stable):
@@ -760,7 +808,7 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     # pi(seed), the tensor coordinates in `_tensor_index` order
     seed = [a * b * c * e if deg[i] == deg[j] == deg[k] == deg[m] else 0
             for (i, a), (j, b), (k, c), (m, e) in itertools.product(enumerate(seed_v), repeat=4)]
-    run = ({}, Span(n ** 4), deque([(("*", 0), seed)]), {})
+    run = ({}, Span(n ** 4), deque([(("*", 0), list, seed)]), {})
     _fixpoint(run, moves, {"*"}, True, -2 * eta, 2 * eta)
     accepted = Span(len(mu_rows))
     for s in (dense(r, n ** 4) for r in run[1].rows):

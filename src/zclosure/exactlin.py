@@ -146,21 +146,28 @@ class Span:
     (`ann` below).
 
     Once an insert is refused at dimension at least n/2, the span also keeps
-    `ann`, a primitive integer basis of the annihilator {k : k.r = 0 for
-    every row r}: n - dim vectors, at most as many as the rows.  Then v is
-    in the span iff every k.v is 0, a few dot products instead of an
-    elimination against every row; an accepted v drops the first k0 with
-    k0.v != 0 and clears k.v from the others by one rank-one step.  That
-    pays only where most inserts are refused, so a span that only grows
-    never builds it.
+    `ann`, a primitive integer basis k_0, k_1, ... of the annihilator
+    {k : k.r = 0 for every row r}: n - dim vectors, at most as many as the
+    rows.  Then v is in the span iff every k_i.v is 0, which one dot product
+    tests: against the packed vector W, W_j = sum_i k_i[j] * 2^(b i), W.v is
+    sum_i (k_i.v) * 2^(b i).  The width b makes 2^(b - 1) exceed
+    |k_i.v| <= |k_i|_1 * max|v| for every i, so the terms cannot cancel (the
+    lowest nonzero one is not a multiple of the next power 2^(b (i + 1)))
+    and W.v = 0 exactly when every k_i.v = 0.  W is built for max|v| below a
+    power of two and rebuilt when `ann` changes or a vector outgrows it.  An
+    accepted v drops the first k0 with k0.v != 0 and clears k.v from the
+    others by one rank-one step.  That pays only where most inserts are
+    refused (the oracle), so a span that only grows never builds it.
     """
 
-    __slots__ = ("n", "rows", "ann")
+    __slots__ = ("n", "rows", "ann", "packed", "limit")
 
     def __init__(self, n: int):
         self.n = n
         self.rows: list[Row] = []
         self.ann: list[list[int]] | None = None
+        self.packed: list[int] | None = None  # W, for max|v| < limit
+        self.limit = 0
 
     @staticmethod
     def _eliminate(v: list[int], rows: Iterable[Row]) -> list[int]:
@@ -201,12 +208,16 @@ class Span:
         v = list(v)
         ann = self.ann
         if ann is not None:
+            top = max(map(abs, v))
+            if self.packed is None or top >= self.limit:
+                self._pack(top)
+            if not sum(map(mul, self.packed, v)):
+                return False
+            self.packed = None
             for i, k0 in enumerate(ann):
                 p0 = sum(map(mul, k0, v))
                 if p0:
                     break
-            else:
-                return False
             del ann[i]  # the vectors before it are already orthogonal to v
             for j in range(i, len(ann)):
                 k = ann[j]
@@ -222,6 +233,15 @@ class Span:
             return False
         self.rows.append(row)
         return True
+
+    def _pack(self, top: int) -> None:
+        """Build W for the vectors with max|v| < 2^m, m the bit length of
+        `top`: b = bitlength(max_i |k_i|_1) + m + 1 gives
+        |k_i.v| < 2^(bitlength(|k_i|_1)) * 2^m <= 2^(b - 1)."""
+        m = top.bit_length()
+        b = max(sum(map(abs, k)) for k in self.ann).bit_length() + m + 1
+        self.limit = 1 << m
+        self.packed = [sum(k[j] << b * i for i, k in enumerate(self.ann)) for j in range(self.n)]
 
     @property
     def dim(self) -> int:

@@ -11,6 +11,7 @@ identity on canonical forms.
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -116,11 +117,6 @@ def poly_to_vector(p: Poly, nvars: int, degree: int) -> Vector:
             raise PreconditionError(f"monomial degree exceeds the bound {degree}")
         vec[idx[k]] = v
     return tuple(vec)
-
-
-def vector_to_poly(vec, nvars: int, degree: int) -> Poly:
-    basis = monomial_basis(nvars, degree)
-    return {basis[i]: Fraction(v) for i, v in enumerate(vec) if v}
 
 
 def var_name(d: int, i: int, j: int) -> str:
@@ -239,10 +235,22 @@ class PolySpace(_PolySpaceFields):
         return self.vanishing_basis.dim
 
     def polynomials(self) -> list[Poly]:
-        n = self.dim * self.dim
+        """The basis rows as polynomials, read off without testing every
+        entry: an RREF row is zero before its pivot, which lies past the
+        previous row's, and at every other row's pivot, so only its pivot
+        and the columns that are no row's pivot can hold its terms."""
+        basis = monomial_basis(self.dim * self.dim, self.degree)
+        rows = self.vanishing_basis.basis
+        pivots, j = [], 0
+        for row in rows:
+            while not row[j]:
+                j += 1
+            pivots.append(j)
+            j += 1
+        free = sorted(set(range(len(basis))) - set(pivots))
         return [
-            vector_to_poly(row, n, self.degree)
-            for row in self.vanishing_basis.basis
+            {basis[p]: row[p], **{basis[f]: row[f] for f in free[bisect(free, p):] if row[f]}}
+            for row, p in zip(rows, pivots)
         ]
 
     @staticmethod

@@ -95,16 +95,18 @@ def sparse(v: Sequence) -> tuple[tuple[int, ...], tuple]:
 
 
 def raw_fixpoint(run, moves, accepting, exact, lo, hi, target=None) -> None:
-    """`closure._fixpoint` as it replays the parked pushes in [lo, hi], then
-    pushes, accepts and parks each vector v that grows its configuration's
-    span, rather than the row the span stored, and returns once the accepted
-    span has dimension `target`; its moves' steps map dense vectors
+    """`closure._fixpoint` as it replays the parked pushes in [lo, hi], maps
+    each queued push ((q, c), step, u) when it is popped, then pushes,
+    accepts and parks each image v that grows its configuration's span,
+    rather than the row the span stored, and returns once the accepted span
+    has dimension `target`; its moves' steps map dense vectors
     (`dense_apply_map`, `dense_tensor_apply`)."""
     spans, accepted, queue, parked = run
     for c in [c for c in parked if lo <= c <= hi]:
-        queue.extend(((q, c), step(v)) for q, v, step in parked.pop(c))
+        queue.extend(((q, c), step, v) for q, v, step in parked.pop(c))
     while queue:
-        (q, c), v = queue.popleft()
+        (q, c), step, u = queue.popleft()
+        v = step(u)
         span = spans.get((q, c))
         if span is None:
             span = spans[(q, c)] = Span(len(v))
@@ -117,7 +119,7 @@ def raw_fixpoint(run, moves, accepting, exact, lo, hi, target=None) -> None:
         for step, w, q2 in moves[q]:
             c2 = c + w
             if lo <= c2 <= hi:
-                queue.append(((q2, c2), step(v)))
+                queue.append(((q2, c2), step, v))
             elif c2 > hi or lo < 0:
                 parked.setdefault(c2, []).append((q2, v, step))
 
@@ -135,7 +137,7 @@ def unprojected_gamma_rows(mp: MorphismPair, degree: int) -> Span:
     moves = {"*": [(partial(dense_tensor_apply, maps[a], f, n=n), mp.omega[a], "*")
                    for a in mp.alphabet for f in range(4)]}
     seed = [a * b * c * e for a, b, c, e in product(seed_v, repeat=4)]
-    run = ({}, Span(n ** 4), deque([(("*", 0), seed)]), {})
+    run = ({}, Span(n ** 4), deque([(("*", 0), list, seed)]), {})
     raw_fixpoint(run, moves, {"*"}, True, -2 * mp.eta, 2 * mp.eta)
     mu_rows = _mu_pullback_rows(mp.dim, degree)
     out = Span(len(mu_rows))

@@ -4,6 +4,7 @@ import time
 from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -337,6 +338,44 @@ def test_kernel_basis_leaves_a_kept_annihilator_usable(stream):
     for v in _units(n, *range(n)) + vectors:
         assert span.insert(_cleared(v)) == twin.insert(_cleared(v))
     assert span.rows == twin.rows and span.ann == twin.ann
+
+
+@st.composite
+def _growing_streams(draw):
+    """Integer vectors: units to half the dimension and the zero vector, so
+    that the span keeps `ann`, then vectors whose entries may grow by 2^8
+    from one to the next, often a combination of the ones before (refused)
+    and otherwise drawn afresh, so the packed vector is rebuilt as they
+    outgrow it."""
+    n = draw(st.integers(2, 6))
+    small = st.integers(-3, 3)
+    out = [[int(i == k) for i in range(n)] for k in range((n + 1) // 2)] + [[0] * n]
+    for step in range(draw(st.integers(1, 3 * n))):
+        scale = 1 << 8 * draw(st.integers(0, step))
+        if draw(st.booleans()):
+            coefficients = [scale * draw(small) for _ in out]
+            out.append([sum(map(mul, coefficients, col)) for col in zip(*out)])
+        else:
+            out.append([scale * draw(small) + draw(small) for _ in range(n)])
+    return n, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_growing_streams())
+# ann = (e2): the packed vector built for |v| < 2 is rebuilt for 256, then
+# for 512 once e2 is accepted
+@example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [1, 1, 0], [256, 0, 0], [0, 0, 512]]))
+# ann = (e2, e3) and v = 2 e2 - e3: k_0.v = 2 and k_1.v = -1 cancel in any
+# packing 2 + 2^b * (-1) with b = 1
+@example((4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 2, -1]]))
+def test_packed_membership_matches_rational_rref(stream):
+    n, vectors = stream
+    span = Span(n)
+    for i, v in enumerate(vectors):
+        grows = len(rref(vectors[:i + 1])) > len(rref(vectors[:i]))
+        assert span.insert(v) == grows
+        _check_annihilator(span)
+    assert span.basis() == rref(vectors)
 
 
 def test_regular_closure_clears_letter_denominators():

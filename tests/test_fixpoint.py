@@ -5,11 +5,13 @@ grew it: the vector's primitive residual against the configuration's earlier
 rows.  `conftest.raw_fixpoint` pushes the vector itself, with the dense
 reference maps for steps.  Each stage runs once on either; after every
 fixpoint call the span at every configuration (q, c), and the accepted span,
-must have the same canonical basis.  The regular and cover stages run once
-more with their exit at dim U, which may fire at different pops in the two
-engines: a call with a target is then compared by its accepted span only.
-Both replay the parked pushes a call's counter range admits, and only
-those, which a hand-made run checks.
+must have the same canonical basis.  Both map a push when it is popped, so
+the queue holds (configuration, step, vector) either way.  Each stage runs
+without its exit at dim U, so that every call runs to its end; the regular,
+cover and saturation stages run once more with the exit, which may fire at
+different pops in the two engines: a call with a target is then compared by
+its accepted span only.  Both replay the parked pushes a call's counter
+range admits, and only those, which a hand-made run checks.
 """
 from collections import deque
 from contextlib import ExitStack
@@ -53,11 +55,13 @@ def test_a_call_replays_only_the_parked_pushes_in_its_range():
 
 def _snapshots(stage, residual: bool, stop: bool) -> list:
     """The bases after each fixpoint call of `stage()`: per configuration,
-    and of the accepted span.  A call with a target (`_all_words_dim`) gets
-    it only if `stop`, and then may return at a different pop in either
-    engine, so its snapshot keeps only the accepted span."""
+    and of the accepted span.  Without `stop`, U's own fixpoint still runs
+    (and is recorded) but the stage gets no target, so neither a call nor a
+    saturation window stops at dim U.  With it, a call with a target may
+    return at a different pop in either engine, so its snapshot keeps only
+    the accepted span."""
     out = []
-    engine = closure._fixpoint
+    engine, all_words_dim = closure._fixpoint, closure._all_words_dim
 
     def recording(run, moves, accepting, exact, lo, hi, target=None):
         stops = stop and target is not None
@@ -67,8 +71,13 @@ def _snapshots(stage, residual: bool, stop: bool) -> list:
         out.append((None if stops else {key: span.basis() for key, span in spans.items()},
                     accepted.basis()))
 
+    def no_target(steps, seed):
+        all_words_dim(steps, seed)
+
     with ExitStack() as stack:
         stack.enter_context(mock.patch("zclosure.closure._fixpoint", recording))
+        if not stop:
+            stack.enter_context(mock.patch("zclosure.closure._all_words_dim", no_target))
         if not residual:
             stack.enter_context(mock.patch("zclosure.closure.apply_map", dense_apply_map))
             stack.enter_context(mock.patch("zclosure.closure._tensor_apply", dense_tensor_apply))
@@ -128,7 +137,7 @@ def test_saturation_windows_keep_every_span(mode, case):
     # bounds 2..4: each bound replays the parked pushes it newly admits
     mp, nfa, degree = case
     _assert_same_spans(
-        lambda: closure.counter_saturation(mp, degree, mode, nfa, Caps(counter=4)))
+        lambda: closure.counter_saturation(mp, degree, mode, nfa, Caps(counter=4)), (False, True))
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,9 +5,10 @@ import os
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import in_reference_language, word_of_code
@@ -16,14 +17,16 @@ from zclosure.cli import load_instance
 from zclosure.closure import (
     DEFAULT_CAPS,
     Caps,
+    OracleResult,
     _oracle_over_words,
     finite_vanishing_space,
     oracle_closure,
     pipeline,
+    veronese,
     word_frontier,
 )
 from zclosure.errors import PreconditionError
-from zclosure.exactlin import Matrix
+from zclosure.exactlin import Matrix, Span, _cleared
 from zclosure.lang import MorphismPair
 from zclosure.reduction import Vass, vass_to_constrained
 
@@ -229,6 +232,56 @@ def test_word_cap_keeps_the_first_words(mp, language, k, degree):
     want = finite_vanishing_space([mp.image(w) for w in words[:k]], degree, mp.dim)
     assert o.space == want
     assert o.words_used == min(k + 1, len(words))
+
+
+def _every_word_oracle(mp, predicate, dfa, degree, min_len, window):
+    """The oracle's stop rule over `_brute`'s words to MAX_LEN, with every
+    word's Veronese vector inserted: the reference for an oracle that
+    inserts each distinct point of a length once."""
+    n = comb(mp.dim * mp.dim + degree, degree)
+    span, history, words = Span(n), [], []
+    for ln in range(MAX_LEN + 1):
+        length = _brute(mp, predicate, dfa, ln)
+        for w in length:
+            span.insert(_cleared(veronese(mp.image(w), degree)))
+        words += length
+        if length:
+            history.append(span.dim)
+        stable = span.dim == n or len(history) > window and len(set(history[-window - 1:])) == 1
+        if ln >= min_len and stable:
+            break
+    space = finite_vanishing_space([mp.image(w) for w in words], degree, mp.dim)
+    return OracleResult(space, stable, ln, len(words))
+
+
+@st.composite
+def _pairs_repeating_a_matrix(draw):
+    """Two or three letters whose matrices come from a pool of one or two,
+    so that words of one length share points."""
+    d = draw(st.integers(1, 2))
+    pool = draw(st.lists(st.lists(st.lists(_entries, min_size=d, max_size=d),
+                                  min_size=d, max_size=d), min_size=1, max_size=2))
+    alphabet = tuple("abc"[:draw(st.integers(2, 3))])
+    return MorphismPair(alphabet, d, {a: Matrix(draw(st.sampled_from(pool))) for a in alphabet},
+                        {a: draw(st.sampled_from((-1, 0, 1))) for a in alphabet}, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs_repeating_a_matrix(), st.sampled_from(LANGUAGES), st.integers(1, 3),
+       st.integers(0, MAX_LEN), st.integers(0, 2))
+# two letters of one matrix: the 2^ln words of a length have ln + 1 points
+@example(MorphismPair(("a", "b"), 2, {a: Matrix([[1, 1], [0, 1]]) for a in "ab"},
+                      {"a": 0, "b": 0}, 2), "all", 3, 2, 2)
+# phi(a) = 1/2 and phi(b) = 1/4: a and b have one numerator, over 2 and over 4
+@example(MorphismPair(("a", "b"), 1, {"a": Matrix([[Fraction(1, 2)]]),
+                                      "b": Matrix([[Fraction(1, 4)]])},
+                      {"a": 0, "b": 0}, 2), "all", 2, 1, 3)
+def test_oracle_reads_each_point_of_a_length_once(mp, language, degree, min_len, window):
+    # the same result as inserting every word, `words_used` included
+    predicate, dfa = _language(mp, language)
+    got = _oracle_over_words(mp.dim, degree, word_frontier(mp, predicate, dfa, MAX_LEN),
+                             min_len, Caps(window=window))
+    assert got == _every_word_oracle(mp, predicate, dfa, degree, min_len, window)
 
 
 def test_long_words_do_not_recurse():

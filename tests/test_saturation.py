@@ -4,7 +4,8 @@
 bound and merges the accepting configurations' spans afterwards;
 `cold_saturation` compares the windows by their canonical RREF rows.  The
 warm-started `_window_rows` must give the same accepted span after every
-bound, and `counter_saturation` the same bound and space.
+bound, and `counter_saturation`, which stops running fixpoints once a window
+reaches dim U, the same bound and space.
 """
 from collections import deque
 from fractions import Fraction
@@ -12,10 +13,10 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_apply_map, unipotent_morphism
+from conftest import dense_apply_map, powers_morphism, unipotent_morphism
 from zclosure.automata import Nfa
 from zclosure.closure import (
     Caps,
@@ -113,7 +114,7 @@ def warm_dims_equal_cold(mp, degree, mode, dfa, counter):
     seed = _cleared(veronese(Matrix.identity(mp.dim), degree))
     accepted = Span(n)
     moves = _moves(dfa, {a: partial(apply_map, cols) for a, cols in maps.items()}, mp.omega)
-    window = ({}, accepted, deque([((initial, 0), seed) for initial in dfa.initial]), {})
+    window = ({}, accepted, deque([((initial, 0), list, seed) for initial in dfa.initial]), {})
     dims = []
     for bound in range(2, counter + 1):
         dims.append(_window_rows(mode, dfa, moves, bound, caps, window))
@@ -146,6 +147,10 @@ def test_pushes_refused_at_the_edge_are_replayed(mode, weight):
 
 @settings(max_examples=60, deadline=None)
 @given(instances(), st.integers(0, 3))
+# the bound-2 window reaches dim U = 14, so bounds 3 and on run no fixpoint
+@example((unipotent_morphism(2), 2, "reach", Nfa.universal(("a", "b"))), 3)
+# every reach word maps to 1: the span stays at dimension 1 of dim U = 3
+@example((powers_morphism(2), 2, "reach", Nfa.universal(("a", "b"))), 3)
 def test_counter_saturation_follows_the_cold_rule(case, window):
     mp, degree, mode, dfa = case
     caps = Caps(counter=9, window=window)

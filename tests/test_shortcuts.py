@@ -1,12 +1,16 @@
-"""The exact shortcuts of the default-threshold and regular stages.
+"""The exact shortcuts of the engine's stages and of the oracle.
 
 The product-alphabet stage runs from the seed's projection onto the diagonal
 degree blocks; `conftest.unprojected_gamma_rows` runs it from the whole seed.
 The cover and regular stages stop once their accepted span reaches dim U, U
 the span over every word (`closure._all_words_dim`); with that function
 patched to give no target they run to their ends.  Each shortcut must give
-the same basis as the stage without it.  Two pinned runs are ones the
-shortcuts take from minutes or seconds to a fraction of a second.
+the same basis as the stage without it.  The saturation windows run no
+fixpoint once one has reached dim U (`test_saturation` checks their answers
+against a cold reference); here the fixpoint calls are counted, and on the
+corpus `rvsc2_phi1_reach` so are the oracle's inserts, one per distinct
+point of each length.  Two pinned runs are ones the shortcuts take from
+minutes or seconds to a fraction of a second.
 """
 import json
 import os
@@ -20,14 +24,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import powers_morphism, unprojected_gamma_rows
+from conftest import powers_morphism, unipotent_morphism, unprojected_gamma_rows
 from zclosure import closure
 from zclosure.automata import Nfa
-from zclosure.closure import Caps, _gamma_condition_rows, _nfa_span_rows, _threshold_rows
+from zclosure.cli import load_instance
+from zclosure.closure import (
+    Caps, _gamma_condition_rows, _nfa_span_rows, _threshold_rows, counter_saturation,
+    pipeline,
+)
 from zclosure.errors import InfeasibleError, InternalInvariantError
-from zclosure.exactlin import Matrix
+from zclosure.exactlin import Matrix, Span
 from zclosure.lang import MorphismPair
 from zclosure.polys import space_to_generators
+from zclosure.reduction import vass_to_constrained
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 ENTRIES = st.sampled_from([Fraction(x) for x in (0, 1, -1, 2, 3)] + [Fraction(1, 2)])
@@ -143,6 +152,18 @@ def test_regular_stage_exit_keeps_the_basis(case):
     assert _nfa_span_rows(nfa, mp, degree, Caps()).basis() == want
 
 
+def _counting_fixpoints():
+    """A stand-in for `closure._fixpoint` that runs it and records each
+    call's arguments after the run, and the list it records them in."""
+    engine, made = closure._fixpoint, []
+
+    def counted(*args):
+        made.append(args)
+        engine(*args)
+
+    return counted, made
+
+
 @pytest.mark.parametrize("mp, degree, dims, calls", [
     # eta = 1: the counters [0, 0] fall short of U, the top reaches it
     (_pair(*BALANCED, 1), 1, (2, 2), 3),
@@ -153,15 +174,28 @@ def test_regular_stage_exit_keeps_the_basis(case):
 ])
 def test_where_the_cover_exit_fires(mp, degree, dims, calls):
     # the calls are U's own fixpoint, the counters [0, eta - 1] and the top
-    engine, made = closure._fixpoint, []
-
-    def counted(*args):
-        made.append(args)
-        engine(*args)
-
+    counted, made = _counting_fixpoints()
     with mock.patch("zclosure.closure._fixpoint", counted):
         stage = _threshold_rows(mp, degree, Caps())
     assert (stage.dim, made[1][-1]) == dims and len(made) == calls
+
+
+@pytest.mark.parametrize("mp, mode, bound, dims, calls", [
+    # the bound-2 window reaches dim U = 14: bounds 3, 4 and 5 run no fixpoint
+    (unipotent_morphism(2), "reach", 5, (14, 14), 2),
+    # bound 2 reaches 11 of dim U = 15 and bound 3 the rest: 4, 5 and 6 run none
+    (_pair(([[1, 1], [0, 1]], [[0, 1], [1, 0]]), (1, 0), 2), "cover", 6, (15, 15), 3),
+    # every reach word maps to 1, dimension 1 of dim U = 3: bounds 2 to 5 all run
+    (powers_morphism(2), "reach", 5, (1, 3), 5),
+])
+def test_where_the_saturation_exit_fires(mp, mode, bound, dims, calls):
+    # the calls are U's own fixpoint, then one per window until one reaches U;
+    # every bound still checks its budget and records its dimension
+    counted, made = _counting_fixpoints()
+    with mock.patch("zclosure.closure._fixpoint", counted):
+        _, stop = counter_saturation(mp, 2, mode, None, Caps())
+    run, target = made[-1][0], made[-1][-1]
+    assert (stop, (run[1].dim, target), len(made)) == (bound, dims, calls)
 
 
 def test_a_refused_stage_never_computes_u():
@@ -171,6 +205,47 @@ def test_a_refused_stage_never_computes_u():
             _threshold_rows(powers_morphism(), 1, Caps(budget=1))
         with pytest.raises(InfeasibleError, match="exceeds the budget 1;"):
             _nfa_span_rows(Nfa.universal(("a", "b")), powers_morphism(), 1, Caps(budget=1))
+        # d = 1, degree 1: 2 coordinates on one state pass the stage's check,
+        # and the bound-2 reach window's 3 counters x 2 exceed a budget of 5
+        with pytest.raises(InfeasibleError, match="at counter bound 2: .*budget 5;"):
+            counter_saturation(powers_morphism(2), 1, "reach", None, Caps(budget=5))
+
+
+def test_corpus_rvsc2_phi1_reach_work_counts():
+    # saturation: bounds 2 to 6, and fixpoints for U, bound 2 and bound 3,
+    # which reaches dim U = 9; the oracle: 26,105 words to length 30, and one
+    # insert per distinct point of each length, 10,043 in all
+    instance = load_instance(os.path.join(SRC, "zclosure", "corpus", "rvsc2_phi1_reach.json"))
+    mp, dfa = vass_to_constrained(instance.vass, instance.mp)
+    counted, made = _counting_fixpoints()
+    window_rows, frontier, insert = closure._window_rows, closure.word_frontier, Span.insert
+    bounds, inserts, lengths = [], [0], []
+
+    def window(mode, nfa, moves, bound, *args):
+        bounds.append(bound)
+        return window_rows(mode, nfa, moves, bound, *args)
+
+    def counting_insert(span, v):
+        inserts[0] += 1
+        return insert(span, v)
+
+    def words(*args):  # each length's words, distinct points and inserts before it
+        for length in frontier(*args):
+            lengths.append((len(length), len({(s, *image) for _, image, s in length}),
+                            inserts[0]))
+            yield length
+
+    with mock.patch("zclosure.closure._fixpoint", counted), \
+            mock.patch("zclosure.closure._window_rows", window), \
+            mock.patch("zclosure.closure.word_frontier", words), \
+            mock.patch.object(Span, "insert", counting_insert):
+        result = pipeline(mp, instance.mode, instance.degree, instance.caps, dfa)
+    assert (result.counter_bound, result.oracle_max_len) == (6, 30)
+    assert bounds == [2, 3, 4, 5, 6]
+    assert [args[4:] for args in made] == [(0, 0), (0, 2, 9), (0, 3, 9)]
+    marks = [mark for _, _, mark in lengths] + [inserts[0]]
+    assert [b - a for a, b in zip(marks, marks[1:])] == [distinct for _, distinct, _ in lengths]
+    assert (sum(n for n, _, _ in lengths), marks[-1] - marks[0]) == (26_105, 10_043)
 
 
 # A child forked from this test process would count the test process's
