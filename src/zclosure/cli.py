@@ -15,12 +15,14 @@ its JSON looks like.  Errors leave as structured JSON on stderr with distinct
 exit codes: 2 schema (the message starts with the instance file's path),
 3 infeasible, 4 oracle disagreement, 5 internal invariant violation.
 
-`closure run` on a cover, reach, zero or regular instance loads neither the
-block reduction (`reduction`, imported where a 1-VASS instance is read or
-run and by the corpus's block check) nor the factorization trees and the
-exterior algebra (`facttree` and `exterior`, imported by `closure tree`),
-nor the corpus's file access (`importlib.resources` and `pathlib`, imported
-by `_iter_corpus_files`).
+This module reads instances and runs `closure run`; the other commands'
+handlers and the corpus are in `commands`, which `main` imports only for
+them.  So `closure run` loads neither the counter constructions, the
+factorization trees and the exterior algebra (`constructions`, `facttree`
+and `exterior`), nor the corpus's file access (`importlib.resources` and
+`pathlib`).  It loads saturation and the oracle (`saturation` and
+`oracle`) only when eta is overridden, and the block reduction
+(`reduction`) only for a 1-VASS instance.
 """
 from __future__ import annotations
 
@@ -30,28 +32,14 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
-from .automata import (
-    Nfa,
-    build_bz_automaton,
-    build_cover_automaton,
-    build_reach_automaton,
-    build_zero_automaton,
-    determinize,
-)
-from .closure import (
-    Caps,
-    DEFAULT_CAPS,
-    MODES,
-    oracle_closure,
-    pipeline,
-    recurrence_chain,
-    regular_closure,
-)
+from .automata import Nfa
+from .closure import DEFAULT_CAPS, MODES, Caps, pipeline
 from .errors import SchemaError, ZClosureError
 from .exactlin import Matrix
 from .lang import MorphismPair
-from .polys import gens_from_strings, ideal_slice, space_to_generators
+from .polys import space_to_generators
 
 _CAP_ENV = {name: f"CLOSURE_CAP_{name.upper()}" for name in Caps._fields}
 
@@ -273,124 +261,6 @@ def run_pipeline(instance: Instance) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Corpus
-
-
-def _iter_corpus_files(corpus_dir=None):
-    """(file name, file) of each `.json` file of the corpus directory, the
-    bundled one by default, in name order; a missing directory has none."""
-    from importlib import resources
-    from pathlib import Path
-
-    root = resources.files("zclosure") / "corpus" if corpus_dir is None else Path(corpus_dir)
-    if not root.is_dir():
-        return
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            yield entry.name, entry
-
-
-def _verify_entry(name: str, entry) -> dict:
-    doc = _read_json(entry, name)
-    instance = Instance(doc, name)
-    expected = doc.get("expected_generators")
-    if expected is not None and not (
-        isinstance(expected, list) and all(isinstance(g, str) for g in expected)
-    ):
-        raise SchemaError(f"{name}: expected_generators must be a list of strings")
-    report = run_pipeline(instance)
-    entry = {
-        "name": doc.get("name", name),
-        "mode": instance.mode,
-        "generators": report["generators"],
-        "oracle_checked": report["oracle_checked"],
-    }
-    if expected is None:
-        entry["status"] = "PASS"
-        return entry
-    want = ideal_slice(
-        gens_from_strings(instance.mp.dim, instance.degree, expected),
-        instance.degree,
-    )
-    got_gens = gens_from_strings(instance.mp.dim, instance.degree, report["generators"])
-    ok = ideal_slice(got_gens, instance.degree) == want
-    if not ok:
-        entry["status"] = "FAIL"
-        entry["expected"] = expected
-    elif "discrepancy" in doc:
-        entry["status"] = "DISCREPANCY"
-        entry["explanation"] = doc["discrepancy"]
-    else:
-        entry["status"] = "PASS"
-    return entry
-
-
-def _verify_builtin_chain() -> dict:
-    chain = recurrence_chain(6)
-    ok = True
-    for i, sets in enumerate(chain):
-        expected = {Matrix.zeros(2), Matrix.identity(2)} | {
-            Matrix([[0, 2 ** j], [0, 0]]) for j in range(i + 1)
-        }
-        ok = ok and set(sets) == expected
-    ok = ok and all(set(chain[i]) < set(chain[i + 1]) for i in range(6))
-    return {
-        "name": "chain-recurrence-regression",
-        "status": "PASS" if ok else "FAIL",
-        "detail": "finite set chain grows strictly at every step, matching the "
-        "displayed sets; no finite saturation computes the closure",
-    }
-
-
-def _verify_builtin_blocks() -> dict:
-    from .reduction import blockify_regular, extract_block_closure
-
-    phi1 = MorphismPair(
-        ("a", "b"), 2,
-        {"a": Matrix([[2, 0], [0, 4]]), "b": Matrix([[1, 0], [1, 1]])},
-        {"a": 1, "b": -1},
-    )
-    phi2 = MorphismPair(
-        ("a", "b"), 3,
-        {"a": Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
-         "b": Matrix([[1, -1, 0], [0, 1, 1], [0, 0, 1]])},
-        {"a": 1, "b": -1},
-    )
-    label_dfa = Nfa(
-        ("s", "t"), ("a", "b"), frozenset({"s"}), frozenset({"t"}),
-        frozenset({("s", "a", "s"), ("s", "b", "t"), ("t", "b", "s")}),
-    )
-    bm1 = blockify_regular(phi1, label_dfa)
-    bm2 = blockify_regular(phi2, label_dfa)
-    ok = bm1.dim == 6 and bm2.dim == 8
-    lifted = regular_closure(
-        Nfa.universal(("a", "b")), bm1.morphism_pair, 2, DEFAULT_CAPS._replace(budget=10 ** 6)
-    )
-    ext = extract_block_closure(lifted, bm1, 2)
-    want = ideal_slice(gens_from_strings(2, 2, ["x12", "x11^2 - x22"]), 2)
-    ok = ok and ext == want
-    return {
-        "name": "block-reduction-dimensions",
-        "status": "PASS" if ok else "FAIL",
-        "detail": "lifted dimensions 6 and 8; extraction of the lifted closure "
-        "reproduces the reference ideal",
-    }
-
-
-def verify_corpus(corpus_dir=None) -> list[dict]:
-    entries = []
-    for name, entry in _iter_corpus_files(corpus_dir):
-        try:
-            entries.append(_verify_entry(name, entry))
-        except ZClosureError as exc:
-            entries.append({"name": name, "status": "FAIL", "error": str(exc)})
-    if corpus_dir is None:
-        entries.append(_verify_builtin_chain())
-        entries.append(_verify_builtin_blocks())
-    return entries
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 
 
@@ -424,85 +294,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    entries = verify_corpus(args.corpus_dir)
-    failed = False
-    for entry in entries:
-        status = entry["status"]
-        failed = failed or status == "FAIL"
-        line = f"{status:12s} {entry['name']}"
-        if status == "DISCREPANCY":
-            line += f"  ({entry['explanation']})"
-        if "error" in entry:
-            line += f"  [{entry['error']}]"
-        print(line)
-    if args.json:
-        json.dump(entries, sys.stdout, indent=2)
-        print()
-    return 1 if failed else 0
-
-
-def _split_word(text: str) -> tuple[str, ...]:
-    if "," in text:
-        return tuple(x for x in text.split(",") if x)
-    return tuple(text)
-
-
-def _cmd_tree(args) -> int:
-    from .facttree import build_tree
-
-    instance = load_instance(args.file)
-    word = instance.mp.check_word(_split_word(args.word))
-    tree = build_tree([instance.mp.phi[a] for a in word])
-    if args.json:
-        json.dump(tree.to_json(), sys.stdout, indent=2)
-        print()
-    else:
-        print(tree.render_text())
-        print(f"height {tree.height} (bound {instance.mp.dim * (instance.mp.dim + 3)})")
-    return 0
-
-
-def _cmd_automaton(args) -> int:
-    instance = load_instance(args.file)
-    build = {
-        "cover": build_cover_automaton,
-        "reach": build_reach_automaton,
-        "zero": build_zero_automaton,
-        "bz": build_bz_automaton,
-    }[args.which]
-    nfa = build(instance.mp, instance.caps.states)
-    json.dump(nfa.to_json(), sys.stdout, indent=2)
-    print()
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    if args.max_len < 0:
-        raise SchemaError("--max-len must be >= 0")
-    instance = load_instance(args.file)
-    mp, nfa = _language(instance)
-    predicate = instance.mode.removeprefix("vass-")
-    if instance.mode == "regular":  # every word of the NFA, read deterministically
-        predicate, nfa = "all", determinize(nfa, instance.caps.states)
-    result = oracle_closure(mp, predicate, instance.degree, args.max_len, instance.caps, nfa)
-    json.dump(
-        {
-            "mode": instance.mode,
-            "degree": instance.degree,
-            "max_len": result.max_len,
-            "stabilized": result.stabilized,
-            "words_used": result.words_used,
-            "generators": list(space_to_generators(result.space).generators),
-        },
-        sys.stdout,
-        indent=2,
-    )
-    print()
-    return 0
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process (parsing leaves it
+    as it was), so a process that calls `main` several times builds it
+    once."""
     parser = argparse.ArgumentParser(
         prog="closure",
         description="degree-bounded vanishing ideals of matrix images of "
@@ -514,37 +310,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--eta-override", type=int, default=0)
     p.add_argument("--text", action="store_true", help="human-oriented output")
-    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify-corpus", help="run the bundled corpus")
     p.add_argument("--corpus-dir", default=None)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tree", help="factorization-tree demo over a word")
     p.add_argument("file")
     p.add_argument("--word", required=True,
                    help="letters, comma-separated for multi-char alphabets")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("automaton", help="dump a counter construction")
     p.add_argument("file")
     p.add_argument("--which", choices=("cover", "reach", "zero", "bz"),
                    required=True)
-    p.set_defaults(func=_cmd_automaton)
 
     p = sub.add_parser("oracle", help="brute-force enumeration oracle")
     p.add_argument("file")
     p.add_argument("--max-len", type=int, default=10)
-    p.set_defaults(func=_cmd_oracle)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "run":
+        handler = _cmd_run
+    else:  # the other commands' code is loaded only for them
+        from .commands import COMMANDS
+
+        handler = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except ZClosureError as exc:
         return _emit_error(exc)
 

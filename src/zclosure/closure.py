@@ -1,4 +1,4 @@
-"""Degree-bounded vanishing-ideal engine and the end-to-end pipelines.
+"""Degree-bounded vanishing-ideal engine and the pipeline policy.
 
 The engine tracks, per automaton state, the span of Veronese coordinate
 vectors nu_D(phi(w)) (all monomial evaluations of total degree <= D).  Right
@@ -13,21 +13,20 @@ An automaton stage gets its run, seeded with nu_D(I), from `_stage` and its
 moves from `_moves`, with a weight per letter: the regular fixpoint
 (`_nfa_span_rows`: an NFA, weight 0), the default-threshold cover stage
 (`_threshold_rows`: fixed counters) and the saturation windows
-(`_window_rows`: growing counters).  The zero pipeline's product-alphabet
-stage (`_gamma_condition_rows`) pushes the tensor steps of Gamma's
-single-track letters on one state; their commuting maps compose to every
-Gamma letter's.
+(`saturation._window_rows`: growing counters).  The zero pipeline's
+product-alphabet stage (`_gamma_condition_rows`) pushes the tensor steps of
+Gamma's single-track letters on one state; their commuting maps compose to
+every Gamma letter's.
 
 Exact shortcuts end these stages early.  Every word's evaluation lies in
 U, the span over all words (`_all_words_dim`; its annihilator is the
 degree-<= D part of the ideal of the closure of the monoid phi(Sigma*)), so
 the regular and cover stages return once their accepted span reaches dim U,
-each after its budget check, and once a saturation window reaches it every
-later window is U and runs no fixpoint (U is computed after the bound-2
-window's budget check).  The gamma stage has no such exit.  It runs on the
-diagonal degree blocks: letter maps keep each monomial degree and the
-product pullback reads only tensors whose four factors have one degree, so
-it starts from the seed's projection onto those blocks.
+each after its budget check, and so do the saturation windows.  The gamma
+stage has no such exit.  It runs on the diagonal degree blocks: letter maps
+keep each monomial degree and the product pullback reads only tensors whose
+four factors have one degree, so it starts from the seed's projection onto
+those blocks.
 
 A span does not change when a vector is scaled, so every fixpoint and the
 oracle run on integer vectors: each letter map is built from the integer
@@ -38,27 +37,13 @@ pushes the row a span stored, the pushed vector's residual against the
 configuration's earlier rows, which is zero at their pivots, and maps a push
 only when it pops it, so a pending push holds that row and its step, not
 an image, and the pushes left when a stage stops at dim U are never
-mapped.  The letter
-maps are kept by columns (`Columns`), so `apply_map` and `_tensor_apply`
-map a stored row by visiting only its support, into a dense image for the
-next insert.  Each stage hands its accepted span to `kernel_basis`, which
-reads the annihilator off one elimination of the rows; `Fraction` appears
-only in that read-off's division by the pivots.  Worklists are first in,
-first out: the spans are least fixpoints in any order, but short words
-first keep the integers small.
-
-The oracle shares only `Span` with the fixpoints.  It reads a language as a
-predicate name (`lang.bounds`) plus a deterministic automaton.  Its words
-come from one lazy frontier over (automaton state, counter)
-(`word_frontier`), which meets in the middle: a word is a prefix of half its
-length and a suffix from a table.  Its code is one integer (the letter
-indices as base-|Sigma| digits), and its image an integer matrix N over one
-denominator s, one direct product of the halves' images, each of which is
-one product of a letter with a shorter half.  A word's point is N^mono *
-s^(D - |mono|); letter names are never built.  A monoid with relations maps
-many words to one matrix, and a span sees only the point, so the oracle
-inserts each distinct (s, N) of a length once; the words still count
-towards the word cap and `words_used`.
+mapped.  The letter maps are kept by columns (`Columns`), so `apply_map`
+and `_tensor_apply` map a stored row by visiting only its support, into a
+dense image for the next insert.  Each stage hands its accepted span to
+`kernel_basis`, which reads the annihilator off one elimination of the rows;
+`Fraction` appears only in that read-off's division by the pivots.
+Worklists are first in, first out: the spans are least fixpoints in any
+order, but short words first keep the integers small.
 
 Pipeline policy, coded once in `pipeline` for every mode of `MODES`.  A
 regular instance runs its NFA's fixpoint.  At the default threshold eta the
@@ -66,19 +51,20 @@ constructions carry the theorem-level guarantee: cover runs the
 cover-automaton reduction and zero the product-alphabet stage, on counters.
 The paper's zero closure is the bounded-zero words together with the
 flattened product-alphabet language; the second contains the first, so one
-stage gives both.  `automata` builds these automata only for `closure
+stage gives both.  `constructions` builds these automata only for `closure
 automaton` and the tests.  Reach needs the lifted reduction, whose flat
 stage is astronomically large at the default threshold, and so does a 1-VASS
 at its lifted threshold; both refuse.  Every eta-overridden pipeline (cover,
 zero, reach, and 1-VASS cover/reach under the DFA of its transitions) runs
-`run_saturation`: bounded-counter saturation - the space over words whose
-prefix weights stay in a window is monotone in the window and its limit is
-the exact target - stopping when the space is unchanged for `window`
-consecutive bounds, then the brute-force oracle over the same language, and
-no answer on disagreement.  The windows nest, so one fixpoint is
-warm-started from bound to bound: the worklist parks each push that leaves
-the window, a bound replays only the parked pushes it newly admits, and the
-space is unchanged when its dimension is.
+`saturation.run_saturation`: bounded-counter saturation, then the
+brute-force oracle (`oracle`) over the same language, and no answer on
+disagreement.
+
+A run imports only what its mode runs: the saturation and the oracle are
+modules of their own, which `pipeline` imports only when eta is overridden.
+Their names still resolve as attributes of this module, on first access
+(`_MOVED`), for callers that look them up here, such as the benchmark's
+tracer (`perfbench/spans.py`).
 
 Each substitution map - a letter's action on nu_D, the product pullback of
 the gamma stage, the block reduction's pullback - is the monomial basis
@@ -88,25 +74,15 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from fractions import Fraction
 from functools import partial
-from math import comb, gcd, lcm, lgamma, log, log10
-from operator import mul
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from importlib import import_module
+from math import comb, lcm, lgamma, log, log10
+from typing import Callable, Collection, NamedTuple, Sequence
 
 from .automata import Nfa
-from .errors import (
-    DimensionError,
-    InfeasibleError,
-    InternalInvariantError,
-    OracleDisagreementError,
-    PreconditionError,
-    figure,
-)
-from .exactlin import (
-    Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, span_of, vec,
-)
-from .lang import MorphismPair, bounds
+from .errors import InfeasibleError, InternalInvariantError, PreconditionError, figure
+from .exactlin import Matrix, Row, Span, Subspace, Vector, _cleared, dense, kernel_basis, vec
+from .lang import MorphismPair
 from .polys import PolySpace, basis_index, monomial_basis, monomial_steps, substitution_rows
 
 
@@ -389,328 +365,6 @@ def _threshold_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     return run[1]
 
 
-def finite_vanishing_space(
-    points: list[Matrix], degree: int, dim: int | None = None
-) -> PolySpace:
-    """Exact kernel of the evaluation matrix over the given points.  This is
-    the oracle kernel: rows are direct monomial evaluations, independent of
-    the fixpoint's transition maps.  An empty point set vanishes vacuously
-    (full space); it needs the ambient dimension passed explicitly."""
-    if not points and dim is None:
-        raise PreconditionError("finite_vanishing_space of an empty set needs dim=")
-    d = points[0].rows if points else dim
-    if dim is not None and dim != d:
-        raise DimensionError("dim= does not match the points")
-    for p in points:
-        if not (p.is_square and p.rows == d):
-            raise DimensionError("points of mixed dimensions")
-    n = comb(d * d + degree, degree)
-    return _vanishing(d, degree, span_of(n, (veronese(p, degree) for p in points)))
-
-
-# ---------------------------------------------------------------------------
-# Bounded-counter saturation
-
-
-def _window_range(mode: str, nfa: Nfa, bound: int, caps: Caps, n: int) -> tuple[int, bool]:
-    """After the budget check of the window at `bound`, on `n` coordinates:
-    its lowest counter, the mode's (`lang.bounds`) cut to -bound, and
-    whether an accepted word must end at counter 0."""
-    lo, _, exact = bounds(mode, bound)
-    lo = max(lo, -bound)
-    _check_budget(len(nfa.states) * (bound - lo + 1), n, caps,
-                  f"{mode} saturation at counter bound {bound}")
-    return lo, exact
-
-
-def _window_rows(
-    mode: str, nfa: Nfa, moves: Moves, bound: int, caps: Caps, window: Run,
-    target: int | None = None,
-) -> int:
-    """Grow the run `window` to the least fixpoint over the words of the
-    mode's window (`lang.bounds`) cut to [-bound, bound]; windows nest, so
-    `_fixpoint` replays the pushes the narrower windows parked and ends where
-    a cold start does.  Returns the accepted dimension.
-
-    With a `target`, dim U (`_all_words_dim`), the fixpoint returns once the
-    accepted span reaches it, and a window whose accepted span already has
-    it runs none: every window's span lies in U, so from there on each one
-    is U.  The budget is checked either way."""
-    accepted = window[1]
-    lo, exact = _window_range(mode, nfa, bound, caps, accepted.n)
-    if accepted.dim != target:
-        _fixpoint(window, moves, nfa.accepting, exact, lo, bound, target)
-    return accepted.dim
-
-
-def _stable(history: list[int], window: int) -> bool:
-    """The last `window` + 1 entries of `history` are equal."""
-    return len(history) > window and len(set(history[-window - 1:])) == 1
-
-
-def counter_saturation(
-    mp: MorphismPair,
-    degree: int,
-    mode: str,
-    nfa: Nfa | None = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> tuple[PolySpace, int]:
-    """Grow the prefix-weight window over the paths of `nfa` (default: every
-    word), warm-starting one fixpoint from bound to bound (`_window_rows`),
-    until the space is unchanged for caps.window consecutive bounds; returns
-    (space, final bound).  The accepted spans nest, so unchanged means the
-    same dimension; the RREF and the vanishing space are computed once, at
-    the returned bound.
-
-    Every window's span lies in U, so once one reaches dim U every later
-    window is U: each later bound still checks its budget and records dim U,
-    but runs no fixpoint, and the stop bound, the history and the answer are
-    what they would be without this exit.  U is computed once the bound-2
-    window has passed its budget check, so a refused saturation costs no
-    more than before."""
-    if mode not in ("cover", "reach", "zero"):
-        raise PreconditionError(f"unknown saturation mode {mode!r}")
-    nfa = nfa or Nfa.universal(mp.alphabet)
-    steps, window, dim_u = _stage(mp, degree, caps, nfa, len(nfa.states), f"{mode} saturation")
-    moves = _moves(nfa, steps, mp.omega)
-    history: list[int] = []
-    for bound in range(2, caps.counter + 1):
-        if bound == 2:  # U once the first window has passed its budget check
-            _window_range(mode, nfa, bound, caps, window[1].n)
-            target = dim_u()
-        history.append(_window_rows(mode, nfa, moves, bound, caps, window, target))
-        if _stable(history, caps.window):
-            return _vanishing(mp.dim, degree, window[1]), bound
-    raise InfeasibleError(
-        f"{mode} saturation did not stabilize within counter bound "
-        f"{caps.counter}; raise the counter cap"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-
-
-class OracleResult(NamedTuple):
-    space: PolySpace
-    stabilized: bool
-    max_len: int
-    words_used: int
-
-
-# The words of one length n with their images phi(w) = N / s: each word as
-# its code, the sum of i_j * |Sigma|^(n - 1 - j) over its letter indices i_j;
-# N the d x d integer matrix flattened row-major, s > 0 one common denominator.
-# A frontier yields one for each n <= its max_len, all of them, and then
-# ends; the prefixes it never makes complete only past max_len.
-Length = list[tuple[int, list[int], int]]
-
-
-def word_frontier(
-    mp: MorphismPair, predicate: str, nfa: Nfa | None, max_len: int
-) -> Iterator[Length]:
-    """For n = 0, 1, ..., max_len: the words of length n in the language,
-    in letter-index order, each as its code (`Length`) with its image.
-
-    The language is the paths of `nfa` (None: every word; it must be
-    deterministic and may be partial) whose prefix weights stay in the
-    predicate's window (`lang.bounds`).  A word of length n is one of a
-    layer of prefixes of n // 2 letters, (code, state, counter, image),
-    followed by one of the suffixes that a table lists for the prefix's
-    state and counter and the h = n - n // 2 letters left: its code is
-    pcode * |Sigma|^h + scode, its image one product of the halves' images,
-    reduced by their gcd (N / s with gcd(s, N) = 1 is unique).  The layer
-    and each entry are in code order, so a length comes out sorted.  A
-    suffix is a letter times a shorter suffix, one object in all the entries
-    made with it; counters whose window binds no suffix of a length
-    differently share an entry.  The table is filled a length at a time, so
-    no recursion grows with max_len, and states from which no accepting
-    state is reachable are never entered.
-
-    A length is built only when it is asked for, so nothing is made past the
-    length a caller stops at.  A prefix that can complete only past max_len
-    (depth + |counter| when the total weight must be 0) is never made, and
-    the frontier ends after length max_len: reading past it is the end of the
-    iterator, never an empty length.  The predicate, the automaton and
-    max_len are checked when the frontier is made, before any length is asked
-    for.
-    """
-    bounds(predicate, mp.eta)  # refuses an unknown predicate
-    if max_len < 0:
-        raise PreconditionError(f"the oracle's max_len must be >= 0, got {max_len}")
-    nfa = nfa or Nfa.universal(mp.alphabet)
-    if not nfa.is_deterministic():
-        raise PreconditionError("the oracle's automaton must be deterministic")
-    return _frontier(mp, predicate, nfa, max_len)
-
-
-def _frontier(mp: MorphismPair, predicate: str, nfa: Nfa, last: int) -> Iterator[Length]:
-    """`word_frontier`'s generator, over a checked predicate, automaton and
-    last length.  A suffix is kept with its image already split into rows,
-    so making a word splits only its prefix's image, once for all the
-    suffixes it is followed by."""
-    lo, hi, exact = bounds(predicate, mp.eta)
-    d = mp.dim
-    k = len(mp.alphabet)
-
-    def split(x):  # the rows of a flat d x d matrix
-        return [x[r:r + d] for r in range(0, d * d, d)]
-
-    def product(rows, cols, s):  # over s, reduced to gcd(s, entries) = 1
-        n = [sum(map(mul, row, col)) for row in rows for col in cols]
-        g = gcd(s, *n) if s != 1 else 1
-        return (n, s) if g == 1 else ([x // g for x in n], s // g)
-
-    delta = nfa.delta()
-    sources: dict = {}  # state -> the states with a move into it
-    for (q, a), q2 in delta.items():
-        if a in mp.omega:
-            sources.setdefault(q2, set()).add(q)
-    live, todo = set(nfa.accepting), list(nfa.accepting)
-    while todo:  # one backward pass: the states with a path to an accepting one
-        grown = sources.get(todo.pop(), set()) - live
-        live |= grown
-        todo.extend(grown)
-    # per state: (letter, weight, target, the letter's cleared rows and columns, divisor)
-    moves = {q: [] for q in nfa.states}
-    for i, a in enumerate(mp.alphabet):
-        flat = mp.phi[a].flat()
-        t = lcm(*(x.denominator for x in flat))
-        cleared = [x.numerator * (t // x.denominator) for x in flat]
-        letter = split(cleared), [cleared[j::d] for j in range(d)], t
-        for q in nfa.states:
-            if (q2 := delta.get((q, a))) in live:
-                moves[q].append((i, mp.omega[a], q2, *letter))
-    ends = [set(nfa.accepting)]  # ends[ln]: the states with a path of ln letters to accept
-    identity = [int(i == j) for i in range(d) for j in range(d)]
-
-    def key(q, c, ln):
-        """The table key of the suffixes of length ln from state q at counter c:
-        None where none can exist, one key for counters no suffix tells apart."""
-        while len(ends) <= ln:
-            ends.append({p for q2 in ends[-1] for p in sources.get(q2, ())})
-        if ln < 0 or q not in ends[ln] or not lo <= c <= hi or exact and abs(c) > ln:
-            return None
-        return q, ln, c if exact else None, max(lo - c, -ln), min(hi - c, ln)
-
-    # key -> its suffixes as (code, the rows of N^T, s) for the image N / s, in
-    # code order; a letter a before a suffix has the image a N, whose transpose
-    # is N^T a^T
-    table: dict = {None: []}
-
-    def fill(needed, ln):
-        """Make the entries of the (state, counter) pairs `needed` at length
-        ln, after those below that they are built from."""
-        levels = []
-        while needed:
-            level = {}
-            for q, c in needed:
-                if (kq := key(q, c, ln)) not in table:
-                    level[kq] = q, c
-            levels.append((ln, level))
-            needed = {(q2, c + w) for q, c in level.values() for _, w, q2, *_ in moves[q]}
-            ln -= 1
-        for ln, level in reversed(levels):
-            made = {}  # code -> that suffix, one object in the entries made here
-            for kq, (q, c) in level.items():
-                entry = table[kq] = [] if ln else [(0, split(identity), 1)]
-                for i, w, q2, rows, _, t in moves[q]:
-                    for code, x, s in table[key(q2, c + w, ln - 1)]:
-                        code += i * k ** (ln - 1)
-                        if code not in made:
-                            n, den = product(x, rows, s * t)
-                            made[code] = code, split(n), den
-                        entry.append(made[code])
-
-    (initial,) = nfa.initial
-    layer = [(0, initial, 0, identity, 1)]  # the prefixes of length ln // 2
-    for ln in range(last + 1):
-        depth, half = ln // 2, ln - ln // 2
-        if depth and not ln % 2:
-            layer = [
-                (code * k + i, q2, c + w, *product(split(n), cols, s * t))
-                for code, q, c, n, s in layer
-                for i, w, q2, _, cols, t in moves[q]
-                if lo <= c + w <= hi and depth + (abs(c + w) if exact else 0) <= last
-            ]
-        fill({(q, c) for _, q, c, _, _ in layer}, half)
-        if ln == last:  # no longer length reads the table: keep what this one reads
-            table = {kq: table[kq] for kq in {key(q, c, half) for _, q, c, _, _ in layer}}
-        shift = k ** half
-        # yielded unbound, so a length handed over is the reader's alone
-        yield [(code * shift + scode, *product(rows, x, s * t))
-               for code, q, c, n, s in layer for rows in (split(n),)
-               for scode, x, t in table[key(q, c, half)]]
-
-
-def _oracle_over_words(
-    mp_dim: int,
-    degree: int,
-    lengths: Iterator[Length],
-    min_len: int,
-    caps: Caps,
-    raise_on_cap: bool = True,
-) -> OracleResult:
-    """Enumerate `lengths` (bounded by the caller, `word_frontier`'s
-    max_len) to min_len, then on until the stabilization window is met
-    (sparse languages can skip several lengths between words) or `lengths`
-    ends.  Without raise_on_cap, hitting the word budget stops gracefully at
-    the achieved length.  A word's point is its integer Veronese vector
-    N^mono * s^(D - |mono|), s^D times nu_D(N / s).  Words of one length
-    that share (s, N) share the point, so each distinct one is evaluated and
-    inserted once, in first-seen order: the span, its history and the stop
-    are what inserting every word gives, and `words_used` still counts
-    words.  A length's words are let go as they are read into its points."""
-    n = comb(mp_dim * mp_dim + degree, degree)
-    _check_budget(0, n, caps, "oracle")  # no states: only the Veronese cap applies
-    evaluate = _monomial_evaluator(mp_dim * mp_dim, degree)
-    span = Span(n)
-    # span dimension after each length that contributed at least one word;
-    # empty lengths carry no information (sparse languages skip lengths)
-    history: list[int] = []
-    used = 0
-    for ln, words in enumerate(lengths):
-        capped = used + len(words) > caps.oracle_words
-        if capped:
-            if raise_on_cap:
-                raise InfeasibleError(f"oracle exceeded the word cap {caps.oracle_words}")
-            words = words[:caps.oracle_words - used]
-            used = caps.oracle_words + 1  # the word past the cap counts as used
-        else:
-            used += len(words)
-        points = {}  # the distinct (s, image) of this length, in first-seen order
-        words.reverse()
-        while words:
-            _, image, s = words.pop()
-            points[s, *image] = None
-        for s, *image in points:
-            span.insert(evaluate(image, s))
-        if points:
-            history.append(span.dim)
-        stable = span.dim == n or _stable(history, caps.window)
-        if capped or (ln >= min_len and stable):
-            break
-    space = _vanishing(mp_dim, degree, span)
-    return OracleResult(space, stable and not capped, ln, used)
-
-
-def oracle_closure(
-    mp: MorphismPair,
-    predicate: str,
-    degree: int,
-    max_len: int,
-    caps: Caps = DEFAULT_CAPS,
-    nfa: Nfa | None = None,
-) -> OracleResult:
-    """finite_vanishing_space over the words of the language named by the
-    predicate and read by the deterministic `nfa` (default: every word),
-    `word_frontier(mp, predicate, nfa, max_len)`; reports whether the space
-    was identical over the last `window` length increments."""
-    return _oracle_over_words(
-        mp.dim, degree, word_frontier(mp, predicate, nfa, max_len), max_len, caps
-    )
-
-
 # ---------------------------------------------------------------------------
 # The gamma (product-alphabet) stage of the zero pipeline
 
@@ -767,7 +421,7 @@ def _gamma_condition_rows(mp: MorphismPair, degree: int, caps: Caps) -> Span:
     """The span of the evaluations over the flattened product-automaton
     language, the zero pipeline's whole answer at the default threshold.
 
-    The automaton (`automata.build_zero_automaton`) reads the letters of
+    The automaton (`constructions.build_zero_automaton`) reads the letters of
     Gamma, 4-tuples over epsilon + Sigma, on counters in [-2 eta, 2 eta].
     A letter's tensor map is the product of its single-track maps
     I x .. x T_x x .. x I, which commute (the mixed-product property), and
@@ -831,36 +485,6 @@ class PipelineResult(NamedTuple):
     counter_bound: int | None = None
 
 
-def run_saturation(
-    mp: MorphismPair, mode: str, degree: int, caps: Caps, nfa: Nfa | None = None
-) -> PipelineResult:
-    """`counter_saturation` for the mode's predicate (a 1-VASS mode
-    `vass-X` reads X over the paths of `nfa`), cross-checked against the
-    brute-force oracle over the same language (`word_frontier`, to length
-    caps.oracle_len and on to caps.oracle_extend until it stabilizes); on
-    disagreement the result is withheld.  The frontier is made first, so an
-    automaton the oracle cannot read is refused before the saturation
-    runs."""
-    predicate = mode.removeprefix("vass-")
-    lengths = word_frontier(mp, predicate, nfa, max(caps.oracle_len, caps.oracle_extend))
-    space, bound = counter_saturation(mp, degree, predicate, nfa, caps)
-    oracle = _oracle_over_words(
-        mp.dim, degree, lengths, caps.oracle_len, caps, raise_on_cap=False
-    )
-    if oracle.space != space:
-        raise OracleDisagreementError(
-            f"{mode} pipeline at eta={mp.eta} disagrees with "
-            f"the oracle at enumeration length {oracle.max_len} "
-            f"(oracle {'stabilized' if oracle.stabilized else 'NOT stabilized'}); "
-            "result withheld"
-        )
-    return PipelineResult(
-        space, mode, mp.eta, "saturation+oracle", oracle_checked=True,
-        oracle_max_len=oracle.max_len, oracle_stabilized=oracle.stabilized,
-        counter_bound=bound,
-    )
-
-
 def _log10_comb(n: int, k: int) -> float:
     """log10 comb(n, k), without computing comb(n, k).  Past float range
     each factor n - i of comb(n, k) * k! is n to within a factor 1 - k / n."""
@@ -898,9 +522,9 @@ def pipeline(
     mp: MorphismPair, mode: str, degree: int, caps: Caps = DEFAULT_CAPS, nfa: Nfa | None = None
 ) -> PipelineResult:
     """The mode's closure under the pipeline policy (module docstring): the
-    regular fixpoint over `nfa`; with eta overridden, `run_saturation`; at
-    the default eta, cover's and zero's guaranteed stages, and a refusal for
-    reach and 1-VASS modes."""
+    regular fixpoint over `nfa`; with eta overridden,
+    `saturation.run_saturation`; at the default eta, cover's and zero's
+    guaranteed stages, and a refusal for reach and 1-VASS modes."""
     if mode not in MODES:
         raise PreconditionError(f"unknown mode {mode!r}; the modes are {MODES}")
     if (nfa is None) != (mode in ("cover", "reach", "zero")):
@@ -909,6 +533,8 @@ def pipeline(
     if mode == "regular":
         return PipelineResult(regular_closure(nfa, mp, degree, caps), mode, mp.eta, "fixpoint")
     if not mp.eta_is_default:
+        from .saturation import run_saturation
+
         return run_saturation(mp, mode, degree, caps, nfa)
     if mode == "cover":
         space = _vanishing(mp.dim, degree, _threshold_rows(mp, degree, caps))
@@ -926,38 +552,18 @@ def pipeline(
     )
 
 
-# ---------------------------------------------------------------------------
-# The non-stabilizing chain of finite sets (regression corpus)
+# module -> the names it took from this one, resolved here on first access
+_MOVED = {
+    "saturation": ("_window_range", "_window_rows", "counter_saturation", "run_saturation"),
+    "oracle": (
+        "Length", "OracleResult", "_frontier", "_oracle_over_words", "_stable",
+        "finite_vanishing_space", "oracle_closure", "word_frontier",
+    ),
+}
 
 
-def monoid_closure(seed: list[Matrix], cap: int = 512) -> frozenset[Matrix]:
-    d = seed[0].rows
-    out = set(seed) | {Matrix.identity(d)}
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(out):
-                for prod in (a * b, b * a):
-                    if prod not in out:
-                        out.add(prod)
-                        nxt.append(prod)
-                        if len(out) > cap:
-                            raise InfeasibleError("monoid closure exceeded the cap")
-        frontier = nxt
-    return frozenset(out)
-
-
-def recurrence_chain(steps: int) -> list[frozenset[Matrix]]:
-    """S_0 = closure{0, N}; S_{i+1} = closure(S_i + alpha S_i beta).  The sets
-    grow strictly forever; finite saturation cannot compute the closure."""
-    zero = Matrix.zeros(2)
-    nil = Matrix([[0, 1], [0, 0]])
-    alpha = Matrix([[2, 0], [0, 1]])
-    beta = Matrix([[Fraction(1, 2), 0], [0, 1]])
-    chain = [monoid_closure([zero, nil])]
-    for _ in range(steps):
-        prev = chain[-1]
-        seed = list(prev) + [alpha * x * beta for x in prev]
-        chain.append(monoid_closure(seed))
-    return chain
+def __getattr__(name: str):
+    for module, names in _MOVED.items():
+        if name in names:
+            return getattr(import_module(f"{__package__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,12 +7,12 @@ echelon form so that equality of spans is literal structural equality.
 `Span` is the only eliminator in the package.  The fixpoints, the oracle and
 the exterior greedy basis insert into it directly; the rest goes through
 `span_of`, which clears each vector (`_cleared`) and inserts it:
-`Subspace.from_vectors`, `contains` and `intersection`, `rank`,
-`rank_decomp`, `invert` (the RREF of [M | I]), the block extraction,
-`closure.finite_vanishing_space` and `exterior.combination`.  Every kernel
-is `kernel_basis` of a `Span`, the RREF of its annihilator, read off the
-span's rows eliminated once over reversed columns, so the engine's stages
-hand over the spans they accepted and no kernel is eliminated again.  A
+`Subspace.from_vectors`, `contains` and `intersection`, the rank algebra of
+`stable`, the block extraction, `oracle.finite_vanishing_space` and
+`exterior.combination`.  Every kernel is `kernel_basis` of a `Span`, the
+RREF of its annihilator, read off the span's rows eliminated once over
+reversed columns, so the engine's stages hand over the spans they accepted
+and no kernel is eliminated again.  A
 span does not change when a vector is scaled, so it keeps primitive integer
 rows by fraction-free elimination; `Fraction` appears only where
 `Span.basis()` divides its integer Gauss-Jordan form by the pivots, which
@@ -27,10 +27,6 @@ them on demand and `dense` one row.  A span that refuses a vector at
 dimension at least half its ambient dimension also keeps its annihilator
 and tests membership by dot products against it, which pays only where
 most inserts are refused (the oracle).
-
-The one non-textbook operation is `stable_identity`: for a stable matrix M
-(rank M = rank M^2) it builds the idempotent P with PM = MP = M by changing
-basis to [image basis | kernel basis] and conjugating diag(I_r, 0) back.
 """
 from __future__ import annotations
 
@@ -40,7 +36,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError
 
 Vector = tuple[Fraction, ...]
 # A sparse integer vector: its nonzero columns, ascending, and its entries there.
@@ -346,10 +342,6 @@ class Subspace(NamedTuple):
             raise DimensionError("subspaces live in different ambient spaces")
 
 
-def rank(m: Matrix) -> int:
-    return span_of(m.cols, m.entries).dim
-
-
 def kernel_basis(span: Span) -> list[Vector]:
     """The RREF basis of the span's annihilator, read off the span's rows
     eliminated over reversed columns.  Their integer Gauss-Jordan form R has
@@ -379,51 +371,3 @@ def kernel_basis(span: Span) -> list[Vector]:
                 k[p] = x
             out.append(tuple(k))
     return out
-
-
-def rank_decomp(m: Matrix) -> tuple[int, Subspace, Subspace]:
-    """(rank, image, kernel) of a square matrix; image spanned by columns."""
-    if not m.is_square:
-        raise DimensionError("rank_decomp needs a square matrix")
-    image = Subspace.from_vectors(m.rows, m.columns())
-    ker = Subspace(m.cols, tuple(kernel_basis(span_of(m.cols, m.entries))))
-    return image.dim, image, ker
-
-
-def is_stable(m: Matrix) -> bool:
-    """rank(M) = rank(M^2), which holds iff im(M) ∩ ker(M) = {0}."""
-    if not m.is_square:
-        raise DimensionError("is_stable needs a square matrix")
-    return rank(m) == rank(m * m)
-
-
-def invert(m: Matrix) -> Matrix:
-    """The right half of the RREF of [M | I], whose left half is I iff M is
-    invertible ([M | I] always has rank d)."""
-    if not m.is_square:
-        raise DimensionError("invert needs a square matrix")
-    d = m.rows
-    aug = span_of(
-        2 * d, [row + unit for row, unit in zip(m.entries, Matrix.identity(d).entries)]
-    ).basis()
-    if any(row[i] != 1 for i, row in enumerate(aug)):
-        raise PreconditionError("matrix is singular")
-    return Matrix([row[d:] for row in aug])
-
-
-def stable_identity(m: Matrix) -> Matrix:
-    """The projector P = Y diag(I_r, 0) Y^{-1}, Y = [image basis | kernel basis].
-
-    P is the identity element of the closed group generated by a stable M:
-    P^2 = P, PM = MP = M, im(P) = im(M), ker(P) = ker(M).
-    """
-    if not m.is_square:
-        raise DimensionError("stable_identity needs a square matrix")
-    r, image, ker = rank_decomp(m)
-    if image.intersection(ker).dim != 0:
-        raise PreconditionError("stable_identity requires a stable matrix")
-    d = m.rows
-    cols = list(image.basis) + list(ker.basis)
-    y = Matrix(list(zip(*cols))) if cols else Matrix.identity(d)
-    diag = Matrix([[Fraction(int(i == j and i < r)) for j in range(d)] for i in range(d)])
-    return y * diag * invert(y)

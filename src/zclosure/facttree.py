@@ -27,9 +27,10 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError
-from .exactlin import Matrix, Subspace, is_stable, rank, rank_decomp
+from .exactlin import Matrix, Subspace
 from .exterior import ExtVector, combination, greedy_basis, iota, wedge
 from .lang import MorphismPair
+from .stable import is_stable, rank, rank_decomp
 
 
 class FactTree(NamedTuple):

@@ -11,9 +11,11 @@ is exact, the total weight is 0.  `bounds` is the one table of the windows:
     bz     : zero with every prefix weight in [-eta, eta]
     all    : every word
 
-General integer weights are deliberately unsupported; `split_weights` is the
-opt-in preprocessing helper that rewrites a weight-k letter into |k| unit
-letters over a fresh intermediate alphabet.
+General integer weights are deliberately unsupported; `words.split_weights`
+is the opt-in preprocessing helper that rewrites a weight-k letter into |k|
+unit letters over a fresh intermediate alphabet.  A single word's class
+and membership in each language (`words.classify_word`) are read off
+`bounds` as well.
 """
 from __future__ import annotations
 
@@ -104,16 +106,6 @@ class MorphismPair(_MorphismPairFields):
         return w
 
 
-class WordClass(NamedTuple):
-    weight: int
-    min_prefix_weight: int
-    max_prefix_weight: int
-    in_LC: bool
-    in_LR: bool
-    in_LZ: bool
-    in_LBZ: bool
-
-
 def bounds(predicate: str, eta: int) -> tuple[float, float, bool]:
     """(lo, hi, exact) of the predicate's language at threshold eta: its
     words keep every prefix weight in [lo, hi] and, if exact, end at 0."""
@@ -127,51 +119,3 @@ def bounds(predicate: str, eta: int) -> tuple[float, float, bool]:
     if predicate not in windows:
         raise PreconditionError(f"unknown predicate {predicate!r}")
     return windows[predicate]
-
-
-def classify_word(w: Sequence[str], mp: MorphismPair) -> WordClass:
-    """The word's weight, prefix-weight range and membership in each language."""
-    pw = mp.prefix_weights(mp.check_word(w))
-    flags = (in_language(w, mp, predicate) for predicate in ("cover", "reach", "zero", "bz"))
-    return WordClass(pw[-1], min(pw), max(pw), *flags)
-
-
-def in_language(w: Sequence[str], mp: MorphismPair, predicate: str) -> bool:
-    pw = mp.prefix_weights(mp.check_word(w))
-    lo, hi, exact = bounds(predicate, mp.eta)
-    return lo <= min(pw) and max(pw) <= hi and not (exact and pw[-1])
-
-
-def split_weights(
-    alphabet: Sequence[str],
-    dim: int,
-    phi: dict[str, Matrix],
-    omega: dict[str, int],
-    eta: int = 0,
-) -> tuple[MorphismPair, dict[str, Word]]:
-    """Rewrite general integer weights into unit weights.
-
-    A weight-k letter a becomes a followed by |k|-1 fresh letters "a'1",...,
-    each of weight sign(k); a keeps phi(a) and the fresh letters map to the
-    identity.  Returns the normalized pair and the letter -> replacement-word
-    map.  Off by default everywhere; callers opt in explicitly.
-    """
-    new_alphabet: list[str] = []
-    new_phi: dict[str, Matrix] = {}
-    new_omega: dict[str, int] = {}
-    expansion: dict[str, Word] = {}
-    for a in alphabet:
-        k = omega[a]
-        sign = 0 if k == 0 else (1 if k > 0 else -1)
-        pieces = [a]
-        for i in range(max(abs(k) - 1, 0)):
-            pieces.append(f"{a}'{i + 1}")
-        for i, b in enumerate(pieces):
-            new_alphabet.append(b)
-            new_phi[b] = phi[a] if i == 0 else Matrix.identity(dim)
-            new_omega[b] = sign if abs(k) >= 1 else 0
-        expansion[a] = tuple(pieces)
-    return (
-        MorphismPair(tuple(new_alphabet), dim, new_phi, new_omega, eta),
-        expansion,
-    )

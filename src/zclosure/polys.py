@@ -1,16 +1,15 @@
-"""Monomial bases, polynomial rendering/parsing, and polynomial spaces.
+"""Monomial bases, polynomial rendering, and polynomial spaces.
 
 A polynomial in the d x d matrix entries lives in variables x_{ij} flattened
 row-major (variable order x11 < x12 < ... < xdd).  The coefficient-vector
 basis enumerates all monomials of total degree <= D in graded reverse
 lexicographic order, largest first, so the RREF pivot of a basis vector is
 its grevlex leading monomial.  Rendering clears denominators, divides out the
-content and makes the leading coefficient positive; parse(render(p)) is the
-identity on canonical forms.
+content and makes the leading coefficient positive; `ideals.parse_poly`
+reads the rendering back.
 """
 from __future__ import annotations
 
-import re
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +17,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionError, PreconditionError, SchemaError
+from .errors import DimensionError, PreconditionError
 from .exactlin import Subspace, Vector
 
 Exponent = tuple[int, ...]
@@ -105,10 +104,6 @@ def substitution_rows(
     return [poly_mul(p, powers[degree - sum(e)]) for p, e in zip(out, basis)]
 
 
-def poly_degree(p: Poly) -> int:
-    return max((sum(k) for k in p), default=0)
-
-
 def poly_to_vector(p: Poly, nvars: int, degree: int) -> Vector:
     idx = basis_index(nvars, degree)
     vec = [Fraction(0)] * len(idx)
@@ -157,58 +152,6 @@ def render_poly(p: Poly, d: int) -> str:
         else:
             out.append(("+ " if n > 0 else "- ") + text)
     return " ".join(out)
-
-
-_TERM_RE = re.compile(r"^(\d+)?\*?((?:x\d\d|x_\{\d+\}_\{\d+\})(?:\^\d+)?(?:\*(?:x\d\d|x_\{\d+\}_\{\d+\})(?:\^\d+)?)*)?$")
-_VAR_RE = re.compile(r"^(?:x(\d)(\d)|x_\{(\d+)\}_\{(\d+)\})(?:\^(\d+))?$")
-
-
-def parse_poly(text: str, d: int) -> Poly:
-    text = text.strip()
-    if text == "0":
-        return {}
-    text = text.replace("-", " - ").replace("+", " + ")
-    tokens = text.split()
-    sign = 1
-    out: Poly = {}
-    i = 0
-    nvars = d * d
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok == "+":
-            sign = 1
-            i += 1
-            continue
-        if tok == "-":
-            sign = -1
-            i += 1
-            continue
-        m = _TERM_RE.match(tok)
-        if not m:
-            raise SchemaError(f"cannot parse polynomial term {tok!r}")
-        coeff = Fraction(int(m.group(1))) if m.group(1) else Fraction(1)
-        alpha = [0] * nvars
-        if m.group(2):
-            for factor in m.group(2).split("*"):
-                vm = _VAR_RE.match(factor)
-                if not vm:
-                    raise SchemaError(f"cannot parse variable {factor!r}")
-                gi = vm.group(1) or vm.group(3)
-                gj = vm.group(2) or vm.group(4)
-                e = int(vm.group(5)) if vm.group(5) else 1
-                vi, vj = int(gi), int(gj)
-                if not (1 <= vi <= d and 1 <= vj <= d):
-                    raise SchemaError(f"variable {factor!r} out of range for d={d}")
-                alpha[(vi - 1) * d + (vj - 1)] += e
-        key = tuple(alpha)
-        s = out.get(key, Fraction(0)) + sign * coeff
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-        sign = 1
-        i += 1
-    return out
 
 
 class _PolySpaceFields(NamedTuple):
@@ -277,34 +220,11 @@ class IdealGens(NamedTuple):
     generators: tuple[str, ...]
 
     def polynomials(self) -> list[Poly]:
+        from .ideals import parse_poly
+
         return [parse_poly(g, self.dim) for g in self.generators]
 
 
 def space_to_generators(s: PolySpace) -> IdealGens:
     gens = tuple(render_poly(p, s.dim) for p in s.polynomials())
     return IdealGens(s.dim, s.degree, gens)
-
-
-def ideal_slice(gens: IdealGens, degree: int) -> PolySpace:
-    """Span of {g * m : deg(g * m) <= degree} over the generator list."""
-    nvars = gens.dim * gens.dim
-    vectors = []
-    for g in gens.polynomials():
-        dg = poly_degree(g)
-        if dg > degree:
-            raise PreconditionError(
-                f"generator degree {dg} exceeds the slice degree {degree}"
-            )
-        for mono in monomial_basis(nvars, degree - dg):
-            prod = poly_mul(g, {mono: Fraction(1)})
-            vectors.append(poly_to_vector(prod, nvars, degree))
-    if not vectors:
-        return PolySpace.zero(gens.dim, degree)
-    return PolySpace.from_vectors(gens.dim, degree, vectors)
-
-
-def gens_from_strings(d: int, degree: int, gens) -> IdealGens:
-    # normalize through parse -> render so equality is canonical
-    return IdealGens(
-        d, degree, tuple(render_poly(parse_poly(g, d), d) for g in gens)
-    )

@@ -8,20 +8,18 @@ import time
 import pytest
 
 from conftest import powers_morphism, random_matrix, random_rank_sequence, unipotent_morphism
-from zclosure.closure import (
-    Caps,
-    oracle_closure,
-    pipeline,
-    recurrence_chain,
-    regular_closure,
-)
+from zclosure.closure import Caps, pipeline, regular_closure
+from zclosure.commands import recurrence_chain
+from zclosure.constructions import determinize
 from zclosure.errors import InfeasibleError
-from zclosure.exactlin import Matrix, is_stable
+from zclosure.exactlin import Matrix
 from zclosure.facttree import build_rank_tree, build_tree, extract_stable_factor, validate_tree
+from zclosure.ideals import gens_from_strings, ideal_slice
 from zclosure.lang import MorphismPair
-from zclosure.polys import gens_from_strings, ideal_slice
+from zclosure.oracle import oracle_closure
 from zclosure.reduction import Vass, vass_to_constrained
-from zclosure.automata import Nfa, determinize
+from zclosure.stable import is_stable
+from zclosure.automata import Nfa
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -115,7 +113,7 @@ def test_criterion_4_rvsc2():
 
     # the 3x3 companion is resolved by the oracle and annotated as the
     # documented discrepancy in the corpus
-    from zclosure.cli import verify_corpus
+    from zclosure.commands import verify_corpus
 
     entries = {e["name"]: e for e in verify_corpus()}
     phi2 = [e for name, e in entries.items() if "3x3" in name]

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from conftest import powers_morphism, unipotent_morphism
-from zclosure.automata import (
-    Nfa,
+from zclosure.automata import Nfa
+from zclosure.constructions import (
     build_bz_automaton,
     build_cover_automaton,
     build_reach_automaton,
@@ -16,9 +16,9 @@ from zclosure.automata import (
     gamma_alphabet,
 )
 from zclosure.errors import InfeasibleError, PreconditionError
-from zclosure.exactlin import is_stable
 from zclosure.facttree import extract_stable_factor
-from zclosure.lang import classify_word
+from zclosure.stable import is_stable
+from zclosure.words import classify_word
 
 
 def _is_complete(nfa):

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zclosure.automata import determinize
-from zclosure.cli import Instance, load_instance, main, run_pipeline, verify_corpus
-from zclosure.closure import Caps, finite_vanishing_space
+from zclosure.cli import Instance, load_instance, main, run_pipeline
+from zclosure.closure import Caps
+from zclosure.commands import verify_corpus
+from zclosure.constructions import determinize
 from zclosure.errors import SchemaError
+from zclosure.oracle import finite_vanishing_space
 from zclosure.polys import space_to_generators
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -318,6 +320,26 @@ def test_run_refuses_a_negative_eta_override():
     assert reports[0] == reports[1]
 
 
+def test_commands_in_one_process_print_what_fresh_processes_print(capsys):
+    # `main` builds its parser once per process; each call still parses only
+    # its own arguments
+    path = _corpus_path("simple_reach.json")
+
+    def without_timings(out):
+        if not out.startswith("{"):
+            return out
+        report = json.loads(out)
+        report.pop("timings", None)
+        return report
+
+    for argv in (["run", path], ["oracle", path, "--max-len", "6"], ["run", path, "--text"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        proc = _run_cli(*argv)
+        assert (code, without_timings(captured.out), captured.err) == (
+            proc.returncode, without_timings(proc.stdout), proc.stderr)
+
+
 def test_tree_and_automaton_and_oracle_commands():
     proc = _run_cli("tree", _corpus_path("dyck_reach.json"), "--word", "aabb")
     assert proc.returncode == 0 and "height" in proc.stdout
@@ -419,11 +441,22 @@ def test_run_pipeline_accepts_regular_mode(tmp_path):
 
 
 def test_oracle_refuses_a_negative_max_len():
-    proc = _run_cli("oracle", _corpus_path("simple_reach.json"), "--max-len", "-3")
+    path = _corpus_path("simple_reach.json")
+    proc = _run_cli("oracle", path, "--max-len", "-3")
     assert proc.returncode == 2, proc.stdout
     assert proc.stdout == ""
     assert json.loads(proc.stderr) == {
-        "error": "schema", "message": "--max-len must be >= 0",
+        "error": "schema", "message": f"{path}: --max-len must be >= 0, got -3",
+    }
+
+
+def test_tree_refuses_an_unknown_letter_naming_the_file_and_the_word():
+    path = _corpus_path("dyck_reach.json")
+    proc = _run_cli("tree", path, "--word", "abz")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "error": "precondition", "message": f"{path}: --word 'abz': unknown letter 'z'",
     }
 
 

@@ -21,8 +21,9 @@ from conftest import (
     sparse,
     unipotent_morphism,
 )
-from zclosure.automata import (
-    Nfa,
+from zclosure.automata import Nfa
+from zclosure.commands import recurrence_chain
+from zclosure.constructions import (
     build_bz_automaton,
     build_cover_automaton,
     determinize,
@@ -43,25 +44,19 @@ from zclosure.closure import (
     _threshold_rows,
     _vanishing,
     apply_map,
-    counter_saturation,
-    finite_vanishing_space,
     letter_map,
-    oracle_closure,
     pipeline,
-    recurrence_chain,
     regular_closure,
     veronese,
 )
 from zclosure.errors import InfeasibleError, OracleDisagreementError, PreconditionError
-from zclosure.exactlin import Matrix, Subspace, dense, kernel_basis, rank, span_of
+from zclosure.exactlin import Matrix, Subspace, dense, kernel_basis, span_of
+from zclosure.ideals import gens_from_strings, ideal_slice, parse_poly
 from zclosure.lang import MorphismPair
-from zclosure.polys import (
-    PolySpace,
-    gens_from_strings,
-    ideal_slice,
-    parse_poly,
-    space_to_generators,
-)
+from zclosure.oracle import finite_vanishing_space, oracle_closure
+from zclosure.polys import PolySpace, space_to_generators
+from zclosure.saturation import counter_saturation
+from zclosure.stable import rank
 
 
 def test_finite_vanishing_examples():

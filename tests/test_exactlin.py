@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_matrix, rref
 from zclosure.errors import DimensionError, PreconditionError
-from zclosure.exactlin import (
-    Matrix,
-    Subspace,
-    invert,
-    is_stable,
-    rank,
-    rank_decomp,
-    stable_identity,
-)
+from zclosure.exactlin import Matrix, Subspace
+from zclosure.stable import invert, is_stable, rank, rank_decomp, stable_identity
 
 
 def _transpose(m: Matrix) -> Matrix:

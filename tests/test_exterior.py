@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_matrix, rref
 from zclosure.errors import DimensionError, PreconditionError
-from zclosure.exactlin import Matrix, Subspace, rank, rank_decomp
+from zclosure.exactlin import Matrix, Subspace
 from zclosure.exterior import (
     ExtVector,
     combination,
@@ -14,6 +14,7 @@ from zclosure.exterior import (
     trivially_intersects,
     wedge,
 )
+from zclosure.stable import rank, rank_decomp
 
 
 def test_iota_examples():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import powers_morphism, random_matrix, random_rank_sequence, unipotent_morphism
 from zclosure.errors import InternalInvariantError, PreconditionError
-from zclosure.exactlin import Matrix, is_stable
+from zclosure.exactlin import Matrix
 from zclosure.facttree import (
     FactTree,
     build_rank_tree,
@@ -15,6 +15,7 @@ from zclosure.facttree import (
     validate_tree_report,
 )
 from zclosure.lang import MorphismPair
+from zclosure.stable import is_stable
 
 A = Matrix([[1, 1], [0, 1]])
 
@@ -140,7 +141,7 @@ def test_rank_sequences_respect_segment_rank_claim():
         assert validate_tree(t, ms)
         assert t.height <= d + 2
         # every segment product keeps rank r (claimed consequence)
-        from zclosure.exactlin import rank
+        from zclosure.stable import rank
 
         prod = ms[0]
         for m in ms[1:]:

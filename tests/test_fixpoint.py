@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_apply_map, dense_tensor_apply, raw_fixpoint
-from zclosure import closure
+from zclosure import closure, saturation
 from zclosure.automata import Nfa
 from zclosure.closure import Caps
 from zclosure.errors import InfeasibleError
@@ -76,6 +76,7 @@ def _snapshots(stage, residual: bool, stop: bool) -> list:
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch("zclosure.closure._fixpoint", recording))
+        stack.enter_context(mock.patch("zclosure.saturation._fixpoint", recording))
         if not stop:
             stack.enter_context(mock.patch("zclosure.closure._all_words_dim", no_target))
         if not residual:
@@ -137,7 +138,7 @@ def test_saturation_windows_keep_every_span(mode, case):
     # bounds 2..4: each bound replays the parked pushes it newly admits
     mp, nfa, degree = case
     _assert_same_spans(
-        lambda: closure.counter_saturation(mp, degree, mode, nfa, Caps(counter=4)), (False, True))
+        lambda: saturation.counter_saturation(mp, degree, mode, nfa, Caps(counter=4)), (False, True))
 
 
 @settings(max_examples=20, deadline=None)

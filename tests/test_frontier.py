@@ -14,20 +14,17 @@ from hypothesis import strategies as st
 from conftest import in_reference_language, word_of_code
 from zclosure.automata import Nfa
 from zclosure.cli import load_instance
-from zclosure.closure import (
-    DEFAULT_CAPS,
-    Caps,
+from zclosure.closure import DEFAULT_CAPS, Caps, pipeline, veronese
+from zclosure.errors import PreconditionError
+from zclosure.exactlin import Matrix, Span, _cleared
+from zclosure.lang import MorphismPair
+from zclosure.oracle import (
     OracleResult,
     _oracle_over_words,
     finite_vanishing_space,
     oracle_closure,
-    pipeline,
-    veronese,
     word_frontier,
 )
-from zclosure.errors import PreconditionError
-from zclosure.exactlin import Matrix, Span, _cleared
-from zclosure.lang import MorphismPair
 from zclosure.reduction import Vass, vass_to_constrained
 
 MAX_LEN = 5

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_reference_language, powers_morphism, word_of_code
-from zclosure.closure import Caps, oracle_closure, word_frontier
+from zclosure.closure import Caps
 from zclosure.errors import InfeasibleError, PreconditionError, SchemaError
 from zclosure.exactlin import Matrix
-from zclosure.lang import (
-    MorphismPair,
-    classify_word,
-    default_eta,
-    in_language,
-    split_weights,
-)
+from zclosure.lang import MorphismPair, default_eta
+from zclosure.oracle import oracle_closure, word_frontier
+from zclosure.words import classify_word, in_language, split_weights
 
 
 def test_default_eta_values():

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import contains_poly
 from zclosure.errors import PreconditionError
+from zclosure.ideals import gens_from_strings, ideal_slice, parse_poly
 from zclosure.polys import (
     BASIS_CACHE_SIZE,
     _grevlex_key,
     IdealGens,
     PolySpace,
     basis_index,
-    gens_from_strings,
-    ideal_slice,
     monomial_basis,
-    parse_poly,
     poly_mul,
     render_poly,
     space_to_generators,

@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from zclosure.automata import Nfa
-from zclosure.closure import Caps, OracleResult, PipelineResult
+from zclosure.closure import Caps, PipelineResult
 from zclosure.exactlin import Matrix, Subspace
 from zclosure.exterior import ExtVector
 from zclosure.facttree import FactTree
-from zclosure.lang import MorphismPair, WordClass, default_eta
+from zclosure.lang import MorphismPair, default_eta
+from zclosure.oracle import OracleResult
 from zclosure.polys import IdealGens, PolySpace
 from zclosure.reduction import BlockMorphism, Vass
+from zclosure.words import WordClass
 
 
 def _space(basis=()):

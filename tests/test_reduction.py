@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import powers_morphism, unipotent_morphism, word_of_code
 from zclosure.automata import Nfa
-from zclosure.closure import (
-    DEFAULT_CAPS,
-    finite_vanishing_space,
-    regular_closure,
-    veronese,
-    word_frontier,
-)
+from zclosure.closure import DEFAULT_CAPS, regular_closure, veronese
 from zclosure.errors import PreconditionError, SchemaError
 from zclosure.exactlin import Matrix
+from zclosure.ideals import gens_from_strings, ideal_slice
 from zclosure.lang import MorphismPair
-from zclosure.polys import PolySpace, gens_from_strings, ideal_slice, monomial_basis
+from zclosure.oracle import finite_vanishing_space, word_frontier
+from zclosure.polys import PolySpace, monomial_basis
 from zclosure.reduction import (
     Vass,
     _pullback_vectors,

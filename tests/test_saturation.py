@@ -26,16 +26,14 @@ from zclosure.closure import (
     _integer_maps,
     _moves,
     _vanishing,
-    _window_rows,
     apply_map,
-    counter_saturation,
-    run_saturation,
     veronese,
 )
 from zclosure.errors import InfeasibleError, PreconditionError
 from zclosure.exactlin import Matrix, dense, span_of
 from zclosure.lang import MorphismPair
 from zclosure.polys import monomial_basis
+from zclosure.saturation import _window_rows, counter_saturation, run_saturation
 
 
 def cold_window(mp, degree, mode, dfa, bound, caps, maps):
@@ -193,7 +191,7 @@ def test_saturation_refuses_a_nondeterministic_automaton_before_it_runs():
                       {"a": 1, "b": -1}, 2)
     nfa = Nfa((0, 1), ("a", "b"), frozenset({0}), frozenset({1}),
               frozenset({(0, "a", 0), (0, "a", 1), (1, "b", 1)}))
-    with mock.patch("zclosure.closure.counter_saturation") as saturation:
+    with mock.patch("zclosure.saturation.counter_saturation") as saturation:
         with pytest.raises(PreconditionError, match="deterministic"):
             run_saturation(mp, "cover", 1, Caps(), nfa)
     saturation.assert_not_called()

@@ -25,18 +25,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import powers_morphism, unipotent_morphism, unprojected_gamma_rows
-from zclosure import closure
+from zclosure import closure, saturation
 from zclosure.automata import Nfa
 from zclosure.cli import load_instance
-from zclosure.closure import (
-    Caps, _gamma_condition_rows, _nfa_span_rows, _threshold_rows, counter_saturation,
-    pipeline,
-)
+from zclosure.closure import Caps, _gamma_condition_rows, _nfa_span_rows, _threshold_rows, pipeline
 from zclosure.errors import InfeasibleError, InternalInvariantError
 from zclosure.exactlin import Matrix, Span
 from zclosure.lang import MorphismPair
+from zclosure.oracle import oracle_closure, word_frontier
 from zclosure.polys import space_to_generators
 from zclosure.reduction import vass_to_constrained
+from zclosure.saturation import counter_saturation
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 ENTRIES = st.sampled_from([Fraction(x) for x in (0, 1, -1, 2, 3)] + [Fraction(1, 2)])
@@ -154,7 +153,9 @@ def test_regular_stage_exit_keeps_the_basis(case):
 
 def _counting_fixpoints():
     """A stand-in for `closure._fixpoint` that runs it and records each
-    call's arguments after the run, and the list it records them in."""
+    call's arguments after the run, and the list it records them in.  The
+    saturation windows call it through `saturation`'s own binding, which a
+    saturation test patches as well."""
     engine, made = closure._fixpoint, []
 
     def counted(*args):
@@ -192,7 +193,8 @@ def test_where_the_saturation_exit_fires(mp, mode, bound, dims, calls):
     # the calls are U's own fixpoint, then one per window until one reaches U;
     # every bound still checks its budget and records its dimension
     counted, made = _counting_fixpoints()
-    with mock.patch("zclosure.closure._fixpoint", counted):
+    with mock.patch("zclosure.closure._fixpoint", counted), \
+            mock.patch("zclosure.saturation._fixpoint", counted):
         _, stop = counter_saturation(mp, 2, mode, None, Caps())
     run, target = made[-1][0], made[-1][-1]
     assert (stop, (run[1].dim, target), len(made)) == (bound, dims, calls)
@@ -218,7 +220,7 @@ def test_corpus_rvsc2_phi1_reach_work_counts():
     instance = load_instance(os.path.join(SRC, "zclosure", "corpus", "rvsc2_phi1_reach.json"))
     mp, dfa = vass_to_constrained(instance.vass, instance.mp)
     counted, made = _counting_fixpoints()
-    window_rows, frontier, insert = closure._window_rows, closure.word_frontier, Span.insert
+    window_rows, frontier, insert = saturation._window_rows, word_frontier, Span.insert
     bounds, inserts, lengths = [], [0], []
 
     def window(mode, nfa, moves, bound, *args):
@@ -236,8 +238,9 @@ def test_corpus_rvsc2_phi1_reach_work_counts():
             yield length
 
     with mock.patch("zclosure.closure._fixpoint", counted), \
-            mock.patch("zclosure.closure._window_rows", window), \
-            mock.patch("zclosure.closure.word_frontier", words), \
+            mock.patch("zclosure.saturation._fixpoint", counted), \
+            mock.patch("zclosure.saturation._window_rows", window), \
+            mock.patch("zclosure.saturation.word_frontier", words), \
             mock.patch.object(Span, "insert", counting_insert):
         result = pipeline(mp, instance.mode, instance.degree, instance.caps, dfa)
     assert (result.counter_bound, result.oracle_max_len) == (6, 30)
@@ -291,7 +294,7 @@ def test_d3_guaranteed_cover_run(tmp_path):
     assert len(report["generators"]) == report["vanishing_dimension"] == 45
     # U's annihilator, from the oracle's direct products over every word
     mp = MorphismPair(("a", "b"), 3, {"a": Matrix(a), "b": Matrix(b)}, {"a": 1, "b": -1}, 2)
-    oracle = closure.oracle_closure(mp, "all", 2, 8)
+    oracle = oracle_closure(mp, "all", 2, 8)
     assert oracle.stabilized
     assert report["generators"] == list(space_to_generators(oracle.space).generators)
     assert elapsed < 1.0, f"{elapsed:.2f} s"
